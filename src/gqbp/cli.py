@@ -111,7 +111,7 @@ def cmd_hybrid(args) -> int:
     print(f"final_distance={_fmt(trace.final_distance)} bound={_fmt(trace.bound)}")
     for t, dev in enumerate(trace.deviations):
         print(f"level[{t}] deviation={_fmt(dev)} l1={_fmt(trace.level_l1[t])}")
-    return 0 if trace.final_distance <= trace.bound + experiments.SLACK_TOL else 1
+    return 0 if trace.bound_holds else 1
 
 
 def _print_report(report: experiments.ExperimentReport, fmt: str) -> None:

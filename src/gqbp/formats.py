@@ -2,15 +2,27 @@
 
 Serialisation is deterministic: sorted keys, two-space indent, shortest
 round-trip decimals, trailing newline.  Amplitudes are [re, im] pairs and
-matrices are row-major (column j holds node j's transition vector).
-Parsing validates schema and index ranges with field-named diagnostics;
-numeric properties (normalisation, unitarity) are left to the validators
-so that broken files can still be loaded and inspected.
+matrices are row-major (column j holds node j's transition vector).  Each
+amplitude vector and each matrix row is written on one line; every other
+field keeps the one-value-per-line layout of the indent.  Whitespace is not
+significant on input, so documents in any layout (including the older one
+with every number on its own line) parse to the same values, and
+serialize(parse(text)) == text for every document this module writes.
+Amplitudes keep their bits through the round trip, -0.0 included.
+
+Parsing validates schema, index ranges and that every amplitude and angle
+is a finite number, with diagnostics naming the offending field down to the
+matrix entry (``levels[0].base[2][1]``).  Other numeric properties
+(normalisation, unitarity) are left to the validators so that broken files
+can still be loaded and inspected.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+from itertools import chain
 
 import numpy as np
 
@@ -29,16 +41,32 @@ class FormatError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _pairs(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
+def _pairs(a: np.ndarray) -> list:
+    """Nested [re, im] float lists of complex ``a``, bit for bit."""
+    block = np.ascontiguousarray(a, dtype=np.complex128)
+    return block.view(np.float64).reshape(*block.shape, 2).tolist()
 
 
-def _matrix(m: np.ndarray) -> list:
-    return [_pairs(row) for row in m]
+def _inline(table: list[str], value: list) -> str:
+    """Park ``value``'s one-line JSON in ``table``; ``_dump`` splices it in.
+
+    The placeholder starts with a NUL, which no other string in these
+    documents contains, so ``_SLOT`` finds exactly the placeholders.
+    """
+    table.append(json.dumps(value))
+    return f"\0{len(table) - 1}"
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _inline_rows(table: list[str], m: np.ndarray) -> list[str]:
+    return [_inline(table, row) for row in _pairs(m)]
+
+
+_SLOT = re.compile(r'"\\u0000(\d+)"')
+
+
+def _dump(doc: dict, table: list[str]) -> str:
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    return _SLOT.sub(lambda m: table[int(m.group(1))], text) + "\n"
 
 
 def _load(text: str) -> dict:
@@ -63,67 +91,114 @@ def _get(doc: dict, field: str, kind, where: str = ""):
     return value
 
 
-def _parse_pair(value, path: str) -> complex:
-    if (not isinstance(value, list) or len(value) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)):
-        raise FormatError(path, "amplitude must be a [re, im] pair of numbers")
-    return complex(value[0], value[1])
+def _is_number(value) -> bool:
+    """A finite JSON number: not a bool, null, string or container."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _parse_vector(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise FormatError(path, "expected a non-empty list of [re, im] pairs")
-    return np.array([_parse_pair(v, f"{path}[{i}]") for i, v in enumerate(value)])
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _first_bad(value, path: str, axes: tuple, entry_ok, message: str) -> FormatError | None:
+    """Error naming the first list of ``value`` whose length differs from
+    its axis in ``axes`` ((length, noun) pairs), or the first entry that
+    fails ``entry_ok``; None when there is neither."""
+    (length, noun), inner = axes[0], axes[1:]
+    if not isinstance(value, list) or len(value) != length:
+        got = f", got {len(value)}" if isinstance(value, list) else ""
+        return FormatError(path, f"expected {length} {noun}{got}")
+    for i, item in enumerate(value):
+        where = f"{path}[{i}]"
+        if inner:
+            error = _first_bad(item, where, inner, entry_ok, message)
+            if error:
+                return error
+        elif not entry_ok(item):
+            return FormatError(where, message)
+    return None
+
+
+def _parse_block(value, path: str, axes: tuple, pairs: bool) -> np.ndarray:
+    """Float64 array of finite JSON numbers shaped by ``axes`` ((length,
+    noun) pairs), plus a trailing axis of 2 when ``pairs``.
+
+    One array conversion checks the shape and values; the entries' types
+    are then read in one pass at C speed, because the conversion also takes
+    true, null and numeric strings.  Only on failure does ``_first_bad``
+    walk the lists to name the offending entry.
+    """
+    shape = tuple(length for length, _ in axes) + ((2,) if pairs else ())
+    try:
+        block = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        block = None
+    if block is not None and block.shape == shape and np.isfinite(block).all():
+        leaves = value
+        for _ in shape[1:]:
+            leaves = chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= {int, float}:
+            return block
+    if pairs:
+        error = _first_bad(value, path, axes, _is_pair,
+                           "amplitude must be a [re, im] pair of finite numbers")
+    else:
+        error = _first_bad(value, path, axes, _is_number, "expected a finite number")
+    raise error or FormatError(path, "expected a block of finite numbers")
+
+
+def _parse_vector(value, path: str, size: int) -> np.ndarray:
+    block = _parse_block(value, path, ((size, "amplitudes"),), pairs=True)
+    return block.view(np.complex128).reshape(size)
 
 
 def _parse_matrix(value, path: str, dim: int) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != dim:
-        raise FormatError(path, f"expected {dim} matrix rows")
-    rows = []
-    for r, row in enumerate(value):
-        vec = _parse_vector(row, f"{path}[{r}]")
-        if vec.size != dim:
-            raise FormatError(f"{path}[{r}]", f"expected {dim} entries, got {vec.size}")
-        rows.append(vec)
-    return np.array(rows)
+    block = _parse_block(value, path, ((dim, "matrix rows"), (dim, "amplitudes")), pairs=True)
+    return block.view(np.complex128).reshape(dim, dim)
 
 
 def _parse_index_list(value, path: str, upper: int, what: str) -> list[int]:
     if not isinstance(value, list):
         raise FormatError(path, "expected a list of integers")
-    out = []
-    for i, v in enumerate(value):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise FormatError(f"{path}[{i}]", "expected an integer")
-        if not 0 <= v < upper:
-            raise FormatError(f"{path}[{i}]", f"{what} {v} out of range [0, {upper})")
-        out.append(v)
-    return out
+    if not (set(map(type, value)) <= {int}
+            and 0 <= min(value, default=0) and max(value, default=0) < upper):
+        for i, v in enumerate(value):
+            if type(v) is not int:
+                raise FormatError(f"{path}[{i}]", "expected an integer")
+            if not 0 <= v < upper:
+                raise FormatError(f"{path}[{i}]", f"{what} {v} out of range [0, {upper})")
+    return value
 
 
 def serialize_program(program: Program) -> str:
+    table: list[str] = []
     levels = []
     for lv in program.levels:
-        entry = {"labels": [int(l) for l in lv.labels]}
+        entry = {"labels": lv.labels.tolist()}
         if isinstance(lv, RestrictedLevel):
-            entry["base"] = _matrix(lv.base)
-            entry["thetas"] = [float(t) for t in lv.thetas]
+            entry["base"] = _inline_rows(table, lv.base)
+            entry["thetas"] = lv.thetas.tolist()
         else:
-            entry["a0"] = _matrix(lv.a0)
-            entry["a1"] = _matrix(lv.a1)
+            entry["a0"] = _inline_rows(table, lv.a0)
+            entry["a1"] = _inline_rows(table, lv.a1)
         levels.append(entry)
     doc = {
         "format": PROGRAM_FORMAT,
         "n": program.n,
         "kind": program.kind,
         "width": program.width,
-        "initial": _pairs(program.initial),
+        "initial": _inline(table, _pairs(program.initial)),
         "levels": levels,
         "accept": sorted(program.accept),
     }
     if program.alternating:
         doc["alternating"] = True
-    return _dump(doc)
+    return _dump(doc, table)
 
 
 def parse_program(text: str) -> Program:
@@ -139,9 +214,7 @@ def parse_program(text: str) -> Program:
     width = _get(doc, "width", int)
     if width < 1:
         raise FormatError("width", f"must be >= 1, got {width}")
-    initial = _parse_vector(_get(doc, "initial", list), "initial")
-    if initial.size != width:
-        raise FormatError("initial", f"expected {width} amplitudes, got {initial.size}")
+    initial = _parse_vector(_get(doc, "initial", list), "initial", width)
     raw_levels = _get(doc, "levels", list)
     levels = []
     for i, entry in enumerate(raw_levels):
@@ -155,12 +228,9 @@ def parse_program(text: str) -> Program:
             raise FormatError(f"{where}.labels", f"expected {width} labels, got {labels.size}")
         if kind == "restricted":
             base = _parse_matrix(_get(entry, "base", list, where), f"{where}.base", width)
-            thetas_raw = _get(entry, "thetas", list, where)
-            if len(thetas_raw) != width or not all(
-                    isinstance(t, (int, float)) and not isinstance(t, bool) for t in thetas_raw):
-                raise FormatError(f"{where}.thetas", f"expected {width} angles in radians")
-            levels.append(RestrictedLevel(labels=labels, base=base,
-                                          thetas=np.array(thetas_raw, dtype=float)))
+            thetas = _parse_block(_get(entry, "thetas", list, where), f"{where}.thetas",
+                                  ((width, "angles in radians"),), pairs=False)
+            levels.append(RestrictedLevel(labels=labels, base=base, thetas=thetas))
         else:
             a0 = _parse_matrix(_get(entry, "a0", list, where), f"{where}.a0", width)
             a1 = _parse_matrix(_get(entry, "a1", list, where), f"{where}.a1", width)
@@ -177,10 +247,11 @@ def parse_program(text: str) -> Program:
 
 
 def serialize_circuit(circuit: QueryCircuit) -> str:
+    table: list[str] = []
     gates = []
     for gate in circuit.gates:
         if isinstance(gate, Unitary):
-            gates.append({"type": "unitary", "matrix": _matrix(gate.matrix)})
+            gates.append({"type": "unitary", "matrix": _inline_rows(table, gate.matrix)})
         elif isinstance(gate, PhaseOracle):
             gates.append({"type": "phase_oracle"})
         else:
@@ -194,7 +265,7 @@ def serialize_circuit(circuit: QueryCircuit) -> str:
         "gates": gates,
         "accept": sorted(circuit.accept),
     }
-    return _dump(doc)
+    return _dump(doc, table)
 
 
 def parse_circuit(text: str) -> QueryCircuit:

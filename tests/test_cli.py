@@ -115,3 +115,17 @@ def test_console_entry_point(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["format"] == "gqbp-v1"
+
+
+def test_hybrid_exit_code_follows_bound_holds(parity_file, monkeypatch, capsys):
+    from gqbp import experiments
+
+    real = experiments.hybrid_deviation
+
+    def violated(program, x, y):
+        trace = real(program, x, y)
+        return experiments.HybridTrace(alpha=trace.alpha, deviations=trace.deviations,
+                                       final_distance=trace.bound + 1.0)
+
+    monkeypatch.setattr(experiments, "hybrid_deviation", violated)
+    assert main(["hybrid", parity_file, "--base", "0000", "--alt", "1100"]) == 1

@@ -211,3 +211,20 @@ def test_tradeoff_scan_custom_family():
 def test_tradeoff_scan_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         tradeoff_scan("nope", [2])
+
+
+def test_hybrid_trace_reports_bound_holds():
+    import ast
+    import inspect
+    import textwrap
+
+    from gqbp import experiments
+
+    prog = seeded_program(5)
+    trace = hybrid_deviation(prog, "0" * prog.n, "1" * prog.n)
+    assert trace.bound_holds
+    broken = experiments.HybridTrace(alpha=trace.alpha, deviations=trace.deviations,
+                                     final_distance=trace.bound + 10 * SLACK_TOL)
+    assert not broken.bound_holds
+    tree = ast.parse(textwrap.dedent(inspect.getsource(experiments.hybrid_deviation)))
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))

@@ -1,10 +1,15 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from gqbp import (
     Program,
+    RestrictedLevel,
     acceptance_probabilities,
     circuit_acceptance,
+    circuit_to_rgqbp,
     generalize,
     grover_promise_or,
     parity_program,
@@ -12,6 +17,7 @@ from gqbp import (
     split_layers,
 )
 from gqbp.circuit import circuit_acceptances
+from gqbp.cli import main
 from gqbp.formats import (
     FormatError,
     parse_circuit,
@@ -138,3 +144,208 @@ def test_builtin_generators_roundtrip_semantically():
         xs = all_inputs(prog.n)
         assert np.abs(acceptance_probabilities(prog, xs)
                       - acceptance_probabilities(back, xs)).max() <= 1e-12
+
+
+# --- amplitude blocks: junk entries, exact bits, and the older layout -------
+
+HUGE_INT = 10 ** 400  # a JSON integer no float can hold
+
+
+def _at(doc, path):
+    """The block at ``path`` (a key/index tuple) of a parsed document."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replace(r, c, i, value):
+    def edit(m):
+        m[r][c][i] = value
+    return edit
+
+
+def _put(r, c, value):
+    def edit(m):
+        m[r][c] = value
+    return edit
+
+
+# (name, edit of a 2x2-or-larger matrix, field suffix after the matrix path)
+MATRIX_JUNK = [
+    ("true", _replace(1, 0, 1, True), "[1][0]"),
+    ("false", _replace(1, 0, 0, False), "[1][0]"),
+    ("null", _replace(1, 0, 0, None), "[1][0]"),
+    ("string", _replace(1, 0, 1, "x"), "[1][0]"),
+    ("numeric string", _replace(1, 0, 1, "0.5"), "[1][0]"),
+    ("huge int", _replace(1, 0, 0, HUGE_INT), "[1][0]"),
+    ("NaN", _replace(1, 0, 0, math.nan), "[1][0]"),
+    ("Infinity", _replace(1, 0, 1, -math.inf), "[1][0]"),
+    ("3-element pair", _put(1, 0, [0.0, 0.0, 0.0]), "[1][0]"),
+    ("1-element pair", _put(1, 0, [0.0]), "[1][0]"),
+    ("bare number", _put(1, 0, 0.5), "[1][0]"),
+    ("object", _put(1, 0, {}), "[1][0]"),
+    ("short row", lambda m: m[1].pop(), "[1]"),
+    ("long row", lambda m: m[1].append([0.0, 0.0]), "[1]"),
+    ("row not a list", lambda m: m.__setitem__(1, "row"), "[1]"),
+    ("wrong row count", lambda m: m.append(m[0]), ""),
+]
+
+MATRIX_SITES = [
+    ("restricted base", lambda: serialize_program(parity_program(2)), parse_program,
+     ("levels", 0, "base"), "levels[0].base"),
+    ("general a1", lambda: serialize_program(generalize(random_rgqbp(3, 2, 4, seed=8))),
+     parse_program, ("levels", 1, "a1"), "levels[1].a1"),
+    ("circuit unitary", lambda: serialize_circuit(grover_promise_or(4)), parse_circuit,
+     ("gates", 0, "matrix"), "gates[0].matrix"),
+]
+
+
+@pytest.mark.parametrize("site", MATRIX_SITES, ids=[s[0] for s in MATRIX_SITES])
+@pytest.mark.parametrize("junk", MATRIX_JUNK, ids=[j[0] for j in MATRIX_JUNK])
+def test_matrix_junk_names_entry(site, junk):
+    _, make, parse, path, field = site
+    _, edit, suffix = junk
+    doc = json.loads(make())
+    edit(_at(doc, path))
+    with pytest.raises(FormatError) as info:
+        parse(json.dumps(doc))
+    assert info.value.field == field + suffix
+
+
+VECTOR_JUNK = [
+    ("true", lambda v: v[1].__setitem__(0, True), "initial[1]"),
+    ("null", lambda v: v[1].__setitem__(1, None), "initial[1]"),
+    ("string", lambda v: v[1].__setitem__(0, "x"), "initial[1]"),
+    ("huge int", lambda v: v[0].__setitem__(0, HUGE_INT), "initial[0]"),
+    ("NaN", lambda v: v[1].__setitem__(1, math.nan), "initial[1]"),
+    ("3-element pair", lambda v: v[1].append(0.0), "initial[1]"),
+    ("short vector", lambda v: v.pop(), "initial"),
+    ("empty vector", lambda v: v.clear(), "initial"),
+]
+
+
+@pytest.mark.parametrize("junk", VECTOR_JUNK, ids=[j[0] for j in VECTOR_JUNK])
+def test_vector_junk_names_entry(junk):
+    _, edit, field = junk
+    doc = json.loads(serialize_program(parity_program(2)))
+    edit(doc["initial"])
+    with pytest.raises(FormatError) as info:
+        parse_program(json.dumps(doc))
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("value,field", [
+    (math.nan, "levels[0].thetas[1]"),
+    (True, "levels[0].thetas[1]"),
+    (HUGE_INT, "levels[0].thetas[1]"),
+    ([0.0], "levels[0].thetas[1]"),
+])
+def test_angle_junk_names_entry(value, field):
+    doc = json.loads(serialize_program(parity_program(2)))
+    doc["levels"][0]["thetas"][1] = value
+    with pytest.raises(FormatError) as info:
+        parse_program(json.dumps(doc))
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("accept", [True], "accept[0]"),
+    ("accept", [0, 1.0], "accept[1]"),
+    ("labels", [0, HUGE_INT], "levels[0].labels[1]"),
+])
+def test_index_junk_names_entry(key, value, field):
+    doc = json.loads(serialize_program(parity_program(2)))
+    (doc["levels"][0] if key == "labels" else doc)[key] = value
+    with pytest.raises(FormatError) as info:
+        parse_program(json.dumps(doc))
+    assert info.value.field == field
+
+
+def test_huge_integer_amplitude_exits_2(tmp_path, capsys):
+    doc = json.loads(serialize_program(parity_program(2)))
+    doc["initial"][0][0] = HUGE_INT
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "initial[0]" in capsys.readouterr().err
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).view(np.uint8).tobytes()
+
+
+def _program_blocks(prog):
+    blocks = [prog.initial]
+    for lv in prog.levels:
+        blocks += [lv.base, lv.thetas] if isinstance(lv, RestrictedLevel) else [lv.a0, lv.a1]
+    return blocks
+
+
+def test_negative_zero_and_subnormal_keep_their_bits():
+    tiny = 5e-324
+    base = np.array([[complex(-0.0, tiny), complex(1.0, -0.0)],
+                     [complex(tiny, -tiny), complex(-0.0, -0.0)]])
+    prog = Program(n=1, initial=np.array([complex(-0.0, 0.0), complex(tiny, -0.0)]),
+                   levels=(RestrictedLevel(labels=np.array([0, 0]), base=base,
+                                           thetas=np.array([-0.0, tiny])),),
+                   accept=frozenset({0}))
+    text = serialize_program(prog)
+    assert "-0.0" in text and "5e-324" in text
+    back = parse_program(text)
+    for a, b in zip(_program_blocks(prog), _program_blocks(back)):
+        assert _bits(a) == _bits(b)
+    assert serialize_program(back) == text
+
+
+def test_compiled_grover_negative_zeros_roundtrip():
+    prog = circuit_to_rgqbp(grover_promise_or(4))
+    blocks = _program_blocks(prog)
+    parts = np.concatenate([np.asarray(b, dtype=np.complex128).ravel().view(np.float64)
+                            for b in blocks])
+    assert (np.signbit(parts) & (parts == 0)).any()
+    text = serialize_program(prog)
+    back = parse_program(text)
+    for a, b in zip(blocks, _program_blocks(back)):
+        assert _bits(a) == _bits(b)
+    assert serialize_program(back) == text
+
+
+def test_one_line_per_row_layout():
+    text = serialize_circuit(grover_promise_or(4))
+    dim = 1 << grover_promise_or(4).q
+    rows = [line for line in text.splitlines() if line.lstrip().startswith("[[")]
+    assert rows and all(line.count("], [") == dim - 1 for line in rows)
+    prog_text = serialize_program(parity_program(2))
+    assert '"initial": [[' in prog_text
+
+
+def _reindented(text: str) -> str:
+    """The older layout: every number on its own line."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_older_layout_parses_bit_identically():
+    prog = generalize(random_rgqbp(3, 2, 4, seed=8))
+    for make, parse, serialize, blocks in (
+            (lambda: prog, parse_program, serialize_program, _program_blocks),
+            (lambda: circuit_to_rgqbp(grover_promise_or(4)), parse_program, serialize_program,
+             _program_blocks),
+            (lambda: grover_promise_or(4), parse_circuit, serialize_circuit,
+             lambda c: [g.matrix for g in c.gates if hasattr(g, "matrix")])):
+        text = serialize(make())
+        old = _reindented(text)
+        assert old != text
+        new_blocks, old_blocks = blocks(parse(text)), blocks(parse(old))
+        assert len(new_blocks) == len(old_blocks)
+        for a, b in zip(new_blocks, old_blocks):
+            assert a.dtype == b.dtype and a.shape == b.shape and _bits(a) == _bits(b)
+        assert serialize(parse(old)) == text
+
+
+def test_integer_amplitudes_parse():
+    doc = json.loads(serialize_program(parity_program(2)))
+    doc["initial"] = [[1, 0], [0, -2]]
+    doc["levels"][0]["thetas"] = [0, 3]
+    prog = parse_program(json.dumps(doc))
+    assert prog.initial.tolist() == [1 + 0j, -2j]
+    assert prog.levels[0].thetas.tolist() == [0.0, 3.0]
