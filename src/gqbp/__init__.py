@@ -1,7 +1,6 @@
 """Levelled quantum branching programs: exact simulation, circuit
 translation, and deviation-bound experiments."""
 
-from .backends import backend_name
 from .circuit import (
     BitOracle,
     PhaseOracle,
@@ -61,6 +60,7 @@ from .simulate import (
     acceptance_probability,
     all_inputs,
     decide,
+    evolve,
     final_state,
     final_states,
     run,

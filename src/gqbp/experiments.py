@@ -30,15 +30,7 @@ from .programs import (
     parity_program,
     zeros_input,
 )
-from .simulate import (
-    acceptance_probabilities,
-    all_inputs,
-    final_state,
-    final_states,
-    run,
-    transition_matrix,
-)
-from .transform import split_layers
+from .simulate import accept_mass, acceptance_probabilities, all_inputs, evolve
 
 SLACK_TOL = 1e-9
 
@@ -90,33 +82,35 @@ class ExperimentReport:
         return "pass" if self.passed else "fail"
 
 
-def _as_alternating(program: Program) -> Program:
-    return program if program.alternating else split_layers(program)
+def _query_levels(program: Program) -> slice:
+    """The query-carrying levels: every level of a plain program, the even
+    ones of an alternating-form program.
+
+    The drift accounting is defined on the split form, which exists only
+    for restricted programs; the plain form gives the same states without
+    building it.
+    """
+    if program.alternating:
+        return slice(0, 2 * program.query_depth, 2)
+    if program.kind != "restricted":
+        raise ValueError("split_layers requires a restricted program")
+    return slice(0, program.length, 1)
 
 
 def hybrid_run(program: Program, x_base, x_alt, k: int) -> np.ndarray:
     """Final state when the first L-k query levels read ``x_base`` and the
     last k read ``x_alt`` (L = number of query levels).
 
-    The program is brought to alternating form first; k=0 reproduces the
-    plain run on x_base and k=L the plain run on x_alt.
+    k=0 reproduces the plain run on x_base and k=L the plain run on x_alt.
     """
-    split = _as_alternating(program)
-    depth = split.query_depth
+    queries = _query_levels(program)
+    depth = program.query_depth
     if not 0 <= k <= depth:
         raise ValueError(f"k must be in [0, {depth}], got {k}")
-    xb = as_bits(x_base, program.n)
-    xa = as_bits(x_alt, program.n)
-    v = split.initial
-    queries_done = 0
-    for i, level in enumerate(split.levels):
-        if i % 2 == 0:
-            x = xb if queries_done < depth - k else xa
-            queries_done += 1
-        else:
-            x = xb  # query-independent level; any input gives the same matrix
-        v = transition_matrix(level, x) @ v
-    return v
+    cut = queries.step * (depth - k)
+    prefix = evolve(program, as_bits(x_base, program.n), levels=slice(0, cut))
+    return evolve(program, as_bits(x_alt, program.n), start=prefix,
+                  levels=slice(cut, None))[0]
 
 
 def hybrid_deviation(program: Program, x, y) -> HybridTrace:
@@ -126,19 +120,14 @@ def hybrid_deviation(program: Program, x, y) -> HybridTrace:
     """
     xb = as_bits(x, program.n)
     yb = as_bits(y, program.n)
-    split = _as_alternating(program)
-    trace_x = run(split, xb)
-    final_y = final_state(split, yb)
-    alpha = []
-    deviations = []
-    for t in range(split.query_depth):
-        level = split.levels[2 * t]
-        state = trace_x.states[2 * t]
-        differs = xb[level.labels] != yb[level.labels]
-        alpha.append(state)
-        deviations.append(2.0 * float(np.abs(state[differs]).sum()))
-    distance = float(np.linalg.norm(trace_x.final - final_y))
-    return HybridTrace(alpha=tuple(alpha), deviations=tuple(deviations),
+    queries = _query_levels(program)
+    states = evolve(program, np.vstack([xb, yb]), record=True)
+    alpha = states[queries, 0]
+    differs = np.array([xb[lv.labels] != yb[lv.labels] for lv in program.levels[queries]],
+                       dtype=bool).reshape(alpha.shape)
+    deviations = 2.0 * np.where(differs, np.abs(alpha), 0.0).sum(axis=1)
+    distance = float(np.linalg.norm(states[-1, 0] - states[-1, 1]))
+    return HybridTrace(alpha=tuple(alpha), deviations=tuple(deviations.tolist()),
                        final_distance=distance)
 
 
@@ -147,15 +136,13 @@ def promise_or_expectation(program: Program) -> ExperimentReport:
     inputs, against the cap 2*(L+1)*sqrt(s)/n."""
     n, s = program.n, program.width
     depth = program.query_depth
-    split = _as_alternating(program)
+    queries = _query_levels(program)
     inputs = np.vstack([zeros_input(n)] + [one_hot_input(n, p) for p in range(n)])
-    finals = final_states(split, inputs)
-    distances = np.linalg.norm(finals[1:] - finals[0], axis=1)
+    states = evolve(program, inputs, record=True)
+    distances = np.linalg.norm(states[-1, 1:] - states[-1, 0], axis=1)
     empirical = float(distances.mean())
     bound = 2.0 * (depth + 1) * np.sqrt(s) / n
-    trace0 = run(split, zeros_input(n))
-    level_l1 = tuple(float(np.abs(trace0.states[2 * t]).sum())
-                     for t in range(split.query_depth))
+    level_l1 = tuple(np.abs(states[queries, 0]).sum(axis=1).tolist())
     slack = bound - empirical
     return ExperimentReport(
         empirical=empirical, bound=bound, slack=slack, passed=slack >= -SLACK_TOL,
@@ -179,8 +166,8 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
     else:
         members = family.sample(sample_size, seed)
         mode = "sampled"
-    split = _as_alternating(program)
-    finals = final_states(split, np.vstack([fixed[np.newaxis, :], members]))
+    _query_levels(program)  # same ValueError as the other drift reports
+    finals = evolve(program, np.vstack([fixed[np.newaxis, :], members]))
     empirical = float(np.linalg.norm(finals[1:] - finals[0], axis=1).mean())
     denom = (n - k) if family.side == "fix_yes" else k
     if denom <= 0:
@@ -206,36 +193,59 @@ class DistinguishabilityReport:
     note: str = FLOOR_NOTE
 
 
+def _bit_rows(inputs: Iterable, n: int) -> np.ndarray:
+    """(B, n) uint8 array of an iterable of inputs; a 0/1 array of the right
+    shape is taken whole, anything else input by input via ``as_bits``."""
+    if isinstance(inputs, np.ndarray) and inputs.ndim == 2 and inputs.shape[1] == n:
+        rows = inputs.astype(np.uint8)
+        if np.isin(rows, (0, 1)).all():
+            return rows
+    rows = [as_bits(x, n) for x in inputs]
+    return np.vstack(rows) if rows else np.zeros((0, n), np.uint8)
+
+
+# Pairwise differences are formed for blocks of yes-rows of about this many
+# complex entries, so memory stays bounded for large families.
+PAIR_BLOCK = 1 << 18
+
+
 def distinguishability_check(program: Program, yes_inputs: Iterable,
                              no_inputs: Iterable) -> DistinguishabilityReport:
     """Check that opposite-answer inputs with a >= 1/3 acceptance gap sit at
-    final-state distance >= 1/6; pairs without the gap are decision failures."""
-    yes = [as_bits(x, program.n) for x in yes_inputs]
-    no = [as_bits(x, program.n) for x in no_inputs]
-    every = np.vstack(yes + no) if yes or no else np.zeros((0, program.n), np.uint8)
-    finals = final_states(program, every)
-    probs = acceptance_probabilities(program, every)
-    floor_violations = []
-    decision_failures = []
+    final-state distance >= 1/6; pairs without the gap are decision failures.
+
+    Failing pairs are listed in row-major (yes, no) order.
+    """
+    yes = _bit_rows(yes_inputs, program.n)
+    no = _bit_rows(no_inputs, program.n)
+    finals = evolve(program, np.vstack([yes, no]))
+    probs = accept_mass(program, finals)
+    final_yes, final_no = finals[:len(yes)], finals[len(yes):]
+    prob_yes, prob_no = probs[:len(yes)], probs[len(yes):]
+    rows = max(1, PAIR_BLOCK // max(1, final_no.size))
+    none = np.zeros((0, 2), dtype=np.intp)
+    failures, violations = [none], [none]
     min_distance = np.inf
     qualifying = 0
-    for i in range(len(yes)):
-        for jj in range(len(no)):
-            j = len(yes) + jj
-            pair = (bits_to_str(every[i]), bits_to_str(every[j]))
-            if abs(probs[i] - probs[j]) < PROBABILITY_GAP:
-                decision_failures.append(pair)
-                continue
-            qualifying += 1
-            distance = float(np.linalg.norm(finals[i] - finals[j]))
-            min_distance = min(min_distance, distance)
-            if distance < DISTANCE_FLOOR:
-                floor_violations.append(pair)
+    for lo in range(0, len(yes), rows):
+        block = slice(lo, lo + rows)
+        gap = np.abs(prob_yes[block, np.newaxis] - prob_no) >= PROBABILITY_GAP
+        distance = np.linalg.norm(final_yes[block, np.newaxis] - final_no, axis=2)
+        failures.append(np.argwhere(~gap) + (lo, 0))
+        violations.append(np.argwhere(gap & (distance < DISTANCE_FLOOR)) + (lo, 0))
+        qualifying += int(gap.sum())
+        if gap.any():
+            min_distance = min(min_distance, float(distance[gap].min()))
+
+    def pairs(found) -> tuple[tuple[str, str], ...]:
+        return tuple((bits_to_str(yes[i]), bits_to_str(no[j])) for i, j in np.concatenate(found))
+
+    floor_violations, decision_failures = pairs(violations), pairs(failures)
     return DistinguishabilityReport(
         pairs_checked=len(yes) * len(no), qualifying_pairs=qualifying,
-        min_distance=float(min_distance) if qualifying else 0.0,
-        floor=DISTANCE_FLOOR, floor_violations=tuple(floor_violations),
-        decision_failures=tuple(decision_failures),
+        min_distance=min_distance if qualifying else 0.0,
+        floor=DISTANCE_FLOOR, floor_violations=floor_violations,
+        decision_failures=decision_failures,
         passed=not floor_violations and not decision_failures)
 
 

@@ -162,16 +162,24 @@ def _parse_matrix(value, path: str, dim: int) -> np.ndarray:
     return block.view(np.complex128).reshape(dim, dim)
 
 
+# Indices are stored as int64; a document may declare a larger range.
+_INDEX_END = 1 << 63
+# Basis-state indices of a circuit run up to 2^qubits and must fit in int64.
+MAX_QUBITS = 62
+
+
 def _parse_index_list(value, path: str, upper: int, what: str) -> list[int]:
     if not isinstance(value, list):
         raise FormatError(path, "expected a list of integers")
     if not (set(map(type, value)) <= {int}
-            and 0 <= min(value, default=0) and max(value, default=0) < upper):
+            and 0 <= min(value, default=0) and max(value, default=0) < min(upper, _INDEX_END)):
         for i, v in enumerate(value):
             if type(v) is not int:
                 raise FormatError(f"{path}[{i}]", "expected an integer")
             if not 0 <= v < upper:
                 raise FormatError(f"{path}[{i}]", f"{what} {v} out of range [0, {upper})")
+            if v >= _INDEX_END:
+                raise FormatError(f"{path}[{i}]", f"{what} {v} does not fit in int64")
     return value
 
 
@@ -273,8 +281,8 @@ def parse_circuit(text: str) -> QueryCircuit:
     if _get(doc, "format", str) != CIRCUIT_FORMAT:
         raise FormatError("format", f"expected {CIRCUIT_FORMAT!r}, got {doc['format']!r}")
     q = _get(doc, "qubits", int)
-    if q < 1:
-        raise FormatError("qubits", f"must be >= 1, got {q}")
+    if not 1 <= q <= MAX_QUBITS:
+        raise FormatError("qubits", f"must be in [1, {MAX_QUBITS}], got {q}")
     n = _get(doc, "n", int)
     if n < 1:
         raise FormatError("n", f"must be >= 1, got {n}")

@@ -4,6 +4,13 @@ Evolution starts at the program's initial amplitude vector and applies one
 input-conditioned transition matrix per level; the acceptance probability
 is the squared mass of the final state on the accept set.  Oracle access is
 a direct bit lookup ``x[label]`` per node.
+
+Every result is read off ``evolve``, the one batch kernel.  A restricted
+level multiplies node ``j`` by ``exp(1j * thetas[j])`` where its queried bit
+is 1 and then applies ``base``; the phase step is skipped when all angles
+are zero and the mix when ``base`` is exactly the identity, so the split
+form costs what the plain form costs.  A general level applies ``a0`` to
+the nodes reading 0 and ``a1`` to those reading 1.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import evolve_general, evolve_restricted
 from .core import Level, Program, RestrictedLevel, as_bits
 
 ACCEPT = "accept"
@@ -44,25 +50,85 @@ def transition_matrix(level: Level, x) -> np.ndarray:
     return np.where(node_bits.astype(bool)[np.newaxis, :], level.a1, level.a0)
 
 
+def _step(level: Level) -> tuple:
+    """One level as the kernel applies it to row states: ``(labels, phases,
+    mix)`` for a restricted level, with ``phases`` (the factors for bit 1)
+    None when every angle is zero and ``mix`` None when ``base`` is the
+    identity; ``(labels, a0.T, a1.T)`` for a general level.  The matrices
+    are transposed views, not copies."""
+    if isinstance(level, RestrictedLevel):
+        phases = np.exp(1j * level.thetas) if level.thetas.any() else None
+        identity = np.array_equal(level.base, np.eye(level.width))
+        return level.labels, phases, None if identity else level.base.T
+    return level.labels, level.a0.T, level.a1.T
+
+
+def _steps(program: Program) -> tuple:
+    """The kernel steps of ``program``'s levels, built on first use and kept
+    on the instance; programs and their arrays are immutable."""
+    steps = program.__dict__.get("_steps")
+    if steps is None:
+        steps = tuple(map(_step, program.levels))
+        object.__setattr__(program, "_steps", steps)
+    return steps
+
+
+def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
+           record: bool = False) -> np.ndarray:
+    """Evolve a (B, n) batch of 0/1 inputs through ``program.levels[levels]``.
+
+    Each row starts at ``start`` ((s,) or (B, s); the program's initial
+    vector by default) and the (B, s) states after the last selected level
+    are returned.  With ``record`` the result is the (k+1, B, s) stack of
+    the states before and after each of the k selected levels.
+    """
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.uint8))
+    if inputs.ndim != 2 or inputs.shape[1] != program.n:
+        raise ValueError(f"input rows must have {program.n} bits, got shape {inputs.shape}")
+    if inputs.size and inputs.max() > 1:
+        raise ValueError("inputs must be 0/1 bits")
+    nb, s = inputs.shape[0], program.width
+    start = program.initial if start is None else np.asarray(start, dtype=np.complex128)
+    if start.shape not in ((s,), (nb, s)):
+        raise ValueError(f"start must have shape ({s},) or ({nb}, {s}), got {start.shape}")
+    is_one = inputs.view(bool)
+    general = program.kind == "general"
+    v = np.array(np.broadcast_to(start, (nb, s)))
+    states = [v]
+    for labels, first, second in _steps(program)[levels]:
+        if general:
+            bits = inputs[:, labels]
+            v = ((1 - bits) * v) @ first + (bits * v) @ second
+        else:
+            if first is not None:
+                v = v * np.where(is_one[:, labels], first, 1)
+            if second is not None:
+                v = v @ second
+        if record:
+            states.append(v)
+    return np.stack(states) if record else v
+
+
 def run(program: Program, x) -> RunTrace:
     """Evolve ``program`` on input ``x``, recording the state after each level."""
-    bits = as_bits(x, program.n)
-    states = [program.initial]
-    v = program.initial
-    for level in program.levels:
-        v = transition_matrix(level, bits) @ v
-        states.append(v)
-    return RunTrace(states=tuple(states))
+    states = evolve(program, as_bits(x, program.n), record=True)
+    return RunTrace(states=tuple(states[:, 0]))
 
 
 def final_state(program: Program, x) -> np.ndarray:
-    return run(program, x).final
+    return evolve(program, as_bits(x, program.n))[0]
+
+
+def accept_mass(program: Program, states: np.ndarray) -> np.ndarray:
+    """Squared mass of each row of ``states`` on the accept set."""
+    idx = sorted(program.accept)
+    if not idx:
+        return np.zeros(states.shape[:-1])
+    return np.sum(np.abs(states[..., idx]) ** 2, axis=-1)
 
 
 def acceptance_probability(program: Program, x) -> float:
-    v = final_state(program, x)
-    idx = sorted(program.accept)
-    return float(np.sum(np.abs(v[idx]) ** 2)) if idx else 0.0
+    return float(accept_mass(program, final_state(program, x)))
 
 
 def decide(program: Program, x, threshold: float = 2 / 3) -> str:
@@ -98,42 +164,14 @@ def sample_measurement(program: Program, x, seed: int, shots: int | None = None)
     return rng.choice(probs.size, p=probs, size=shots)
 
 
-def _level_arrays(program: Program):
-    labels = np.stack([lv.labels for lv in program.levels]).astype(np.int64)
-    if program.kind == "restricted":
-        bases = np.stack([lv.base for lv in program.levels])
-        thetas = np.stack([lv.thetas for lv in program.levels])
-        return "restricted", (np.ascontiguousarray(bases), np.ascontiguousarray(thetas),
-                              np.ascontiguousarray(labels))
-    a0 = np.stack([lv.a0 for lv in program.levels])
-    a1 = np.stack([lv.a1 for lv in program.levels])
-    return "general", (np.ascontiguousarray(a0), np.ascontiguousarray(a1),
-                       np.ascontiguousarray(labels))
-
-
 def final_states(program: Program, inputs: np.ndarray) -> np.ndarray:
     """Batch-evolve a (B, n) array of inputs to their (B, s) final states."""
-    inputs = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=np.uint8)))
-    if inputs.shape[1] != program.n:
-        raise ValueError(f"input rows must have {program.n} bits, got {inputs.shape[1]}")
-    initial = np.ascontiguousarray(program.initial)
-    if not program.levels:
-        return np.broadcast_to(initial, (inputs.shape[0], program.width)).copy()
-    kind, arrays = _level_arrays(program)
-    if kind == "restricted":
-        bases, thetas, labels = arrays
-        return evolve_restricted(bases, thetas, labels, initial, inputs)
-    a0, a1, labels = arrays
-    return evolve_general(a0, a1, labels, initial, inputs)
+    return evolve(program, inputs)
 
 
 def acceptance_probabilities(program: Program, inputs: np.ndarray) -> np.ndarray:
     """Batch acceptance probabilities for a (B, n) array of inputs."""
-    finals = final_states(program, inputs)
-    idx = sorted(program.accept)
-    if not idx:
-        return np.zeros(finals.shape[0])
-    return np.sum(np.abs(finals[:, idx]) ** 2, axis=1)
+    return accept_mass(program, evolve(program, inputs))
 
 
 def all_inputs(n: int) -> np.ndarray:

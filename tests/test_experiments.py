@@ -4,19 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqbp import (
+    RestrictedLevel,
+    acceptance_probabilities,
     circuit_to_rgqbp,
     distinguishability_check,
     final_state,
+    final_states,
+    generalize,
     grover_promise_or,
     hamming_expectation,
     hybrid_deviation,
     hybrid_run,
     parity_program,
     promise_or_expectation,
+    random_rgqbp,
     split_layers,
     tradeoff_scan,
 )
-from gqbp.experiments import DISTANCE_FLOOR, SLACK_TOL
+from gqbp.core import bits_to_str
+from gqbp.experiments import DISTANCE_FLOOR, PROBABILITY_GAP, SLACK_TOL
 from gqbp.simulate import all_inputs
 
 from helpers import input_independent_program, seeded_program, width1_flip_program
@@ -79,7 +85,7 @@ def test_hybrid_deviation_width1_is_tight():
 def test_hybrid_deviation_bound_holds(seed):
     prog = seeded_program(seed)
     x, y = _random_pair(seed, prog.n)
-    trace = hybrid_deviation(prog, x, y)  # raises internally if violated
+    trace = hybrid_deviation(prog, x, y)
     assert trace.final_distance <= trace.bound + SLACK_TOL
 
 
@@ -228,3 +234,100 @@ def test_hybrid_trace_reports_bound_holds():
     assert not broken.bound_holds
     tree = ast.parse(textwrap.dedent(inspect.getsource(experiments.hybrid_deviation)))
     assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("seed", [4, 11, 19])
+def test_drift_results_agree_on_plain_and_split_forms(seed):
+    prog = seeded_program(seed, smax=6, lmax=6, nmax=6)
+    split = split_layers(prog)
+    x, y = _random_pair(seed, prog.n)
+    a, b = hybrid_deviation(prog, x, y), hybrid_deviation(split, x, y)
+    assert len(a.alpha) == len(b.alpha) == prog.length
+    assert np.abs(np.array(a.alpha) - np.array(b.alpha)).max() <= 1e-12
+    assert np.abs(np.array(a.deviations) - np.array(b.deviations)).max() <= 1e-12
+    assert abs(a.final_distance - b.final_distance) <= 1e-12
+    for k in range(prog.length + 1):
+        assert np.abs(hybrid_run(prog, x, y, k) - hybrid_run(split, x, y, k)).max() <= 1e-12
+    fixed = np.zeros(prog.n, dtype=np.uint8)
+    fixed[:prog.n // 2] = 1
+    reports = [(promise_or_expectation(prog), promise_or_expectation(split))]
+    if 0 < prog.n // 2 < prog.n:
+        reports.append((hamming_expectation(prog, prog.n // 2, 1, fixed),
+                        hamming_expectation(split, prog.n // 2, 1, fixed)))
+    for r, q in reports:
+        assert abs(r.empirical - q.empirical) <= 1e-12
+        assert r.bound == q.bound and r.passed == q.passed
+        assert abs(r.slack - q.slack) <= 1e-12
+        assert r.metadata.keys() == q.metadata.keys()
+        for key, value in r.metadata.items():
+            if isinstance(value, str):
+                assert value == q.metadata[key]
+            else:
+                assert np.abs(np.subtract(value, q.metadata[key])).max(initial=0) <= 1e-12
+
+
+def test_drift_on_general_program_raises_as_before():
+    prog = generalize(seeded_program(7))
+    x = "0" * prog.n
+    for call in (lambda: hybrid_run(prog, x, x, 0), lambda: hybrid_deviation(prog, x, x),
+                 lambda: promise_or_expectation(prog),
+                 lambda: hamming_expectation(prog, 1, 1, "1" + "0" * (prog.n - 1))):
+        with pytest.raises(ValueError, match="split_layers requires a restricted program"):
+            call()
+
+
+def _pairwise_reference(prog, yes, no):
+    """Per-pair loop: (qualifying, min distance, floor violations, decision failures)."""
+    finals_yes, finals_no = final_states(prog, yes), final_states(prog, no)
+    probs_yes, probs_no = acceptance_probabilities(prog, yes), acceptance_probabilities(prog, no)
+    qualifying, min_distance, violations, failures = 0, np.inf, [], []
+    for i in range(len(yes)):
+        for j in range(len(no)):
+            pair = (bits_to_str(yes[i]), bits_to_str(no[j]))
+            if abs(probs_yes[i] - probs_no[j]) < PROBABILITY_GAP:
+                failures.append(pair)
+                continue
+            qualifying += 1
+            distance = float(np.linalg.norm(finals_yes[i] - finals_no[j]))
+            min_distance = min(min_distance, distance)
+            if distance < DISTANCE_FLOOR:
+                violations.append(pair)
+    return qualifying, min_distance, tuple(violations), tuple(failures)
+
+
+@pytest.mark.parametrize("block", [None, 1, 37])
+def test_distinguishability_matches_pairwise_loop(monkeypatch, block):
+    from gqbp import experiments
+
+    if block is not None:
+        monkeypatch.setattr(experiments, "PAIR_BLOCK", block)
+    # Small phases keep the final states close, and an initial vector of
+    # norm 6 stretches their probability gaps, so some pairs with the gap
+    # sit below the distance floor while others miss the gap.
+    base = random_rgqbp(4, 3, 6, seed=8)
+    levels = tuple(RestrictedLevel(labels=lv.labels, base=lv.base, thetas=0.05 * lv.thetas)
+                   for lv in base.levels)
+    prog = base.replace(initial=6 * base.initial, levels=levels)
+    xs = all_inputs(6)
+    odd = xs.sum(axis=1) % 2 == 1
+    yes, no = xs[odd], xs[~odd]
+    qualifying, min_distance, violations, failures = _pairwise_reference(prog, yes, no)
+    assert qualifying and violations and failures
+    report = distinguishability_check(prog, yes, no)
+    assert report.pairs_checked == len(yes) * len(no)
+    assert report.qualifying_pairs == qualifying
+    assert abs(report.min_distance - min_distance) <= 1e-12
+    assert report.floor_violations == violations
+    assert report.decision_failures == failures
+    assert not report.passed
+    listed = distinguishability_check(prog, [bits_to_str(x) for x in yes], list(no))
+    assert listed == report
+
+
+def test_distinguishability_empty_sides():
+    prog = parity_program(4)
+    report = distinguishability_check(prog, [], all_inputs(4))
+    assert report.pairs_checked == 0 and report.qualifying_pairs == 0
+    assert report.min_distance == 0.0 and report.passed
+    with pytest.raises(ValueError, match="length mismatch"):
+        distinguishability_check(prog, ["010"], ["0000"])

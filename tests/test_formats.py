@@ -6,6 +6,7 @@ import pytest
 
 from gqbp import (
     Program,
+    QueryCircuit,
     RestrictedLevel,
     acceptance_probabilities,
     circuit_acceptance,
@@ -349,3 +350,46 @@ def test_integer_amplitudes_parse():
     prog = parse_program(json.dumps(doc))
     assert prog.initial.tolist() == [1 + 0j, -2j]
     assert prog.levels[0].thetas.tolist() == [0.0, 3.0]
+
+
+def test_label_beyond_int64_is_format_error(tmp_path, capsys):
+    doc = json.loads(serialize_program(parity_program(2)))
+    doc["n"] = 10**30
+    doc["levels"][0]["labels"][1] = 2**63
+    with pytest.raises(FormatError) as info:
+        parse_program(json.dumps(doc))
+    assert info.value.field == "levels[0].labels[1]"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "levels[0].labels[1]" in capsys.readouterr().err
+
+
+def test_label_below_int64_end_parses_under_huge_n():
+    doc = json.loads(serialize_program(parity_program(2)))
+    doc["n"] = 10**30
+    doc["levels"][0]["labels"][1] = 2**63 - 1
+    prog = parse_program(json.dumps(doc))
+    assert prog.levels[0].labels.tolist() == [0, 2**63 - 1]
+
+
+@pytest.mark.parametrize("qubits", [0, 63, 10**30])
+def test_qubit_count_out_of_range_is_format_error(tmp_path, capsys, qubits):
+    doc = json.loads(serialize_circuit(QueryCircuit(q=1, n=1, gates=())))
+    doc["qubits"] = qubits
+    with pytest.raises(FormatError) as info:
+        parse_circuit(json.dumps(doc))
+    assert info.value.field == "qubits"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "qubits" in capsys.readouterr().err
+
+
+def test_largest_qubit_count_parses_with_int64_indices():
+    doc = json.loads(serialize_circuit(QueryCircuit(q=1, n=1, gates=())))
+    doc["qubits"] = 62
+    doc["accept"] = [2**62 - 1]
+    doc["gates"] = [{"type": "bit_oracle", "index_wires": [61], "target_wire": 0}]
+    circuit = parse_circuit(json.dumps(doc))
+    assert circuit.q == 62 and circuit.accept == frozenset({2**62 - 1})

@@ -9,12 +9,16 @@ from gqbp import (
     acceptance_probabilities,
     acceptance_probability,
     decide,
+    evolve,
     final_state,
     final_states,
     generalize,
+    pad_width,
     parity_program,
+    random_rgqbp,
     run,
     sample_measurement,
+    split_layers,
 )
 from gqbp.simulate import all_inputs, transition_matrix
 
@@ -177,3 +181,116 @@ def test_sample_measurement_zero_norm_state():
     prog = Program(n=1, initial=np.zeros(2, dtype=complex), levels=())
     with pytest.raises(ValueError, match="zero norm"):
         sample_measurement(prog, "0", seed=0)
+
+
+def _reference_states(prog, x):
+    """States before and after each level, by explicit transition matrices."""
+    states = [prog.initial]
+    for level in prog.levels:
+        states.append(transition_matrix(level, x) @ states[-1])
+    return np.array(states)
+
+
+def _forms(prog):
+    return {"plain": prog, "split": split_layers(prog),
+            "padded": pad_width(prog, prog.width + 2), "general": generalize(prog)}
+
+
+@pytest.mark.parametrize("seed", [3, 17, 40])
+@pytest.mark.parametrize("form", ["plain", "split", "padded", "general"])
+def test_evolve_matches_transition_matrix_product(seed, form):
+    prog = _forms(seeded_program(seed, smax=6, lmax=6, nmax=6))[form]
+    xs = all_inputs(prog.n)
+    want = np.array([_reference_states(prog, x)[-1] for x in xs])
+    assert np.abs(evolve(prog, xs) - want).max() <= 1e-12
+    for i in (0, len(xs) - 1):
+        assert np.abs(evolve(prog, xs[i:i + 1])[0] - want[i]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["plain", "split", "general"])
+def test_evolve_prefix_then_suffix_equals_full(form):
+    prog = _forms(seeded_program(23, smax=6, lmax=8, nmax=6))[form]
+    xs = all_inputs(prog.n)
+    full = evolve(prog, xs)
+    for cut in range(prog.length + 1):
+        prefix = evolve(prog, xs, levels=slice(0, cut))
+        suffix = evolve(prog, xs, start=prefix, levels=slice(cut, None))
+        assert np.abs(suffix - full).max() <= 1e-12
+
+
+def test_evolve_record_returns_every_state():
+    prog = random_rgqbp(4, 7, 5, seed=29)
+    xs = all_inputs(prog.n)
+    states = evolve(prog, xs, record=True)
+    assert states.shape == (prog.length + 1, len(xs), prog.width)
+    assert np.array_equal(states[0], np.broadcast_to(prog.initial, states[0].shape))
+    assert np.abs(states[-1] - evolve(prog, xs)).max() <= 1e-12
+    x = xs[len(xs) // 2]
+    assert np.abs(states[:, len(xs) // 2] - _reference_states(prog, x)).max() <= 1e-12
+    assert evolve(prog, xs, levels=slice(2, 5), record=True).shape[0] == 4
+
+
+def test_evolve_start_vector_and_empty_slice():
+    prog = seeded_program(31, smax=5, lmax=4, nmax=4)
+    xs = all_inputs(prog.n)
+    start = np.zeros(prog.width, dtype=complex)
+    start[-1] = 1.0
+    shifted = prog.replace(initial=start)
+    assert np.abs(evolve(prog, xs, start=start) - evolve(shifted, xs)).max() <= 1e-12
+    untouched = evolve(prog, xs, levels=slice(0, 0))
+    assert np.array_equal(untouched, np.broadcast_to(prog.initial, untouched.shape))
+    untouched[0, 0] = 5.0  # the result is a fresh array
+    assert prog.initial[0] != 5.0
+
+
+def test_evolve_rejects_bad_shapes_and_values():
+    prog = parity_program(4)
+    with pytest.raises(ValueError, match="bits"):
+        evolve(prog, np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="0/1"):
+        evolve(prog, np.full((1, 4), 2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="start"):
+        evolve(prog, np.zeros((2, 4), dtype=np.uint8), start=np.zeros(3))
+
+
+def _skippable_program():
+    """Levels with identity bases, zero phases, both, and neither."""
+    rng = np.random.default_rng(5)
+    s, n = 4, 5
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s)))[0]
+
+    bases = [np.eye(s), unitary(), np.eye(s), unitary()]
+    thetas = [rng.uniform(0, 2 * np.pi, s), np.zeros(s), np.zeros(s),
+              rng.uniform(0, 2 * np.pi, s)]
+    levels = tuple(RestrictedLevel(labels=rng.integers(0, n, s), base=b, thetas=t)
+                   for b, t in zip(bases, thetas))
+    initial = rng.normal(size=s) + 1j * rng.normal(size=s)
+    return Program(n=n, initial=initial / np.linalg.norm(initial), levels=levels,
+                   accept=frozenset({0, 1}))
+
+
+def test_identity_and_zero_phase_levels_match_general_form():
+    prog = _skippable_program()
+    xs = all_inputs(prog.n)
+    want = evolve(generalize(prog), xs, record=True)
+    assert np.abs(evolve(prog, xs, record=True) - want).max() <= 1e-12
+    assert np.abs(acceptance_probabilities(prog, xs)
+                  - acceptance_probabilities(generalize(prog), xs)).max() <= 1e-12
+
+
+def test_kernel_steps_skip_and_share_matrices():
+    from gqbp.simulate import _steps
+
+    prog = _skippable_program()
+    steps = _steps(prog)
+    assert steps is _steps(prog)  # built once per program
+    assert [phases is None for _, phases, _ in steps] == [False, True, True, False]
+    assert [mix is None for _, _, mix in steps] == [True, False, True, False]
+    for level, (_, _, mix) in zip(prog.levels, steps):
+        if mix is not None:
+            assert np.shares_memory(mix, level.base)
+    general = generalize(prog)
+    for level, (_, a0, a1) in zip(general.levels, _steps(general)):
+        assert np.shares_memory(a0, level.a0) and np.shares_memory(a1, level.a1)
