@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationReport, _freeze, as_bits, unitarity_deviation
+from .core import ValidationReport, _freeze, as_bit_rows, as_bits, unitarity_deviation
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,19 +118,21 @@ def count_queries(circuit: QueryCircuit) -> int:
     return sum(isinstance(g, (PhaseOracle, BitOracle)) for g in circuit.gates)
 
 
+def _wire_bits(circuit: QueryCircuit, wire: int) -> np.ndarray:
+    """The bit of ``wire`` in every basis index."""
+    return (np.arange(circuit.dim, dtype=np.int64) >> (circuit.q - 1 - wire)) & 1
+
+
 def _phase_oracle_indices(circuit: QueryCircuit) -> np.ndarray:
     m = index_register_width(circuit.n)
     return np.arange(circuit.dim, dtype=np.int64) >> (circuit.q - m)
 
 
 def _bit_oracle_tables(circuit: QueryCircuit, gate: BitOracle):
-    j = np.arange(circuit.dim, dtype=np.int64)
-    k = np.zeros_like(j)
-    nw = len(gate.index_wires)
-    for pos, w in enumerate(gate.index_wires):
-        bit = (j >> (circuit.q - 1 - w)) & 1
-        k |= bit << (nw - 1 - pos)
-    flipped = j ^ (1 << (circuit.q - 1 - gate.target_wire))
+    k = np.zeros(circuit.dim, dtype=np.int64)
+    for w in gate.index_wires:
+        k = (k << 1) | _wire_bits(circuit, w)
+    flipped = np.arange(circuit.dim, dtype=np.int64) ^ (1 << (circuit.q - 1 - gate.target_wire))
     return k, flipped
 
 
@@ -141,9 +143,7 @@ def run_circuit(circuit: QueryCircuit, x) -> np.ndarray:
 
 def run_circuit_batch(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
     """Vectorised simulation over a (B, n) batch of inputs -> (B, 2^q) states."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.uint8))
-    if inputs.shape[1] != circuit.n:
-        raise ValueError(f"input rows must have {circuit.n} bits, got {inputs.shape[1]}")
+    inputs = as_bit_rows(inputs, circuit.n)
     nb = inputs.shape[0]
     dim = circuit.dim
     pad = np.zeros((nb, dim), dtype=np.uint8)

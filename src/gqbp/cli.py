@@ -16,7 +16,7 @@ from . import experiments, formats, programs
 from .convert import circuit_to_rgqbp, rgqbp_to_circuit
 from .core import validate_program
 from .circuit import circuit_acceptance, count_queries, validate_circuit
-from .simulate import acceptance_probability, run
+from .simulate import accept_mass, run
 from .transform import split_layers
 
 
@@ -66,13 +66,12 @@ def cmd_simulate(args) -> int:
         print(f"acceptance_probability={_fmt(prob)} queries={count_queries(circuit)}")
         return 0
     program = formats.parse_program(text)
+    trace = run(program, args.input)
     if args.trace:
-        trace = run(program, args.input)
         for t, state in enumerate(trace.states):
             amps = " ".join(f"({_fmt(z.real)},{_fmt(z.imag)})" for z in state)
             print(f"state[{t}] {amps}")
-    prob = acceptance_probability(program, args.input)
-    print(f"acceptance_probability={_fmt(prob)}")
+    print(f"acceptance_probability={_fmt(float(accept_mass(program, trace.final)))}")
     return 0
 
 

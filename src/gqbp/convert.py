@@ -28,6 +28,9 @@ from .circuit import (
     PhaseOracle,
     QueryCircuit,
     Unitary,
+    _bit_oracle_tables,
+    _phase_oracle_indices,
+    _wire_bits,
     circuit_acceptances,
     complete_unitary,
     index_register_width,
@@ -45,25 +48,16 @@ def _hadamard_on_wire(q: int, wire: int) -> np.ndarray:
 
 
 def _phase_oracle_phases(circuit: QueryCircuit):
-    m = index_register_width(circuit.n)
-    idx = np.arange(circuit.dim, dtype=np.int64) >> (circuit.q - m)
+    idx = _phase_oracle_indices(circuit)
     live = idx < circuit.n
-    thetas = np.where(live, np.pi, 0.0)
-    labels = np.where(live, idx, 0)
-    return thetas, labels
+    return np.where(live, np.pi, 0.0), np.where(live, idx, 0)
 
 
 def _bit_oracle_phases(circuit: QueryCircuit, gate: BitOracle):
-    j = np.arange(circuit.dim, dtype=np.int64)
-    k = np.zeros_like(j)
-    nw = len(gate.index_wires)
-    for pos, w in enumerate(gate.index_wires):
-        k |= ((j >> (circuit.q - 1 - w)) & 1) << (nw - 1 - pos)
-    target_bit = (j >> (circuit.q - 1 - gate.target_wire)) & 1
+    k, _ = _bit_oracle_tables(circuit, gate)
     live = k < circuit.n
-    thetas = np.where(live, np.pi * target_bit, 0.0)
-    labels = np.where(live, k, 0)
-    return thetas, labels
+    thetas = np.where(live, np.pi * _wire_bits(circuit, gate.target_wire), 0.0)
+    return thetas, np.where(live, k, 0)
 
 
 def circuit_to_rgqbp(circuit: QueryCircuit) -> Program:

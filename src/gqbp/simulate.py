@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Level, Program, RestrictedLevel, as_bits
+from .core import Level, Program, RestrictedLevel, as_bit_rows, as_bits
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -82,11 +82,7 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     are returned.  With ``record`` the result is the (k+1, B, s) stack of
     the states before and after each of the k selected levels.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.uint8))
-    if inputs.ndim != 2 or inputs.shape[1] != program.n:
-        raise ValueError(f"input rows must have {program.n} bits, got shape {inputs.shape}")
-    if inputs.size and inputs.max() > 1:
-        raise ValueError("inputs must be 0/1 bits")
+    inputs = as_bit_rows(inputs, program.n)
     nb, s = inputs.shape[0], program.width
     start = program.initial if start is None else np.asarray(start, dtype=np.complex128)
     if start.shape not in ((s,), (nb, s)):

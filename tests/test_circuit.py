@@ -170,3 +170,14 @@ def test_complete_unitary_random_vectors():
 def test_complete_unitary_rejects_unnormalized():
     with pytest.raises(ValueError, match="unit vector"):
         complete_unitary(np.array([1.0, 1.0]))
+
+
+def test_circuit_simulation_rejects_non_binary_inputs():
+    from gqbp import grover_promise_or
+
+    circuit = grover_promise_or(4)
+    for call in (circuit_acceptances, run_circuit_batch):
+        for bad in ([[0, 2, 0, 0]], [[0, 0.5, 0, 0]], np.full((2, 4), 1.9)):
+            with pytest.raises(ValueError, match="inputs must be 0/1 bits"):
+                call(circuit, bad)
+    assert circuit_acceptances(circuit, [[0, 1, 0, 0]])[0] == pytest.approx(1.0)

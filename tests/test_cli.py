@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gqbp import Program, RestrictedLevel, parity_program
+from gqbp import GeneralLevel, Program, RestrictedLevel, parity_program, random_rgqbp
 from gqbp.cli import main
 from gqbp.formats import serialize_program
 
@@ -31,6 +31,16 @@ def test_simulate_trace_prints_states(parity_file, capsys):
     assert main(["simulate", parity_file, "--input", "0101", "--trace"]) == 0
     out = capsys.readouterr().out
     assert "state[0]" in out and "state[2]" in out
+
+
+def test_simulate_trace_prints_the_same_probability(tmp_path, capsys):
+    path = tmp_path / "random.json"
+    path.write_text(serialize_program(random_rgqbp(5, 6, 4, seed=3)))
+    assert main(["simulate", str(path), "--input", "0110"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["simulate", str(path), "--input", "0110", "--trace"]) == 0
+    traced = capsys.readouterr().out.splitlines()
+    assert [line for line in traced if not line.startswith("state[")] == plain.splitlines()
 
 
 def test_convert_both_directions(tmp_path, capsys):
@@ -97,6 +107,17 @@ def test_validate_fail_exit_code(tmp_path, capsys):
     path.write_text(serialize_program(bad))
     assert main(["validate", str(path)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_validate_general_program_with_25_labels(tmp_path, capsys):
+    s = 25
+    level = GeneralLevel(labels=np.arange(s), a0=np.eye(s), a1=np.eye(s))
+    program = Program(n=s, initial=np.eye(s)[0], levels=(level,))
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_program(program))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"PASS max_deviation=0 checked={2**25} convention=all-assignments\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

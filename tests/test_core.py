@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gqbp import (
     validate_program,
     validate_restricted,
 )
+from gqbp.core import unitarity_deviation
 from gqbp.simulate import all_inputs, transition_matrix
 
 from helpers import seeded_program
@@ -87,11 +90,97 @@ def test_validate_general_all_ones_fails():
     assert report.max_deviation == pytest.approx(expected)
 
 
-def test_validate_general_refuses_many_distinct_labels():
+def test_validate_general_covers_25_distinct_labels():
     s = 25
-    level = GeneralLevel(labels=np.arange(s), a0=np.eye(s), a1=np.eye(s))
-    with pytest.raises(ValueError, match="25 distinct"):
-        validate_general(level, max_distinct=20)
+    identity = GeneralLevel(labels=np.arange(s), a0=np.eye(s), a1=np.eye(s))
+    report = validate_general(identity)
+    assert report.passed
+    assert report.max_deviation == 0.0
+    assert report.assignments_checked == 2**25
+    # a1 swaps columns 3 and 7: unitary on its own, but x_3=0, x_7=1 puts
+    # e_3 in both columns
+    swap = np.eye(s)
+    swap[:, [3, 7]] = swap[:, [7, 3]]
+    report = validate_general(GeneralLevel(labels=np.arange(s), a0=np.eye(s), a1=swap))
+    assert not report.passed
+    assert report.max_deviation == 1.0
+    assert report.assignments_checked == 2**25
+    assert report.errors == ("a0/a1 columns of nodes 3, 7 (labels 3, 7) overlap by 1.000e+00",)
+
+
+def _enumerated(level: GeneralLevel, tol: float = 1e-9):
+    """Reference: assemble the transition matrix for every assignment of bits
+    to the level's distinct labels and take the worst unitarity deviation."""
+    distinct = np.unique(level.labels)
+    bits = np.zeros(int(level.labels.max()) + 1, dtype=bool)
+    worst = 0.0
+    for assignment in itertools.product((False, True), repeat=distinct.size):
+        bits[distinct] = assignment
+        m = np.where(bits[level.labels][np.newaxis, :], level.a1, level.a0)
+        worst = max(worst, unitarity_deviation(m))
+    return worst <= tol, worst, 2**distinct.size
+
+
+def _haar(rng, s):
+    z = (rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))[np.newaxis, :]
+
+
+def _random_level(kind: str, seed: int) -> GeneralLevel:
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(1, 7))
+    labels = rng.integers(0, int(rng.integers(1, 7)), size=s)
+    u = _haar(rng, s)
+    if kind == "phase":  # what generalize produces: passes
+        a1 = u * np.exp(1j * rng.uniform(0, 2 * np.pi, s))[np.newaxis, :]
+    elif kind == "label-block":  # a1 = a0 V, V mixing only within a label: passes
+        v = np.zeros((s, s), dtype=complex)
+        for lab in np.unique(labels):
+            nodes = np.flatnonzero(labels == lab)
+            v[np.ix_(nodes, nodes)] = _haar(rng, nodes.size)
+        a1 = u @ v
+    elif kind == "two-haar":  # each unitary, failing on cross-label pairs
+        a1 = _haar(rng, s)
+    elif kind == "same-label":  # two independent unitaries under one label: passes
+        labels = np.full(s, labels[0])
+        a1 = _haar(rng, s)
+    elif kind == "near-tol":  # perturbed around the tolerance
+        a1 = u * np.exp(1j * rng.uniform(0, 2 * np.pi, s))[np.newaxis, :]
+        a1 = a1 + rng.uniform(0.1, 10) * 1e-9 * rng.standard_normal((s, s))
+    else:  # non-unitary
+        u = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        a1 = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+    return GeneralLevel(labels=labels, a0=u, a1=a1)
+
+
+@pytest.mark.parametrize("kind", ["phase", "label-block", "two-haar", "same-label",
+                                  "near-tol", "non-unitary"])
+def test_validate_general_matches_enumeration(kind):
+    outcomes = set()
+    for seed in range(40):
+        level = _random_level(kind, seed)
+        passed, worst, assignments = _enumerated(level)
+        report = validate_general(level)
+        assert report.passed == passed, (kind, seed)
+        assert abs(report.max_deviation - worst) <= 1e-12, (kind, seed)
+        assert report.assignments_checked == assignments
+        assert len(report.errors) <= 3 and bool(report.errors) != passed
+        outcomes.add(passed)
+    if kind in ("phase", "label-block", "same-label"):
+        assert outcomes == {True}
+    elif kind == "near-tol":
+        assert outcomes == {True, False}
+    else:
+        assert False in outcomes
+
+
+def test_validate_general_one_error_per_failing_block():
+    level = GeneralLevel(labels=np.array([0, 1]), a0=np.eye(2), a1=np.ones((2, 2)))
+    assert validate_general(level).errors == (
+        "a1 columns of nodes 0, 1 (labels 0, 1) deviate from orthonormal by 2.000e+00",
+        "a0/a1 columns of nodes 0, 1 (labels 0, 1) overlap by 1.000e+00",
+    )
 
 
 def test_validate_program_reports_initial_norm():

@@ -247,10 +247,18 @@ def test_evolve_rejects_bad_shapes_and_values():
     prog = parity_program(4)
     with pytest.raises(ValueError, match="bits"):
         evolve(prog, np.zeros((2, 3), dtype=np.uint8))
-    with pytest.raises(ValueError, match="0/1"):
-        evolve(prog, np.full((1, 4), 2, dtype=np.uint8))
+    for bad in (np.full((1, 4), 2, dtype=np.uint8), [[0, 0.5, 1, 0]], [[0, -1, 0, 0]]):
+        with pytest.raises(ValueError, match="0/1"):
+            evolve(prog, bad)
     with pytest.raises(ValueError, match="start"):
         evolve(prog, np.zeros((2, 4), dtype=np.uint8), start=np.zeros(3))
+
+
+def test_evolve_reads_bits_of_any_dtype_alike():
+    prog = parity_program(4)
+    ref = evolve(prog, np.array([[0, 1, 1, 0]], dtype=np.uint8))
+    for same in ([[0, 1, 1, 0]], [[0.0, 1.0, 1.0, 0.0]], np.array([[0, 1, 1, 0]]) == 1):
+        assert np.array_equal(evolve(prog, same), ref)
 
 
 def _skippable_program():
