@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationReport, _freeze, as_bit_rows, as_bits, unitarity_deviation
+from .core import (DEFAULT_TOL, ValidationReport, _freeze, _one_row, accept_mass, as_bit_rows,
+                   unitarity_deviation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +139,12 @@ def _bit_oracle_tables(circuit: QueryCircuit, gate: BitOracle):
 
 def run_circuit(circuit: QueryCircuit, x) -> np.ndarray:
     """Apply the gate list to |0...0> under oracle input ``x``."""
-    return run_circuit_batch(circuit, as_bits(x, circuit.n)[np.newaxis, :])[0]
+    return _one_row(run_circuit_batch(circuit, x))
 
 
 def run_circuit_batch(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
-    """Vectorised simulation over a (B, n) batch of inputs -> (B, 2^q) states."""
+    """Vectorised simulation over a batch of inputs (anything ``as_bit_rows``
+    accepts) -> (B, 2^q) states."""
     inputs = as_bit_rows(inputs, circuit.n)
     nb = inputs.shape[0]
     dim = circuit.dim
@@ -165,18 +167,14 @@ def run_circuit_batch(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
 
 def circuit_acceptance(circuit: QueryCircuit, x) -> float:
     """Probability of measuring an accepting basis state on input ``x``."""
-    return float(circuit_acceptances(circuit, as_bits(x, circuit.n)[np.newaxis, :])[0])
+    return float(_one_row(circuit_acceptances(circuit, x)))
 
 
 def circuit_acceptances(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
-    states = run_circuit_batch(circuit, inputs)
-    idx = sorted(circuit.accept)
-    if not idx:
-        return np.zeros(states.shape[0])
-    return np.sum(np.abs(states[:, idx]) ** 2, axis=1)
+    return accept_mass(circuit, run_circuit_batch(circuit, inputs))
 
 
-def validate_circuit(circuit: QueryCircuit, tol: float = 1e-9) -> ValidationReport:
+def validate_circuit(circuit: QueryCircuit, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Numeric check: every Unitary gate is unitary within ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -196,7 +194,7 @@ def validate_circuit(circuit: QueryCircuit, tol: float = 1e-9) -> ValidationRepo
                             errors=tuple(errors))
 
 
-def complete_unitary(first_column: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def complete_unitary(first_column: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Deterministically extend a unit vector to a unitary with it as column 0.
 
     Uses a Householder reflection composed with a phase so that the identity

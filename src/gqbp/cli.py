@@ -14,9 +14,9 @@ import sys
 
 from . import experiments, formats, programs
 from .convert import circuit_to_rgqbp, rgqbp_to_circuit
-from .core import validate_program
+from .core import DEFAULT_TOL, accept_mass, validate_program
 from .circuit import circuit_acceptance, count_queries, validate_circuit
-from .simulate import accept_mass, run
+from .simulate import run
 from .transform import split_layers
 
 
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="numeric well-formedness check")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="acceptance probability on one input")

@@ -35,7 +35,7 @@ from .circuit import (
     complete_unitary,
     index_register_width,
 )
-from .core import Program, RestrictedLevel
+from .core import DEFAULT_TOL, Program, RestrictedLevel
 from .simulate import acceptance_probabilities, all_inputs
 from .transform import pad_width
 
@@ -122,7 +122,7 @@ class RoundtripReport:
     passed: bool
 
 
-def roundtrip_check(program: Program, tol: float = 1e-9,
+def roundtrip_check(program: Program, tol: float = DEFAULT_TOL,
                     sample_size: int = 256, seed: int = 0) -> RoundtripReport:
     """Compare program acceptance with its compiled circuit's acceptance,
     exhaustively for n <= 16 and on seeded random inputs otherwise."""

@@ -31,31 +31,32 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_bits(x, n: int | None = None) -> np.ndarray:
-    """Normalise an input string ('0101', sequence, or array) to a uint8 array.
+def as_bit_rows(inputs, n: int | None = None) -> np.ndarray:
+    """The one input rule: turn inputs into a (B, n) uint8 array of bits.
 
-    Raises ValueError on non-binary content or, when ``n`` is given, on a
-    length mismatch.
+    A ``'0101'`` string or a flat sequence of bits is one row; a (B, n)
+    array, or an iterable of such inputs (strings allowed), is one row per
+    item.  Values are checked before the cast, so 0.5 or 256 is refused
+    rather than read as 0, and so is a non-numeric dtype.  Raises ValueError
+    with "0/1" for a value that is not a bit and "length mismatch" for rows
+    of unequal length or, when ``n`` is given, of a length other than ``n``.
     """
-    if isinstance(x, str):
-        if not all(c in "01" for c in x):
-            raise ValueError(f"input string must be over {{0,1}}, got {x!r}")
-        bits = np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
-    else:
-        bits = np.asarray(x, dtype=np.uint8)
-        if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
-            raise ValueError("input must be a flat sequence of 0/1 bits")
-    if n is not None and bits.size != n:
-        raise ValueError(f"input length mismatch: expected {n} bits, got {bits.size}")
-    return bits
-
-
-def as_bit_rows(inputs, n: int) -> np.ndarray:
-    """Normalise a batch of inputs, one per row, to a (B, n) uint8 array; other
-    dtypes are checked before the cast, so 0.5 is refused, not read as 0."""
-    rows = np.atleast_2d(np.asarray(inputs))
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"input rows must have {n} bits, got shape {rows.shape}")
+    if isinstance(inputs, str):
+        inputs = [inputs]
+    if not isinstance(inputs, np.ndarray) and np.iterable(inputs):
+        inputs = [np.fromiter(map(ord, x), np.int64, len(x)) - ord("0")
+                  if isinstance(x, str) else x for x in inputs]
+    try:
+        rows = np.asarray(inputs)
+    except ValueError:
+        raise ValueError("input length mismatch: inputs differ in length") from None
+    if rows.ndim == 1:
+        rows = rows[np.newaxis] if rows.size else rows.reshape(0, n or 0)
+    if rows.ndim != 2 or (n is not None and rows.shape[1] != n):
+        raise ValueError(f"input length mismatch: got shape {rows.shape}"
+                         + (f", expected rows of {n} bits" if n else ""))
+    if rows.dtype.kind not in "biufc":
+        raise ValueError(f"inputs must be 0/1 bits, got dtype {rows.dtype}")
     if rows.dtype == np.uint8:
         binary = rows.max(initial=0) <= 1
     else:
@@ -63,6 +64,28 @@ def as_bit_rows(inputs, n: int) -> np.ndarray:
     if not binary:
         raise ValueError("inputs must be 0/1 bits")
     return rows.astype(np.uint8, copy=False)
+
+
+def _one_row(batch: np.ndarray) -> np.ndarray:
+    """The only row of a result computed for one input; an input that reads
+    as several rows (``['1', '0']`` when n=1) is refused."""
+    if batch.shape[0] != 1:
+        raise ValueError(f"expected a single input, got {batch.shape[0]} rows")
+    return batch[0]
+
+
+def as_bits(x, n: int | None = None) -> np.ndarray:
+    """One input as a flat uint8 array: the one-row case of ``as_bit_rows``,
+    with the same checks and errors."""
+    return _one_row(as_bit_rows(x, n))
+
+
+def accept_mass(machine, states: np.ndarray) -> np.ndarray:
+    """Squared mass of each row of ``states`` on a program's or circuit's accept set."""
+    idx = sorted(machine.accept)
+    if not idx:
+        return np.zeros(states.shape[:-1])
+    return np.sum(np.abs(states[..., idx]) ** 2, axis=-1)
 
 
 def bits_to_str(bits: np.ndarray) -> str:

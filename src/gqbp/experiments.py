@@ -22,15 +22,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .convert import circuit_to_rgqbp
-from .core import Program, as_bits, bits_to_str
-from .programs import (
-    grover_promise_or,
-    hamming_family,
-    one_hot_input,
-    parity_program,
-    zeros_input,
-)
-from .simulate import accept_mass, acceptance_probabilities, all_inputs, evolve
+from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str
+from .programs import grover_promise_or, hamming_family, parity_program
+from .simulate import _evolve, acceptance_probabilities, all_inputs, evolve
 
 SLACK_TOL = 1e-9
 
@@ -108,9 +102,8 @@ def hybrid_run(program: Program, x_base, x_alt, k: int) -> np.ndarray:
     if not 0 <= k <= depth:
         raise ValueError(f"k must be in [0, {depth}], got {k}")
     cut = queries.step * (depth - k)
-    prefix = evolve(program, as_bits(x_base, program.n), levels=slice(0, cut))
-    return evolve(program, as_bits(x_alt, program.n), start=prefix,
-                  levels=slice(cut, None))[0]
+    prefix = _one_row(evolve(program, x_base, levels=slice(0, cut)))
+    return _one_row(evolve(program, x_alt, start=prefix, levels=slice(cut, None)))
 
 
 def hybrid_deviation(program: Program, x, y) -> HybridTrace:
@@ -118,10 +111,10 @@ def hybrid_deviation(program: Program, x, y) -> HybridTrace:
 
     The returned trace's ``bound_holds`` reports whether the cap held.
     """
-    xb = as_bits(x, program.n)
-    yb = as_bits(y, program.n)
+    pair = as_bit_rows([x, y], program.n)
+    xb, yb = pair
     queries = _query_levels(program)
-    states = evolve(program, np.vstack([xb, yb]), record=True)
+    states = _evolve(program, pair, record=True)
     alpha = states[queries, 0]
     differs = np.array([xb[lv.labels] != yb[lv.labels] for lv in program.levels[queries]],
                        dtype=bool).reshape(alpha.shape)
@@ -137,8 +130,7 @@ def promise_or_expectation(program: Program) -> ExperimentReport:
     n, s = program.n, program.width
     depth = program.query_depth
     queries = _query_levels(program)
-    inputs = np.vstack([zeros_input(n)] + [one_hot_input(n, p) for p in range(n)])
-    states = evolve(program, inputs, record=True)
+    states = evolve(program, _promise_or_inputs(n), record=True)
     distances = np.linalg.norm(states[-1, 1:] - states[-1, 0], axis=1)
     empirical = float(distances.mean())
     bound = 2.0 * (depth + 1) * np.sqrt(s) / n
@@ -156,7 +148,6 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
     members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k."""
     n, s = program.n, program.width
     depth = program.query_depth
-    fixed = as_bits(fixed, n)
     family = hamming_family(n, k, delta, fixed)
     if family.size == 0:
         raise ValueError("weight family is empty")
@@ -167,7 +158,7 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
         members = family.sample(sample_size, seed)
         mode = "sampled"
     _query_levels(program)  # same ValueError as the other drift reports
-    finals = evolve(program, np.vstack([fixed[np.newaxis, :], members]))
+    finals = evolve(program, np.vstack([family.fixed, members]))
     empirical = float(np.linalg.norm(finals[1:] - finals[0], axis=1).mean())
     denom = (n - k) if family.side == "fix_yes" else k
     if denom <= 0:
@@ -193,17 +184,6 @@ class DistinguishabilityReport:
     note: str = FLOOR_NOTE
 
 
-def _bit_rows(inputs: Iterable, n: int) -> np.ndarray:
-    """(B, n) uint8 array of an iterable of inputs; a 0/1 array of the right
-    shape is taken whole, anything else input by input via ``as_bits``."""
-    if isinstance(inputs, np.ndarray) and inputs.ndim == 2 and inputs.shape[1] == n:
-        rows = inputs.astype(np.uint8)
-        if np.isin(rows, (0, 1)).all():
-            return rows
-    rows = [as_bits(x, n) for x in inputs]
-    return np.vstack(rows) if rows else np.zeros((0, n), np.uint8)
-
-
 # Pairwise differences are formed for blocks of yes-rows of about this many
 # complex entries, so memory stays bounded for large families.
 PAIR_BLOCK = 1 << 18
@@ -214,11 +194,13 @@ def distinguishability_check(program: Program, yes_inputs: Iterable,
     """Check that opposite-answer inputs with a >= 1/3 acceptance gap sit at
     final-state distance >= 1/6; pairs without the gap are decision failures.
 
-    Failing pairs are listed in row-major (yes, no) order.
+    Each side is read by ``as_bit_rows`` (strings, bit sequences or a (B, n)
+    array), so a value that is not a 0/1 bit raises ValueError, whatever
+    its container.  Failing pairs are listed in row-major (yes, no) order.
     """
-    yes = _bit_rows(yes_inputs, program.n)
-    no = _bit_rows(no_inputs, program.n)
-    finals = evolve(program, np.vstack([yes, no]))
+    yes = as_bit_rows(yes_inputs, program.n)
+    no = as_bit_rows(no_inputs, program.n)
+    finals = _evolve(program, np.vstack([yes, no]))
     probs = accept_mass(program, finals)
     final_yes, final_no = finals[:len(yes)], finals[len(yes):]
     prob_yes, prob_no = probs[:len(yes)], probs[len(yes):]
@@ -259,11 +241,15 @@ class ScanRow:
     ratio: float
 
 
+def _promise_or_inputs(n: int) -> np.ndarray:
+    """The promise-OR batch: the all-zero input, then the n one-hot inputs."""
+    return np.eye(n + 1, n, k=-1, dtype=np.uint8)
+
+
 def _promise_or_instance(n: int):
     program = circuit_to_rgqbp(grover_promise_or(n))
-    inputs = np.vstack([zeros_input(n)] + [one_hot_input(n, p) for p in range(n)])
     expected = np.array([0] + [1] * n, dtype=np.uint8)
-    return program, inputs, expected
+    return program, _promise_or_inputs(n), expected
 
 
 def _parity_instance(n: int):

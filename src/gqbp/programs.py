@@ -142,14 +142,9 @@ class HammingFamily:
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Seeded uniform member sample (with replacement) as (count, n) bits."""
         rng = np.random.default_rng(seed)
-        if self.side == "fix_yes":
-            positions = np.flatnonzero(self.fixed == 0)
-            out = np.broadcast_to(self.fixed, (count, self.n)).copy()
-            fill = 1
-        else:
-            positions = np.flatnonzero(self.fixed == 1)
-            out = np.broadcast_to(self.fixed, (count, self.n)).copy()
-            fill = 0
+        fill = int(self.side == "fix_yes")
+        positions = np.flatnonzero(self.fixed != fill)
+        out = np.broadcast_to(self.fixed, (count, self.n)).copy()
         for row in out:
             row[rng.choice(positions, size=self.delta, replace=False)] = fill
         return out
@@ -170,17 +165,15 @@ def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
         side = "fix_yes"
         if k + delta > n:
             raise ValueError(f"k + delta = {k + delta} exceeds n = {n}")
-        positions = np.flatnonzero(fixed == 0)
-        fill = 1
         size = math.comb(n - k, delta)
     elif weight == k + delta:
         side = "fix_no"
-        positions = np.flatnonzero(fixed == 1)
-        fill = 0
         size = math.comb(k + delta, delta)
     else:
         raise ValueError(
             f"fixed string has weight {weight}; expected {k} (fix_yes) or {k + delta} (fix_no)")
+    fill = int(side == "fix_yes")
+    positions = np.flatnonzero(fixed != fill)
     members = None
     if size <= MATERIALIZE_LIMIT:
         members = np.empty((size, n), dtype=np.uint8)

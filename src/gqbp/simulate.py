@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Level, Program, RestrictedLevel, as_bit_rows, as_bits
+from .core import Level, Program, RestrictedLevel, _one_row, accept_mass, as_bit_rows, as_bits
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -75,14 +75,19 @@ def _steps(program: Program) -> tuple:
 
 def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
            record: bool = False) -> np.ndarray:
-    """Evolve a (B, n) batch of 0/1 inputs through ``program.levels[levels]``.
+    """Evolve a batch of inputs (see ``as_bit_rows``) through ``program.levels[levels]``.
 
     Each row starts at ``start`` ((s,) or (B, s); the program's initial
     vector by default) and the (B, s) states after the last selected level
     are returned.  With ``record`` the result is the (k+1, B, s) stack of
     the states before and after each of the k selected levels.
     """
-    inputs = as_bit_rows(inputs, program.n)
+    return _evolve(program, as_bit_rows(inputs, program.n), start, levels, record)
+
+
+def _evolve(program: Program, inputs: np.ndarray, start=None, levels: slice = slice(None),
+            record: bool = False) -> np.ndarray:
+    """``evolve`` on (B, n) uint8 rows that ``as_bit_rows`` has already checked."""
     nb, s = inputs.shape[0], program.width
     start = program.initial if start is None else np.asarray(start, dtype=np.complex128)
     if start.shape not in ((s,), (nb, s)):
@@ -107,20 +112,12 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
 
 def run(program: Program, x) -> RunTrace:
     """Evolve ``program`` on input ``x``, recording the state after each level."""
-    states = evolve(program, as_bits(x, program.n), record=True)
-    return RunTrace(states=tuple(states[:, 0]))
+    states = evolve(program, x, record=True)
+    return RunTrace(states=tuple(_one_row(states.swapaxes(0, 1))))
 
 
 def final_state(program: Program, x) -> np.ndarray:
-    return evolve(program, as_bits(x, program.n))[0]
-
-
-def accept_mass(program: Program, states: np.ndarray) -> np.ndarray:
-    """Squared mass of each row of ``states`` on the accept set."""
-    idx = sorted(program.accept)
-    if not idx:
-        return np.zeros(states.shape[:-1])
-    return np.sum(np.abs(states[..., idx]) ** 2, axis=-1)
+    return _one_row(evolve(program, x))
 
 
 def acceptance_probability(program: Program, x) -> float:

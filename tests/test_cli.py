@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gqbp
 from gqbp import GeneralLevel, Program, RestrictedLevel, parity_program, random_rgqbp
 from gqbp.cli import main
 from gqbp.formats import serialize_program
@@ -132,8 +135,11 @@ def test_missing_file_exit_code(capsys):
 
 
 def test_console_entry_point(tmp_path):
+    # The child imports the same gqbp as this process, installed or not.
+    path = os.pathsep.join(filter(None, [str(Path(gqbp.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "gqbp.cli", "gen", "parity", "--n", "2"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert json.loads(out.stdout)["format"] == "gqbp-v1"
 

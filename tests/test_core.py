@@ -9,15 +9,30 @@ from gqbp import (
     GeneralLevel,
     Program,
     RestrictedLevel,
+    acceptance_probabilities,
+    acceptance_probability,
     as_bits,
+    circuit_acceptance,
+    circuit_acceptances,
+    decide,
+    final_state,
     final_states,
     generalize,
+    grover_promise_or,
+    hamming_family,
+    hybrid_deviation,
+    hybrid_run,
     parity_program,
+    random_rgqbp,
     restrict,
+    run,
+    run_circuit,
+    sample_measurement,
     validate_general,
     validate_program,
     validate_restricted,
 )
+from gqbp.circuit import run_circuit_batch
 from gqbp.core import unitarity_deviation
 from gqbp.simulate import all_inputs, transition_matrix
 
@@ -36,6 +51,84 @@ def test_as_bits_rejects_bad_chars():
 def test_as_bits_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         as_bits("01", 3)
+
+
+# Every entry point that takes one input, called on 4-bit inputs.
+PARITY4 = parity_program(4)
+GROVER4 = grover_promise_or(4)
+SINGLE_INPUT_CALLS = {
+    "as_bits": lambda x: as_bits(x, 4),
+    "transition_matrix": lambda x: transition_matrix(PARITY4.levels[0], x),
+    "run": lambda x: run(PARITY4, x),
+    "final_state": lambda x: final_state(PARITY4, x),
+    "acceptance_probability": lambda x: acceptance_probability(PARITY4, x),
+    "decide": lambda x: decide(PARITY4, x),
+    "sample_measurement": lambda x: sample_measurement(PARITY4, x, seed=0),
+    "run_circuit": lambda x: run_circuit(GROVER4, x),
+    "circuit_acceptance": lambda x: circuit_acceptance(GROVER4, x),
+    "hybrid_run": lambda x: hybrid_run(PARITY4, x, "0000", 1),
+    "hybrid_deviation": lambda x: hybrid_deviation(PARITY4, x, "0000"),
+    "hamming_family": lambda x: hamming_family(4, 1, 1, x),
+}
+# Each would read as a weight-1 or weight-2 string if cast to uint8 first.
+NON_BIT_INPUTS = {
+    "fraction": [0.5, 1, 0, 0],
+    "digit strings": ["1", "0", "1", "0"],
+    "wraps to 0": np.array([256, 1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("bad", NON_BIT_INPUTS.values(), ids=NON_BIT_INPUTS.keys())
+@pytest.mark.parametrize("call", SINGLE_INPUT_CALLS.values(), ids=SINGLE_INPUT_CALLS.keys())
+def test_single_input_entry_points_refuse_non_bits(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", SINGLE_INPUT_CALLS.values(), ids=SINGLE_INPUT_CALLS.keys())
+def test_single_input_entry_points_refuse_several_rows(call):
+    with pytest.raises(ValueError):
+        call(["0000", "1000"])
+    with pytest.raises(ValueError):
+        call(np.zeros((2, 4), dtype=np.uint8))
+
+
+def test_one_bit_program_refuses_digit_list():
+    program = Program(n=1, initial=np.array([1.0 + 0j]),
+                      levels=(RestrictedLevel(labels=np.array([0]), base=np.eye(1),
+                                              thetas=np.array([np.pi])),))
+    for call in (final_state, run, acceptance_probability):
+        with pytest.raises(ValueError, match="single input"):
+            call(program, ["1", "0"])
+    assert final_states(program, ["1", "0"]).shape == (2, 1)
+
+
+def test_input_forms_agree_on_single_and_batch_paths():
+    rng = np.random.default_rng(5)
+    program = random_rgqbp(5, 6, 8, seed=5)
+    circuit = grover_promise_or(8)
+    rows = rng.integers(0, 2, size=(6, 8)).astype(np.uint8)
+    batch_forms = [rows, rows.astype(np.int64), rows.astype(bool), rows.astype(float),
+                   rows.tolist(), ["".join(map(str, r)) for r in rows], list(rows)]
+    states = final_states(program, rows)
+    probs = acceptance_probabilities(program, rows)
+    circuit_probs = circuit_acceptances(circuit, rows)
+    for form in batch_forms:
+        assert np.array_equal(final_states(program, form), states)
+        assert np.array_equal(acceptance_probabilities(program, form), probs)
+        assert np.array_equal(circuit_acceptances(circuit, form), circuit_probs)
+    for bits in rows:
+        one = bits[np.newaxis]
+        state = final_states(program, one)[0]
+        prob = acceptance_probabilities(program, one)[0]
+        circuit_state = run_circuit_batch(circuit, one)[0]
+        for form in ("".join(map(str, bits)), bits.tolist(), bits, bits.astype(np.int64),
+                     bits.astype(bool), bits.astype(float)):
+            assert np.array_equal(as_bits(form, 8), bits)
+            assert np.array_equal(final_state(program, form), state)
+            assert acceptance_probability(program, form) == prob
+            assert np.array_equal(run_circuit(circuit, form), circuit_state)
+            assert circuit_acceptance(circuit, form) == circuit_acceptances(circuit, one)[0]
 
 
 def test_validate_restricted_identity_passes():

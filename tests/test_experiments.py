@@ -324,6 +324,15 @@ def test_distinguishability_matches_pairwise_loop(monkeypatch, block):
     assert listed == report
 
 
+@pytest.mark.parametrize("row", [[0.5, 1.0], [256, 1]], ids=["fraction", "wraps to 0"])
+def test_distinguishability_refuses_non_bit_rows(row):
+    prog = parity_program(2)
+    with pytest.raises(ValueError, match="0/1"):
+        distinguishability_check(prog, np.array([row]), np.array([[0, 0]]))
+    with pytest.raises(ValueError, match="0/1"):
+        distinguishability_check(prog, np.array([[0, 1]]), np.array([row[::-1]]))
+
+
 def test_distinguishability_empty_sides():
     prog = parity_program(4)
     report = distinguishability_check(prog, [], all_inputs(4))
