@@ -55,7 +55,6 @@ from .programs import (
     zeros_input,
 )
 from .simulate import (
-    RunTrace,
     acceptance_probabilities,
     acceptance_probability,
     all_inputs,
@@ -63,7 +62,6 @@ from .simulate import (
     evolve,
     final_state,
     final_states,
-    run,
     sample_measurement,
     transition_matrix,
 )

@@ -16,7 +16,7 @@ from . import experiments, formats, programs
 from .convert import circuit_to_rgqbp, rgqbp_to_circuit
 from .core import DEFAULT_TOL, accept_mass, validate_program
 from .circuit import circuit_acceptance, count_queries, validate_circuit
-from .simulate import run
+from .simulate import evolve
 from .transform import split_layers
 
 
@@ -66,12 +66,12 @@ def cmd_simulate(args) -> int:
         print(f"acceptance_probability={_fmt(prob)} queries={count_queries(circuit)}")
         return 0
     program = formats.parse_program(text)
-    trace = run(program, args.input)
+    states = evolve(program, args.input, record=True)[:, 0]
     if args.trace:
-        for t, state in enumerate(trace.states):
+        for t, state in enumerate(states):
             amps = " ".join(f"({_fmt(z.real)},{_fmt(z.imag)})" for z in state)
             print(f"state[{t}] {amps}")
-    print(f"acceptance_probability={_fmt(float(accept_mass(program, trace.final)))}")
+    print(f"acceptance_probability={_fmt(float(accept_mass(program, states[-1])))}")
     return 0
 
 

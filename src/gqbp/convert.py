@@ -39,7 +39,10 @@ from .core import DEFAULT_TOL, Program, RestrictedLevel
 from .simulate import acceptance_probabilities, all_inputs
 from .transform import pad_width
 
+# roundtrip_check: every input up to this n, else ROUNDTRIP_SAMPLE seeded ones.
 EXHAUSTIVE_LIMIT = 16
+ROUNDTRIP_SAMPLE = 256
+ROUNDTRIP_SEED = 0
 
 
 def _hadamard_on_wire(q: int, wire: int) -> np.ndarray:
@@ -122,8 +125,7 @@ class RoundtripReport:
     passed: bool
 
 
-def roundtrip_check(program: Program, tol: float = DEFAULT_TOL,
-                    sample_size: int = 256, seed: int = 0) -> RoundtripReport:
+def roundtrip_check(program: Program, tol: float = DEFAULT_TOL) -> RoundtripReport:
     """Compare program acceptance with its compiled circuit's acceptance,
     exhaustively for n <= 16 and on seeded random inputs otherwise."""
     circuit = rgqbp_to_circuit(program)
@@ -131,11 +133,11 @@ def roundtrip_check(program: Program, tol: float = DEFAULT_TOL,
         inputs = all_inputs(program.n)
         exhaustive = True
     else:
-        rng = np.random.default_rng(seed)
-        inputs = rng.integers(0, 2, size=(sample_size, program.n)).astype(np.uint8)
+        rng = np.random.default_rng(ROUNDTRIP_SEED)
+        inputs = rng.integers(0, 2, size=(ROUNDTRIP_SAMPLE, program.n)).astype(np.uint8)
         exhaustive = False
     dev = np.abs(acceptance_probabilities(program, inputs)
                  - circuit_acceptances(circuit, inputs))
-    worst = float(dev.max()) if dev.size else 0.0
+    worst = float(dev.max())
     return RoundtripReport(max_deviation=worst, inputs_checked=inputs.shape[0],
                            exhaustive=exhaustive, passed=worst <= tol)

@@ -19,7 +19,7 @@ broken numerics can still be loaded and inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -224,15 +224,7 @@ class Program:
         return self.length // 2 if self.alternating else self.length
 
     def replace(self, **changes) -> "Program":
-        args = dict(
-            n=self.n,
-            initial=self.initial,
-            levels=self.levels,
-            accept=self.accept,
-            alternating=self.alternating,
-        )
-        args.update(changes)
-        return Program(**args)
+        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -306,7 +298,8 @@ def validate_general(level: GeneralLevel, tol: float = DEFAULT_TOL) -> Validatio
 
 
 def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Aggregate numeric validation: initial norm plus every level's report."""
+    """Aggregate numeric validation: initial norm, every level's report and, for an
+    ``alternating`` program, even length and odd levels that ignore their bit."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     errors = []
@@ -325,6 +318,13 @@ def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationRe
         worst = max(worst, rep.max_deviation)
         checked += rep.assignments_checked
         errors.extend(f"level {i}: {e}" for e in rep.errors)
+        if program.alternating and i % 2:
+            reads = (np.abs(np.exp(1j * lv.thetas) - 1.0) if isinstance(lv, RestrictedLevel)
+                     else np.abs(lv.a1 - lv.a0)).max(initial=0.0)
+            if reads > tol:
+                errors.append(f"level {i}: mixing level reads its query bit by {reads:.3e}")
+    if program.alternating and program.length % 2:
+        errors.append(f"level {program.length - 1}: alternating program ends on a query level")
     return ValidationReport(passed=not errors, max_deviation=worst,
                             assignments_checked=checked, convention=convention,
                             errors=tuple(errors))

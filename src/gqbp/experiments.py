@@ -24,9 +24,11 @@ import numpy as np
 from .convert import circuit_to_rgqbp
 from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str
 from .programs import grover_promise_or, hamming_family, parity_program
-from .simulate import _evolve, acceptance_probabilities, all_inputs, evolve
+from .simulate import acceptance_probabilities, all_inputs, evolve
 
 SLACK_TOL = 1e-9
+# Members compared when a weight family is too large to materialise.
+FAMILY_SAMPLE = 10_000
 
 # |P(x)-P(y)| <= 2*||final(x)-final(y)||, so a 1/3 probability gap forces a
 # final-state distance of at least 1/6.  The constant is ours, not a given.
@@ -114,7 +116,7 @@ def hybrid_deviation(program: Program, x, y) -> HybridTrace:
     pair = as_bit_rows([x, y], program.n)
     xb, yb = pair
     queries = _query_levels(program)
-    states = _evolve(program, pair, record=True)
+    states = evolve(program, pair, record=True)
     alpha = states[queries, 0]
     differs = np.array([xb[lv.labels] != yb[lv.labels] for lv in program.levels[queries]],
                        dtype=bool).reshape(alpha.shape)
@@ -124,52 +126,50 @@ def hybrid_deviation(program: Program, x, y) -> HybridTrace:
                        final_distance=distance)
 
 
-def promise_or_expectation(program: Program) -> ExperimentReport:
-    """Mean final-state drift between the all-zero input and the n one-hot
-    inputs, against the cap 2*(L+1)*sqrt(s)/n."""
-    n, s = program.n, program.width
+def _drift_report(program: Program, finals: np.ndarray, family: str, delta: int,
+                  denom: int, extra: dict) -> ExperimentReport:
+    """Mean distance of ``finals[1:]`` from ``finals[0]`` against the cap
+    2*(L+1)*delta*sqrt(s)/denom (promise-OR: delta=1, denom=n)."""
     depth = program.query_depth
-    queries = _query_levels(program)
-    states = evolve(program, _promise_or_inputs(n), record=True)
-    distances = np.linalg.norm(states[-1, 1:] - states[-1, 0], axis=1)
-    empirical = float(distances.mean())
-    bound = 2.0 * (depth + 1) * np.sqrt(s) / n
-    level_l1 = tuple(np.abs(states[queries, 0]).sum(axis=1).tolist())
+    empirical = float(np.linalg.norm(finals[1:] - finals[0], axis=1).mean())
+    bound = 2.0 * (depth + 1) * delta * np.sqrt(program.width) / denom
     slack = bound - empirical
     return ExperimentReport(
         empirical=empirical, bound=bound, slack=slack, passed=slack >= -SLACK_TOL,
-        metadata={"family": "promise-or", "n": n, "s": s, "L": depth,
-                  "level_l1": level_l1})
+        metadata={"family": family, "n": program.n, "s": program.width,
+                  "L": depth, **extra})
+
+
+def promise_or_expectation(program: Program) -> ExperimentReport:
+    """Mean final-state drift between the all-zero input and the n one-hot
+    inputs, against the cap 2*(L+1)*sqrt(s)/n."""
+    queries = _query_levels(program)
+    states = evolve(program, _promise_or_inputs(program.n), record=True)
+    level_l1 = tuple(np.abs(states[queries, 0]).sum(axis=1).tolist())
+    return _drift_report(program, states[-1], "promise-or", 1, program.n,
+                         {"level_l1": level_l1})
 
 
 def hamming_expectation(program: Program, k: int, delta: int, fixed,
-                        sample_size: int = 10_000, seed: int = 0) -> ExperimentReport:
+                        seed: int = 0) -> ExperimentReport:
     """Mean final-state drift between ``fixed`` and its weight-family
     members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k."""
-    n, s = program.n, program.width
-    depth = program.query_depth
-    family = hamming_family(n, k, delta, fixed)
-    if family.size == 0:
-        raise ValueError("weight family is empty")
+    family = hamming_family(program.n, k, delta, fixed)
     if family.materialized:
         members = family.members
         mode = "exhaustive"
     else:
-        members = family.sample(sample_size, seed)
+        members = family.sample(FAMILY_SAMPLE, seed)
         mode = "sampled"
     _query_levels(program)  # same ValueError as the other drift reports
-    finals = evolve(program, np.vstack([family.fixed, members]))
-    empirical = float(np.linalg.norm(finals[1:] - finals[0], axis=1).mean())
-    denom = (n - k) if family.side == "fix_yes" else k
+    denom = (program.n - k) if family.side == "fix_yes" else k
     if denom <= 0:
         raise ValueError(f"degenerate case denominator for side {family.side}: {denom}")
-    bound = 2.0 * (depth + 1) * delta * np.sqrt(s) / denom
-    slack = bound - empirical
-    return ExperimentReport(
-        empirical=empirical, bound=bound, slack=slack, passed=slack >= -SLACK_TOL,
-        metadata={"family": "hamming", "n": n, "s": s, "L": depth, "k": k,
-                  "delta": delta, "side": family.side, "family_size": family.size,
-                  "mode": mode, "compared": int(members.shape[0])})
+    finals = evolve(program, np.vstack([family.fixed, members]))
+    return _drift_report(program, finals, "hamming", delta, denom,
+                         {"k": k, "delta": delta, "side": family.side,
+                          "family_size": family.size, "mode": mode,
+                          "compared": int(members.shape[0])})
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def distinguishability_check(program: Program, yes_inputs: Iterable,
     """
     yes = as_bit_rows(yes_inputs, program.n)
     no = as_bit_rows(no_inputs, program.n)
-    finals = _evolve(program, np.vstack([yes, no]))
+    finals = evolve(program, np.vstack([yes, no]))
     probs = accept_mass(program, finals)
     final_yes, final_no = finals[:len(yes)], finals[len(yes):]
     prob_yes, prob_no = probs[:len(yes)], probs[len(yes):]

@@ -116,6 +116,12 @@ def random_rgqbp(s: int, length: int, n: int, seed: int) -> Program:
     return Program(n=n, initial=initial, levels=tuple(levels), accept=accept)
 
 
+def _flips(fixed: np.ndarray, side: str) -> tuple[int, np.ndarray]:
+    """The bit members write over ``fixed`` and the positions they write it at."""
+    fill = int(side == "fix_yes")
+    return fill, np.flatnonzero(fixed != fill)
+
+
 @dataclass(frozen=True, eq=False)
 class HammingFamily:
     """A fixed reference string plus the set of strings it is compared to.
@@ -142,8 +148,7 @@ class HammingFamily:
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Seeded uniform member sample (with replacement) as (count, n) bits."""
         rng = np.random.default_rng(seed)
-        fill = int(self.side == "fix_yes")
-        positions = np.flatnonzero(self.fixed != fill)
+        fill, positions = _flips(self.fixed, self.side)
         out = np.broadcast_to(self.fixed, (count, self.n)).copy()
         for row in out:
             row[rng.choice(positions, size=self.delta, replace=False)] = fill
@@ -172,8 +177,7 @@ def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
     else:
         raise ValueError(
             f"fixed string has weight {weight}; expected {k} (fix_yes) or {k + delta} (fix_no)")
-    fill = int(side == "fix_yes")
-    positions = np.flatnonzero(fixed != fill)
+    fill, positions = _flips(fixed, side)
     members = None
     if size <= MATERIALIZE_LIMIT:
         members = np.empty((size, n), dtype=np.uint8)

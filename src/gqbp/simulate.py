@@ -15,8 +15,6 @@ the nodes reading 0 and ``a1`` to those reading 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Level, Program, RestrictedLevel, _one_row, accept_mass, as_bit_rows, as_bits
@@ -26,17 +24,6 @@ REJECT = "reject"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class RunTrace:
-    """Per-level amplitude snapshots; states[0] is the initial vector."""
-
-    states: tuple[np.ndarray, ...]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def transition_matrix(level: Level, x) -> np.ndarray:
     """Assemble the transition matrix realised by input ``x`` at one level.
 
@@ -44,6 +31,8 @@ def transition_matrix(level: Level, x) -> np.ndarray:
     its queried bit.
     """
     bits = as_bits(x)
+    if bits.size <= level.labels.max(initial=-1):
+        raise ValueError(f"input length mismatch: level reads bit {level.labels.max()} of {x!r}")
     node_bits = bits[level.labels]
     if isinstance(level, RestrictedLevel):
         return level.base * np.exp(1j * level.thetas * node_bits)[np.newaxis, :]
@@ -82,12 +71,7 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     are returned.  With ``record`` the result is the (k+1, B, s) stack of
     the states before and after each of the k selected levels.
     """
-    return _evolve(program, as_bit_rows(inputs, program.n), start, levels, record)
-
-
-def _evolve(program: Program, inputs: np.ndarray, start=None, levels: slice = slice(None),
-            record: bool = False) -> np.ndarray:
-    """``evolve`` on (B, n) uint8 rows that ``as_bit_rows`` has already checked."""
+    inputs = as_bit_rows(inputs, program.n)
     nb, s = inputs.shape[0], program.width
     start = program.initial if start is None else np.asarray(start, dtype=np.complex128)
     if start.shape not in ((s,), (nb, s)):
@@ -108,12 +92,6 @@ def _evolve(program: Program, inputs: np.ndarray, start=None, levels: slice = sl
         if record:
             states.append(v)
     return np.stack(states) if record else v
-
-
-def run(program: Program, x) -> RunTrace:
-    """Evolve ``program`` on input ``x``, recording the state after each level."""
-    states = evolve(program, x, record=True)
-    return RunTrace(states=tuple(_one_row(states.swapaxes(0, 1))))
 
 
 def final_state(program: Program, x) -> np.ndarray:

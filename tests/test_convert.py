@@ -203,6 +203,16 @@ def test_roundtrip_random():
     assert rep.max_deviation <= 1e-9
 
 
+def test_roundtrip_sampled_above_exhaustive_limit():
+    from gqbp import random_rgqbp
+    prog = random_rgqbp(4, 3, 20, seed=1)
+    rep = roundtrip_check(prog)
+    assert not rep.exhaustive
+    assert rep.inputs_checked == 256
+    assert rep.passed
+    assert roundtrip_check(prog) == rep
+
+
 def test_roundtrip_zero_length():
     from gqbp import Program
     prog = Program(n=2, initial=np.array([0, 1], dtype=complex), levels=(),

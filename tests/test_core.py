@@ -1,10 +1,13 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gqbp
 from gqbp import (
     GeneralLevel,
     Program,
@@ -15,6 +18,7 @@ from gqbp import (
     circuit_acceptance,
     circuit_acceptances,
     decide,
+    evolve,
     final_state,
     final_states,
     generalize,
@@ -22,12 +26,13 @@ from gqbp import (
     hamming_family,
     hybrid_deviation,
     hybrid_run,
+    pad_width,
     parity_program,
     random_rgqbp,
     restrict,
-    run,
     run_circuit,
     sample_measurement,
+    split_layers,
     validate_general,
     validate_program,
     validate_restricted,
@@ -59,7 +64,6 @@ GROVER4 = grover_promise_or(4)
 SINGLE_INPUT_CALLS = {
     "as_bits": lambda x: as_bits(x, 4),
     "transition_matrix": lambda x: transition_matrix(PARITY4.levels[0], x),
-    "run": lambda x: run(PARITY4, x),
     "final_state": lambda x: final_state(PARITY4, x),
     "acceptance_probability": lambda x: acceptance_probability(PARITY4, x),
     "decide": lambda x: decide(PARITY4, x),
@@ -93,14 +97,21 @@ def test_single_input_entry_points_refuse_several_rows(call):
         call(np.zeros((2, 4), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("bad", NON_BIT_INPUTS.values(), ids=NON_BIT_INPUTS.keys())
+def test_evolve_record_refuses_non_bits(bad):
+    with pytest.raises(ValueError):
+        evolve(PARITY4, bad, record=True)
+
+
 def test_one_bit_program_refuses_digit_list():
     program = Program(n=1, initial=np.array([1.0 + 0j]),
                       levels=(RestrictedLevel(labels=np.array([0]), base=np.eye(1),
                                               thetas=np.array([np.pi])),))
-    for call in (final_state, run, acceptance_probability):
+    for call in (final_state, acceptance_probability):
         with pytest.raises(ValueError, match="single input"):
             call(program, ["1", "0"])
     assert final_states(program, ["1", "0"]).shape == (2, 1)
+    assert evolve(program, ["1", "0"], record=True).shape == (2, 2, 1)
 
 
 def test_input_forms_agree_on_single_and_batch_paths():
@@ -284,6 +295,26 @@ def test_validate_program_reports_initial_norm():
     assert any("norm" in e for e in report.errors)
 
 
+def test_validate_program_checks_alternating_claim():
+    parity = parity_program(4)
+    claimed = validate_program(parity.replace(alternating=True))
+    assert not claimed.passed
+    assert claimed.errors == ("level 1: mixing level reads its query bit by 2.000e+00",)
+    general = validate_program(generalize(parity).replace(alternating=True))
+    assert general.errors == ("level 1: mixing level reads its query bit by 1.414e+00",)
+    odd = split_layers(parity)
+    odd = odd.replace(levels=odd.levels[:3])
+    assert validate_program(odd).errors == (
+        "level 2: alternating program ends on a query level",)
+    # Drift within tol is not an error: restrict(generalize(.)) leaves ~1e-17 angles.
+    for seed in range(6):
+        split = split_layers(random_rgqbp(4, 3, 5, seed=seed))
+        for form in (split, pad_width(split, 6), generalize(split),
+                     restrict(generalize(split))):
+            assert form.alternating
+            assert validate_program(form).passed, validate_program(form).errors
+
+
 def test_restrict_negated_columns_give_pi():
     a0 = np.eye(2, dtype=complex)
     level = GeneralLevel(labels=np.array([0, 1]), a0=a0, a1=-a0)
@@ -421,3 +452,12 @@ def test_restrict_zero_column_pair():
     prog = Program(n=2, initial=np.array([1, 0], dtype=complex), levels=(one_sided,))
     with pytest.raises(ValueError, match="zero 0-transition"):
         restrict(prog)
+
+
+def test_package_has_no_assert_statements():
+    # Runtime checks must hold under ``python -O``, which strips asserts.
+    package = Path(gqbp.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"

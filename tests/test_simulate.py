@@ -16,7 +16,6 @@ from gqbp import (
     pad_width,
     parity_program,
     random_rgqbp,
-    run,
     sample_measurement,
     split_layers,
 )
@@ -46,11 +45,21 @@ def test_transition_matrix_parity_level_negates_queried_column():
     assert np.allclose(m1[:, 1], m0[:, 1])
 
 
+def test_transition_matrix_refuses_short_input():
+    for level in (parity_program(4).levels[1], generalize(parity_program(4)).levels[1]):
+        with pytest.raises(ValueError, match="length mismatch"):
+            transition_matrix(level, "01")
+        with pytest.raises(ValueError, match="length mismatch"):
+            transition_matrix(level, "011")
+        assert transition_matrix(level, "0111").shape == (2, 2)
+
+
 def test_run_zero_length_program():
     prog = Program(n=1, initial=np.array([1.0 + 0j]), levels=())
-    trace = run(prog, "0")
-    assert len(trace.states) == 1
-    assert np.array_equal(trace.final, prog.initial)
+    states = evolve(prog, "0", record=True)
+    assert states.shape == (1, 1, 1)
+    assert np.array_equal(states[-1, 0], prog.initial)
+    assert np.array_equal(final_state(prog, "0"), prog.initial)
 
 
 def test_run_parity2_hand_values():
@@ -81,7 +90,7 @@ def test_acceptance_parity4_specific_and_exhaustive():
 
 def test_run_rejects_wrong_length():
     with pytest.raises(ValueError, match="length mismatch"):
-        run(parity_program(4), "01")
+        evolve(parity_program(4), "01", record=True)
 
 
 def test_decide_thresholds():
@@ -130,7 +139,9 @@ def test_sample_measurement_reproducible():
 def test_norm_preserved_along_trace(seed):
     prog = seeded_program(seed, smax=6, lmax=6, nmax=6)
     x = np.random.default_rng(seed).integers(0, 2, prog.n).astype(np.uint8)
-    for state in run(prog, x).states:
+    states = evolve(prog, x, record=True)
+    assert states.shape == (prog.length + 1, 1, prog.width)
+    for state in states[:, 0]:
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-6
 
 
