@@ -3,6 +3,8 @@ translation, and deviation-bound experiments."""
 
 from .circuit import (
     BitOracle,
+    Diagonal,
+    Permutation,
     PhaseOracle,
     QueryCircuit,
     Unitary,

@@ -12,8 +12,23 @@ Input access comes in two oracle flavours:
   explicit list of index wires (most significant first); again k >= n
   reads a 0.
 
-Unitary gates are stored as dense 2^q x 2^q matrices; circuits here stay at
-desk scale, so no gate factorisation is attempted.
+The other gates act on the amplitude vector without reading the input:
+
+* ``Unitary`` holds a matrix.  Without ``wires`` it is a dense 2^q x 2^q
+  gate on all wires.  With ``wires`` it is a 2^k x 2^k matrix on those k
+  wires and the identity on the rest; the first listed wire is the most
+  significant bit of the matrix index, whatever its position in the
+  circuit, so ``wires=(2, 0)`` reads row/column index ``2*b2 + b0``.
+* ``Permutation`` sends basis state |j> to |perm[j]>: its dense matrix has
+  a 1 at (perm[j], j).
+* ``Diagonal`` multiplies basis state |j> by ``phases[j]``.
+
+Construction checks shapes and index ranges; unitarity (bijectivity of a
+permutation, unit modulus of a diagonal) is left to ``validate_circuit`` so
+that broken circuits can still be loaded and inspected.  The simulator
+applies every gate kind through one function: a permutation is an index
+gather, a diagonal an elementwise multiply and a local unitary a matmul on
+its wires, so no gate is expanded to its dense matrix.
 """
 
 from __future__ import annotations
@@ -26,19 +41,73 @@ from .core import (DEFAULT_TOL, ValidationReport, _freeze, _one_row, accept_mass
                    unitarity_deviation)
 
 
+def _check_size(size: int) -> None:
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"gate dimension must be a power of two, got {size}")
+
+
+def _distinct_wires(wires, what: str) -> tuple[int, ...]:
+    wires = tuple(int(w) for w in wires)
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"{what} must be distinct")
+    return wires
+
+
 @dataclass(frozen=True, eq=False)
 class Unitary:
+    """A matrix on all wires (``wires=None``) or on the listed wires, the
+    first of them the most significant bit of the matrix index."""
+
     matrix: np.ndarray
+    wires: tuple[int, ...] | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"unitary gate matrix must be square, got shape {m.shape}")
-        if m.shape[0] & (m.shape[0] - 1):
-            raise ValueError(f"gate dimension must be a power of two, got {m.shape[0]}")
+        _check_size(m.shape[0])
         if not np.isfinite(m).all():
             raise ValueError("gate matrix entries must be finite")
+        if self.wires is not None:
+            wires = _distinct_wires(self.wires, "unitary wires")
+            if m.shape[0] != 1 << len(wires):
+                raise ValueError(f"matrix is {m.shape[0]}-dimensional, "
+                                 f"{len(wires)} wires need {1 << len(wires)}")
+            object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "matrix", _freeze(m))
+
+
+@dataclass(frozen=True, eq=False)
+class Permutation:
+    """Basis permutation |j> -> |perm[j]> on all wires."""
+
+    perm: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.perm)
+        if p.ndim != 1 or p.dtype.kind not in "iu":
+            raise ValueError(f"permutation must be a flat integer table, got {p.dtype} "
+                             f"of shape {p.shape}")
+        _check_size(p.size)
+        if p.min() < 0 or p.max() >= p.size:
+            raise ValueError(f"permutation targets must be in [0, {p.size})")
+        object.__setattr__(self, "perm", _freeze(p.astype(np.int64)))
+
+
+@dataclass(frozen=True, eq=False)
+class Diagonal:
+    """Per-basis-state phase factors on all wires."""
+
+    phases: np.ndarray
+
+    def __post_init__(self):
+        d = np.asarray(self.phases, dtype=np.complex128)
+        if d.ndim != 1:
+            raise ValueError(f"diagonal must be a flat vector, got shape {d.shape}")
+        _check_size(d.size)
+        if not np.isfinite(d).all():
+            raise ValueError("diagonal entries must be finite")
+        object.__setattr__(self, "phases", _freeze(d))
 
 
 @dataclass(frozen=True)
@@ -52,16 +121,22 @@ class BitOracle:
     target_wire: int
 
     def __post_init__(self):
-        wires = tuple(int(w) for w in self.index_wires)
-        if len(set(wires)) != len(wires):
-            raise ValueError("bit oracle index wires must be distinct")
+        wires = _distinct_wires(self.index_wires, "bit oracle index wires")
         if self.target_wire in wires:
             raise ValueError("bit oracle target wire must not be an index wire")
         object.__setattr__(self, "index_wires", wires)
         object.__setattr__(self, "target_wire", int(self.target_wire))
 
 
-Gate = Unitary | PhaseOracle | BitOracle
+Gate = Unitary | Permutation | Diagonal | PhaseOracle | BitOracle
+# The array each input-free gate holds.
+_TABLE = {Unitary: "matrix", Permutation: "perm", Diagonal: "phases"}
+
+
+def _check_wires(g: int, wires: tuple[int, ...], q: int) -> None:
+    for w in wires:
+        if not 0 <= w < q:
+            raise ValueError(f"gate {g}: wire {w} out of range [0, {q})")
 
 
 def index_register_width(n: int) -> int:
@@ -86,20 +161,21 @@ class QueryCircuit:
         dim = 1 << self.q
         gates = tuple(self.gates)
         for g, gate in enumerate(gates):
-            if isinstance(gate, Unitary):
-                if gate.matrix.shape[0] != dim:
+            if isinstance(gate, Unitary) and gate.wires is not None:
+                _check_wires(g, gate.wires, self.q)
+            elif isinstance(gate, (Unitary, Permutation, Diagonal)):
+                name = _TABLE[type(gate)]
+                size = len(getattr(gate, name))
+                if size != dim:
                     raise ValueError(
-                        f"gate {g}: matrix is {gate.matrix.shape[0]}-dimensional, "
-                        f"circuit needs {dim}")
+                        f"gate {g}: {name} is {size}-dimensional, circuit needs {dim}")
             elif isinstance(gate, PhaseOracle):
                 if index_register_width(self.n) > self.q:
                     raise ValueError(
                         f"gate {g}: phase oracle needs {index_register_width(self.n)} "
                         f"index wires but circuit has {self.q}")
             elif isinstance(gate, BitOracle):
-                for w in gate.index_wires + (gate.target_wire,):
-                    if not 0 <= w < self.q:
-                        raise ValueError(f"gate {g}: wire {w} out of range [0, {self.q})")
+                _check_wires(g, gate.index_wires + (gate.target_wire,), self.q)
             else:
                 raise ValueError(f"gate {g}: unknown gate type {type(gate).__name__}")
         accept = frozenset(int(v) for v in self.accept)
@@ -137,6 +213,65 @@ def _bit_oracle_tables(circuit: QueryCircuit, gate: BitOracle):
     return k, flipped
 
 
+def _apply_local(matrix: np.ndarray, wires: tuple[int, ...], states: np.ndarray,
+                 q: int) -> np.ndarray:
+    """``matrix`` on ``wires`` (first wire most significant) of each column
+    of ``states``: the wires' axes move to the front, one matmul, and back."""
+    k = len(wires)
+    front = tuple(range(k))
+    t = np.moveaxis(states.reshape((2,) * q + states.shape[1:]), wires, front)
+    out = (matrix @ t.reshape(1 << k, -1)).reshape(t.shape)
+    return np.moveaxis(out, front, wires).reshape(states.shape)
+
+
+def _permute(perm: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Row j of ``states`` moved to row perm[j]: a gather by the inverse table.
+    A table with repeated targets (a broken circuit) sums the rows that
+    collide, as its dense matrix does."""
+    rows = np.arange(perm.size)
+    inverse = np.zeros_like(perm)
+    inverse[perm] = rows
+    if np.array_equal(perm[inverse], rows):
+        return states[inverse]
+    out = np.zeros_like(states)
+    np.add.at(out, perm, states)
+    return out
+
+
+def _apply(circuit: QueryCircuit, gate: Gate, states: np.ndarray,
+           pad: np.ndarray | None = None) -> np.ndarray:
+    """``gate`` applied to each column of ``states`` (2^q rows).  Oracles read
+    column b of ``pad``, the 0/1 input of column b zero-padded to 2^q rows."""
+    if isinstance(gate, Unitary):
+        if gate.wires is None:
+            # Each state is multiplied as a row, so dense circuits keep the
+            # exact bits of their results; matrix @ states can differ in the
+            # last bit.
+            return (states.T @ gate.matrix.T).T
+        return _apply_local(gate.matrix, gate.wires, states, circuit.q)
+    if isinstance(gate, Permutation):
+        return _permute(gate.perm, states)
+    if isinstance(gate, Diagonal):
+        return states * gate.phases[:, np.newaxis]
+    if isinstance(gate, PhaseOracle):
+        return states * (1.0 - 2.0 * pad[_phase_oracle_indices(circuit)])
+    k, flipped = _bit_oracle_tables(circuit, gate)
+    return np.where(pad[k].view(bool), states[flipped], states)
+
+
+def _run(circuit: QueryCircuit, inputs) -> np.ndarray:
+    """(2^q, B) final states, one column per input."""
+    inputs = as_bit_rows(inputs, circuit.n)
+    shape = (circuit.dim, inputs.shape[0])
+    pad = np.zeros(shape, dtype=np.uint8)
+    pad[: circuit.n] = inputs.T
+    states = np.zeros(shape, dtype=np.complex128)
+    states[0] = 1.0
+    for gate in circuit.gates:
+        states = _apply(circuit, gate, states, pad)
+    return states
+
+
 def run_circuit(circuit: QueryCircuit, x) -> np.ndarray:
     """Apply the gate list to |0...0> under oracle input ``x``."""
     return _one_row(run_circuit_batch(circuit, x))
@@ -145,24 +280,7 @@ def run_circuit(circuit: QueryCircuit, x) -> np.ndarray:
 def run_circuit_batch(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
     """Vectorised simulation over a batch of inputs (anything ``as_bit_rows``
     accepts) -> (B, 2^q) states."""
-    inputs = as_bit_rows(inputs, circuit.n)
-    nb = inputs.shape[0]
-    dim = circuit.dim
-    pad = np.zeros((nb, dim), dtype=np.uint8)
-    pad[:, : circuit.n] = inputs
-    states = np.zeros((nb, dim), dtype=np.complex128)
-    states[:, 0] = 1.0
-    for gate in circuit.gates:
-        if isinstance(gate, Unitary):
-            states = states @ gate.matrix.T
-        elif isinstance(gate, PhaseOracle):
-            idx = _phase_oracle_indices(circuit)
-            states = states * (1.0 - 2.0 * pad[:, idx])
-        else:
-            k, flipped = _bit_oracle_tables(circuit, gate)
-            hit = pad[:, k].astype(bool)
-            states = np.where(hit, states[:, flipped], states)
-    return states
+    return np.ascontiguousarray(_run(circuit, inputs).T)
 
 
 def circuit_acceptance(circuit: QueryCircuit, x) -> float:
@@ -171,24 +289,46 @@ def circuit_acceptance(circuit: QueryCircuit, x) -> float:
 
 
 def circuit_acceptances(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
-    return accept_mass(circuit, run_circuit_batch(circuit, inputs))
+    return accept_mass(circuit, _run(circuit, inputs).T)
+
+
+def _deviation(gate: Unitary | Permutation | Diagonal) -> tuple[float, str]:
+    """``unitarity_deviation`` of the gate's dense matrix, computed at the
+    gate's own size, and what is wrong when it is not 0."""
+    if isinstance(gate, Unitary):
+        dev = unitarity_deviation(gate.matrix)
+        return dev, f"matrix deviates from unitary by {dev:.3e}"
+    if isinstance(gate, Diagonal):
+        d = gate.phases
+        gaps = np.abs(d.real ** 2 + d.imag ** 2 - 1.0)
+        i = int(np.argmax(gaps))
+        return float(gaps[i]), f"diagonal entry {i} has |d|^2 - 1 = {gaps[i]:.3e}"
+    # Two columns of a permutation's matrix overlap (deviation 1) exactly
+    # when their basis states share a target.
+    counts = np.bincount(gate.perm, minlength=gate.perm.size)
+    target = int(np.argmax(counts))
+    if counts[target] == 1:
+        return 0.0, ""
+    a, b = np.flatnonzero(gate.perm == target)[:2]
+    return 1.0, f"permutation sends basis states {a} and {b} to {target}"
 
 
 def validate_circuit(circuit: QueryCircuit, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Numeric check: every Unitary gate is unitary within ``tol``."""
+    """Numeric check: every Unitary, Permutation and Diagonal gate is unitary
+    within ``tol``, one error line per gate that is not."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     worst = 0.0
     errors = []
     checked = 0
     for g, gate in enumerate(circuit.gates):
-        if not isinstance(gate, Unitary):
+        if isinstance(gate, (PhaseOracle, BitOracle)):
             continue
-        dev = unitarity_deviation(gate.matrix)
+        dev, problem = _deviation(gate)
         worst = max(worst, dev)
         checked += 1
         if dev > tol:
-            errors.append(f"gate {g}: matrix deviates from unitary by {dev:.3e}")
+            errors.append(f"gate {g}: {problem}")
     return ValidationReport(passed=not errors, max_deviation=worst,
                             assignments_checked=checked, convention="gate-unitarity",
                             errors=tuple(errors))

@@ -9,12 +9,21 @@ H(target) (the diagonal applies (-1)**(x_k * target_bit), which is exactly
 a per-node query phase), with the Hadamards folded into the neighbouring
 fused unitaries.  Width is 2^q and length equals the query count.
 
+The fused segments are dense 2^q x 2^q matrices, since they become the
+program's transition matrices; every gate, and the Hadamard before a bit
+oracle (a 1-wire ``Unitary``), is applied to them with the simulator's
+gate function.
+
 Program -> circuit: three registers, namely node index (ceil(log2 w) wires),
 queried position (ceil(log2 n) wires), query value (1 wire).  Each level
 costs two bit-oracle calls: write the node's label into the position
 register, fetch the bit, apply the per-node phase conditioned on the
 fetched bit, fetch again to uncompute, clear the position register, then
-apply the level's base unitary on the node register.
+apply the level's base unitary on the node register.  The gates are
+emitted in structured form, so no 2^q x 2^q matrix is built: the label
+writer is a ``Permutation`` (its own inverse, used for both writes), the
+phase a ``Diagonal``, and the initial and mixing gates are ``Unitary``
+gates on the node wires.
 """
 
 from __future__ import annotations
@@ -25,9 +34,12 @@ import numpy as np
 
 from .circuit import (
     BitOracle,
+    Diagonal,
+    Permutation,
     PhaseOracle,
     QueryCircuit,
     Unitary,
+    _apply,
     _bit_oracle_tables,
     _phase_oracle_indices,
     _wire_bits,
@@ -45,9 +57,7 @@ ROUNDTRIP_SAMPLE = 256
 ROUNDTRIP_SEED = 0
 
 
-def _hadamard_on_wire(q: int, wire: int) -> np.ndarray:
-    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-    return np.kron(np.kron(np.eye(1 << wire), h), np.eye(1 << (q - 1 - wire)))
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
 def _phase_oracle_phases(circuit: QueryCircuit):
@@ -66,20 +76,25 @@ def _bit_oracle_phases(circuit: QueryCircuit, gate: BitOracle):
 def circuit_to_rgqbp(circuit: QueryCircuit) -> Program:
     """Compile a query circuit into an equivalent restricted program of
     width 2^q and length equal to the circuit's query count."""
-    dim = circuit.dim
-    segments = [np.eye(dim, dtype=np.complex128)]
+    eye = np.eye(circuit.dim, dtype=np.complex128)
+    segments = [eye]
     queries = []
     for gate in circuit.gates:
-        if isinstance(gate, Unitary):
-            segments[-1] = gate.matrix @ segments[-1]
-        elif isinstance(gate, PhaseOracle):
+        if isinstance(gate, PhaseOracle):
             queries.append(_phase_oracle_phases(circuit))
-            segments.append(np.eye(dim, dtype=np.complex128))
-        else:
-            h = _hadamard_on_wire(circuit.q, gate.target_wire)
-            segments[-1] = h @ segments[-1]
+            segments.append(eye)
+        elif isinstance(gate, BitOracle):
+            wire = gate.target_wire
+            segments[-1] = _apply(circuit, Unitary(_HADAMARD, wires=(wire,)), segments[-1])
             queries.append(_bit_oracle_phases(circuit, gate))
-            segments.append(h)
+            # The next segment starts as the Hadamard's dense matrix.  A
+            # Kronecker product forms each entry as one product, with no
+            # sum, so zero entries keep their signs and the level's base
+            # keeps its exact bits.
+            segments.append(np.kron(np.kron(np.eye(1 << wire), _HADAMARD),
+                                    np.eye(1 << (circuit.q - 1 - wire))))
+        else:
+            segments[-1] = _apply(circuit, gate, segments[-1])
     initial = segments[0][:, 0]
     levels = tuple(
         RestrictedLevel(labels=labels, base=segments[i + 1], thetas=thetas)
@@ -97,21 +112,17 @@ def rgqbp_to_circuit(program: Program) -> QueryCircuit:
     padded = pad_width(program, 1 << a)
     m = index_register_width(program.n)
     q = a + m + 1
-    dim = 1 << q
-    anc = 1 << (m + 1)
-    j = np.arange(dim, dtype=np.int64)
+    j = np.arange(1 << q, dtype=np.int64)
     node = j >> (m + 1)
     query_bit = j & 1
+    node_wires = tuple(range(a))
 
-    gates: list = [Unitary(np.kron(complete_unitary(padded.initial), np.eye(anc)))]
+    gates: list = [Unitary(complete_unitary(padded.initial), wires=node_wires)]
     oracle = BitOracle(index_wires=tuple(range(a, a + m)), target_wire=a + m)
     for lv in padded.levels:
-        perm = j ^ (lv.labels[node] << 1)
-        label_writer = np.zeros((dim, dim), dtype=np.complex128)
-        label_writer[perm, j] = 1.0
-        phase = Unitary(np.diag(np.exp(1j * lv.thetas[node] * query_bit)))
-        write = Unitary(label_writer)
-        mix = Unitary(np.kron(lv.base, np.eye(anc)))
+        write = Permutation(j ^ (lv.labels[node] << 1))
+        phase = Diagonal(np.exp(1j * lv.thetas[node] * query_bit))
+        mix = Unitary(lv.base, wires=node_wires)
         gates += [write, oracle, phase, oracle, write, mix]
     accept = frozenset(v << (m + 1) for v in program.accept)
     return QueryCircuit(q=q, n=program.n, gates=tuple(gates), accept=accept)

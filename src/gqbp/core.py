@@ -297,6 +297,21 @@ def validate_general(level: GeneralLevel, tol: float = DEFAULT_TOL) -> Validatio
                             assignments_checked=2 ** np.unique(labels).size)
 
 
+def _alternating_errors(program: Program, tol: float = DEFAULT_TOL) -> list[str]:
+    """Why ``program`` is not in alternating form: an odd level that reads its
+    query bit by more than ``tol``, or an odd length.  Empty when it is."""
+    errors = []
+    for i in range(1, program.length, 2):
+        lv = program.levels[i]
+        reads = (np.abs(np.exp(1j * lv.thetas) - 1.0) if isinstance(lv, RestrictedLevel)
+                 else np.abs(lv.a1 - lv.a0)).max(initial=0.0)
+        if reads > tol:
+            errors.append(f"level {i}: mixing level reads its query bit by {reads:.3e}")
+    if program.length % 2:
+        errors.append(f"level {program.length - 1}: alternating program ends on a query level")
+    return errors
+
+
 def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Aggregate numeric validation: initial norm, every level's report and, for an
     ``alternating`` program, even length and odd levels that ignore their bit."""
@@ -318,13 +333,8 @@ def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationRe
         worst = max(worst, rep.max_deviation)
         checked += rep.assignments_checked
         errors.extend(f"level {i}: {e}" for e in rep.errors)
-        if program.alternating and i % 2:
-            reads = (np.abs(np.exp(1j * lv.thetas) - 1.0) if isinstance(lv, RestrictedLevel)
-                     else np.abs(lv.a1 - lv.a0)).max(initial=0.0)
-            if reads > tol:
-                errors.append(f"level {i}: mixing level reads its query bit by {reads:.3e}")
-    if program.alternating and program.length % 2:
-        errors.append(f"level {program.length - 1}: alternating program ends on a query level")
+    if program.alternating:
+        errors.extend(_alternating_errors(program, tol))
     return ValidationReport(passed=not errors, max_deviation=worst,
                             assignments_checked=checked, convention=convention,
                             errors=tuple(errors))

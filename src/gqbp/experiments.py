@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .convert import circuit_to_rgqbp
-from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str
+from .core import Program, _alternating_errors, _one_row, accept_mass, as_bit_rows, bits_to_str
 from .programs import grover_promise_or, hamming_family, parity_program
 from .simulate import acceptance_probabilities, all_inputs, evolve
 
@@ -84,9 +84,13 @@ def _query_levels(program: Program) -> slice:
 
     The drift accounting is defined on the split form, which exists only
     for restricted programs; the plain form gives the same states without
-    building it.
+    building it.  A false ``alternating`` claim would make the accounting
+    skip query levels, so it raises ValueError.
     """
     if program.alternating:
+        errors = _alternating_errors(program)
+        if errors:
+            raise ValueError(f"program is not in alternating form: {errors[0]}")
         return slice(0, 2 * program.query_depth, 2)
     if program.kind != "restricted":
         raise ValueError("split_layers requires a restricted program")

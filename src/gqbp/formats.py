@@ -1,4 +1,5 @@
-"""JSON document formats for programs ("gqbp-v1") and circuits ("qqc-v1").
+"""JSON document formats for programs ("gqbp-v1") and circuits ("qqc-v1",
+"qqc-v2").
 
 Serialisation is deterministic: sorted keys, two-space indent, shortest
 round-trip decimals, trailing newline.  Amplitudes are [re, im] pairs and
@@ -10,11 +11,19 @@ with every number on its own line) parse to the same values, and
 serialize(parse(text)) == text for every document this module writes.
 Amplitudes keep their bits through the round trip, -0.0 included.
 
+A circuit is written as "qqc-v1" when every gate is a full-width unitary or
+an oracle, and as "qqc-v2" when it holds a structured gate: a permutation
+(``"perm"``, one line of 2^q target indices), a diagonal (``"phases"``, one
+line of 2^q [re, im] pairs) or a unitary that names its ``"wires"`` (a
+2^k x 2^k matrix for k wires).  Each gate is encoded the same way under
+both tags; a "qqc-v1" document holding a structured gate is refused.
+
 Parsing validates schema, index ranges and that every amplitude and angle
 is a finite number, with diagnostics naming the offending field down to the
-matrix entry (``levels[0].base[2][1]``).  Other numeric properties
-(normalisation, unitarity) are left to the validators so that broken files
-can still be loaded and inspected.
+matrix entry (``levels[0].base[2][1]``, ``gates[3].perm[7]``).  Other
+numeric properties (normalisation, unitarity, a permutation's bijectivity)
+are left to the validators so that broken files can still be loaded and
+inspected.
 """
 
 from __future__ import annotations
@@ -26,11 +35,15 @@ from itertools import chain
 
 import numpy as np
 
-from .circuit import BitOracle, Gate, PhaseOracle, QueryCircuit, Unitary
+from .circuit import (BitOracle, Diagonal, Gate, Permutation, PhaseOracle, QueryCircuit,
+                      Unitary)
 from .core import GeneralLevel, Program, RestrictedLevel
 
 PROGRAM_FORMAT = "gqbp-v1"
 CIRCUIT_FORMAT = "qqc-v1"
+# Circuits with structured gates; qqc-v1 stays the tag of every circuit it
+# can express, so those documents are written as before.
+STRUCTURED_FORMAT = "qqc-v2"
 
 
 class FormatError(ValueError):
@@ -254,20 +267,33 @@ def parse_program(text: str) -> Program:
         raise FormatError("document", str(e))
 
 
+def _needs_v2(gate: Gate) -> bool:
+    """Whether ``gate`` is one that only ``qqc-v2`` can hold."""
+    return (isinstance(gate, (Permutation, Diagonal))
+            or (isinstance(gate, Unitary) and gate.wires is not None))
+
+
 def serialize_circuit(circuit: QueryCircuit) -> str:
     table: list[str] = []
     gates = []
     for gate in circuit.gates:
         if isinstance(gate, Unitary):
-            gates.append({"type": "unitary", "matrix": _inline_rows(table, gate.matrix)})
+            entry = {"type": "unitary", "matrix": _inline_rows(table, gate.matrix)}
+            if gate.wires is not None:
+                entry["wires"] = list(gate.wires)
+        elif isinstance(gate, Permutation):
+            entry = {"type": "permutation", "perm": _inline(table, gate.perm.tolist())}
+        elif isinstance(gate, Diagonal):
+            entry = {"type": "diagonal", "phases": _inline(table, _pairs(gate.phases))}
         elif isinstance(gate, PhaseOracle):
-            gates.append({"type": "phase_oracle"})
+            entry = {"type": "phase_oracle"}
         else:
-            gates.append({"type": "bit_oracle",
-                          "index_wires": list(gate.index_wires),
-                          "target_wire": gate.target_wire})
+            entry = {"type": "bit_oracle",
+                     "index_wires": list(gate.index_wires),
+                     "target_wire": gate.target_wire}
+        gates.append(entry)
     doc = {
-        "format": CIRCUIT_FORMAT,
+        "format": STRUCTURED_FORMAT if any(map(_needs_v2, circuit.gates)) else CIRCUIT_FORMAT,
         "qubits": circuit.q,
         "n": circuit.n,
         "gates": gates,
@@ -276,42 +302,65 @@ def serialize_circuit(circuit: QueryCircuit) -> str:
     return _dump(doc, table)
 
 
+def _parse_gate(entry: dict, where: str, q: int) -> Gate:
+    dim = 1 << q
+    kind = _get(entry, "type", str, where)
+    if kind == "unitary":
+        wires = None
+        if "wires" in entry:
+            wires = _parse_index_list(_get(entry, "wires", list, where), f"{where}.wires", q,
+                                      "wire")
+            if len(set(wires)) != len(wires):
+                raise FormatError(f"{where}.wires", "wires must be distinct")
+        size = dim if wires is None else 1 << len(wires)
+        matrix = _parse_matrix(_get(entry, "matrix", list, where), f"{where}.matrix", size)
+        return Unitary(matrix=matrix, wires=wires)
+    if kind == "permutation":
+        perm = _get(entry, "perm", list, where)
+        if len(perm) != dim:
+            raise FormatError(f"{where}.perm", f"expected {dim} targets, got {len(perm)}")
+        return Permutation(np.array(_parse_index_list(perm, f"{where}.perm", dim, "target"),
+                                    dtype=np.int64))
+    if kind == "diagonal":
+        return Diagonal(_parse_vector(_get(entry, "phases", list, where), f"{where}.phases", dim))
+    if kind == "phase_oracle":
+        return PhaseOracle()
+    if kind == "bit_oracle":
+        wires = _parse_index_list(_get(entry, "index_wires", list, where),
+                                  f"{where}.index_wires", q, "wire")
+        target = _get(entry, "target_wire", int, where)
+        if not 0 <= target < q:
+            raise FormatError(f"{where}.target_wire", f"wire {target} out of range [0, {q})")
+        try:
+            return BitOracle(index_wires=tuple(wires), target_wire=target)
+        except ValueError as e:
+            raise FormatError(where, str(e))
+    raise FormatError(f"{where}.type", f"unknown gate type {kind!r}")
+
+
 def parse_circuit(text: str) -> QueryCircuit:
     doc = _load(text)
-    if _get(doc, "format", str) != CIRCUIT_FORMAT:
-        raise FormatError("format", f"expected {CIRCUIT_FORMAT!r}, got {doc['format']!r}")
+    fmt = _get(doc, "format", str)
+    if fmt not in (CIRCUIT_FORMAT, STRUCTURED_FORMAT):
+        raise FormatError("format", f"expected {CIRCUIT_FORMAT!r} or {STRUCTURED_FORMAT!r}, "
+                                    f"got {fmt!r}")
     q = _get(doc, "qubits", int)
     if not 1 <= q <= MAX_QUBITS:
         raise FormatError("qubits", f"must be in [1, {MAX_QUBITS}], got {q}")
     n = _get(doc, "n", int)
     if n < 1:
         raise FormatError("n", f"must be >= 1, got {n}")
-    dim = 1 << q
     raw_gates = _get(doc, "gates", list)
     gates: list[Gate] = []
     for i, entry in enumerate(raw_gates):
         where = f"gates[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(where, "expected an object")
-        kind = _get(entry, "type", str, where)
-        if kind == "unitary":
-            matrix = _parse_matrix(_get(entry, "matrix", list, where), f"{where}.matrix", dim)
-            gates.append(Unitary(matrix=matrix))
-        elif kind == "phase_oracle":
-            gates.append(PhaseOracle())
-        elif kind == "bit_oracle":
-            wires = _parse_index_list(_get(entry, "index_wires", list, where),
-                                      f"{where}.index_wires", q, "wire")
-            target = _get(entry, "target_wire", int, where)
-            if not 0 <= target < q:
-                raise FormatError(f"{where}.target_wire", f"wire {target} out of range [0, {q})")
-            try:
-                gates.append(BitOracle(index_wires=tuple(wires), target_wire=target))
-            except ValueError as e:
-                raise FormatError(where, str(e))
-        else:
-            raise FormatError(f"{where}.type", f"unknown gate type {kind!r}")
-    accept = _parse_index_list(_get(doc, "accept", list), "accept", dim, "accept state")
+        gate = _parse_gate(entry, where, q)
+        if fmt == CIRCUIT_FORMAT and _needs_v2(gate):
+            raise FormatError(where, f"this gate needs format {STRUCTURED_FORMAT!r}")
+        gates.append(gate)
+    accept = _parse_index_list(_get(doc, "accept", list), "accept", 1 << q, "accept state")
     try:
         return QueryCircuit(q=q, n=n, gates=tuple(gates), accept=frozenset(accept))
     except ValueError as e:
@@ -324,6 +373,6 @@ def detect_format(text: str) -> str:
     fmt = _get(doc, "format", str)
     if fmt == PROGRAM_FORMAT:
         return "program"
-    if fmt == CIRCUIT_FORMAT:
+    if fmt in (CIRCUIT_FORMAT, STRUCTURED_FORMAT):
         return "circuit"
     raise FormatError("format", f"unknown format {fmt!r}")

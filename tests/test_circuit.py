@@ -3,6 +3,8 @@ import pytest
 
 from gqbp import (
     BitOracle,
+    Diagonal,
+    Permutation,
     PhaseOracle,
     QueryCircuit,
     Unitary,
@@ -13,6 +15,7 @@ from gqbp import (
     validate_circuit,
 )
 from gqbp.circuit import circuit_acceptances, run_circuit_batch
+from gqbp.core import unitarity_deviation
 from gqbp.simulate import all_inputs
 
 from helpers import HADAMARD, deutsch_circuit
@@ -181,3 +184,120 @@ def test_circuit_simulation_rejects_non_binary_inputs():
             with pytest.raises(ValueError, match="inputs must be 0/1 bits"):
                 call(circuit, bad)
     assert circuit_acceptances(circuit, [[0, 1, 0, 0]])[0] == pytest.approx(1.0)
+
+
+def _random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+def _dense(gate, q):
+    """The 2^q x 2^q matrix of an input-free gate, entry by entry."""
+    dim = 1 << q
+    if isinstance(gate, Permutation):
+        m = np.zeros((dim, dim), dtype=complex)
+        for j, target in enumerate(gate.perm):
+            m[target, j] += 1.0
+        return m
+    if isinstance(gate, Diagonal):
+        return np.diag(gate.phases)
+    if gate.wires is None:
+        return gate.matrix
+
+    def bit(j, w):
+        return (j >> (q - 1 - w)) & 1
+
+    def local(j):  # the gate's own index of basis state j, first wire most significant
+        return sum(bit(j, w) << (len(gate.wires) - 1 - i) for i, w in enumerate(gate.wires))
+
+    rest = [w for w in range(q) if w not in gate.wires]
+    m = np.zeros((dim, dim), dtype=complex)
+    for r in range(dim):
+        for c in range(dim):
+            if all(bit(r, w) == bit(c, w) for w in rest):
+                m[r, c] = gate.matrix[local(r), local(c)]
+    return m
+
+
+def _gate_table():
+    rng = np.random.default_rng(41)
+    q = 3
+    return [
+        ("permutation", q, Permutation(rng.permutation(8))),
+        ("diagonal", q, Diagonal(np.exp(1j * rng.uniform(0, 2 * np.pi, 8)))),
+        ("full-width unitary", q, Unitary(_random_unitary(rng, 8))),
+        ("local on wire 0", q, Unitary(_random_unitary(rng, 2), wires=(0,))),
+        ("local on wire 2", q, Unitary(_random_unitary(rng, 2), wires=(2,))),
+        ("local on wires (2, 0)", q, Unitary(_random_unitary(rng, 4), wires=(2, 0))),
+        ("local on wires (1, 2)", q, Unitary(_random_unitary(rng, 4), wires=(1, 2))),
+        ("local on wires (1, 2, 0)", q, Unitary(_random_unitary(rng, 8), wires=(1, 2, 0))),
+        ("local on no wires", 2, Unitary(np.array([[np.exp(0.3j)]]), wires=())),
+    ]
+
+
+GATES = _gate_table()
+
+
+@pytest.mark.parametrize("name,q,gate", GATES, ids=[g[0] for g in GATES])
+def test_structured_gate_matches_its_dense_matrix(name, q, gate):
+    rng = np.random.default_rng(7)
+    n = 1 << q
+    prefix = (Unitary(_random_unitary(rng, 1 << q)), PhaseOracle())
+    inputs = rng.integers(0, 2, size=(16, n))
+    before = run_circuit_batch(QueryCircuit(q=q, n=n, gates=prefix), inputs)
+    after = run_circuit_batch(QueryCircuit(q=q, n=n, gates=prefix + (gate,)), inputs)
+    assert np.abs(after - before @ _dense(gate, q).T).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name,q,gate", GATES, ids=[g[0] for g in GATES])
+def test_validate_circuit_reports_the_dense_deviation(name, q, gate):
+    report = validate_circuit(QueryCircuit(q=q, n=2, gates=(gate,)))
+    assert report.passed and report.errors == ()
+    assert report.max_deviation == pytest.approx(unitarity_deviation(_dense(gate, q)), abs=1e-15)
+
+
+def test_validate_circuit_names_each_broken_structured_gate():
+    perm = np.arange(8)
+    perm[5] = 2  # basis states 2 and 5 both go to 2
+    phases = np.ones(8, dtype=complex)
+    phases[6] = 1.5
+    broken = [Permutation(perm), Diagonal(phases), Unitary(np.ones((2, 2)), wires=(1,))]
+    gates = (Unitary(np.eye(8)), broken[0], PhaseOracle(), broken[1], broken[2])
+    report = validate_circuit(QueryCircuit(q=3, n=4, gates=gates))
+    assert not report.passed
+    assert [e.split(":")[0] for e in report.errors] == ["gate 1", "gate 3", "gate 4"]
+    assert "states 2 and 5 to 2" in report.errors[0]
+    assert "entry 6" in report.errors[1]
+    devs = [unitarity_deviation(_dense(g, 3)) for g in broken]
+    assert devs[0] == 1.0
+    assert report.max_deviation == pytest.approx(max(devs), abs=1e-15)
+    for g in broken:
+        single = validate_circuit(QueryCircuit(q=3, n=4, gates=(g,)))
+        assert single.max_deviation == pytest.approx(unitarity_deviation(_dense(g, 3)),
+                                                     abs=1e-15)
+    # a broken permutation still simulates as its dense matrix
+    x = [0, 1, 1, 0]
+    state = run_circuit(QueryCircuit(q=3, n=4, gates=gates[:2]), x)
+    assert np.abs(state - _dense(broken[0], 3) @ run_circuit(
+        QueryCircuit(q=3, n=4, gates=gates[:1]), x)).max() <= 1e-13
+
+
+def test_structured_gate_construction_checks():
+    with pytest.raises(ValueError, match="distinct"):
+        Unitary(np.eye(4), wires=(1, 1))
+    with pytest.raises(ValueError, match="2 wires need 4"):
+        Unitary(np.eye(2), wires=(0, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        QueryCircuit(q=2, n=2, gates=(Unitary(np.eye(2), wires=(2,)),))
+    with pytest.raises(ValueError, match=r"targets must be in \[0, 4\)"):
+        Permutation([0, 1, 2, 4])
+    with pytest.raises(ValueError, match="integer"):
+        Permutation([0.0, 1.0])
+    with pytest.raises(ValueError, match="power of two"):
+        Diagonal(np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        Diagonal([1.0, np.nan])
+    with pytest.raises(ValueError, match="perm is 4-dimensional, circuit needs 8"):
+        QueryCircuit(q=3, n=2, gates=(Permutation(np.arange(4)),))
+    with pytest.raises(ValueError, match="phases is 2-dimensional"):
+        QueryCircuit(q=3, n=2, gates=(Diagonal(np.ones(2)),))

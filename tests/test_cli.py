@@ -51,11 +51,18 @@ def test_convert_both_directions(tmp_path, capsys):
     prog_path.write_text(serialize_program(parity_program(2)))
     assert main(["convert", "--to", "circuit", str(prog_path)]) == 0
     circuit_text = capsys.readouterr().out
-    assert json.loads(circuit_text)["format"] == "qqc-v1"
+    assert json.loads(circuit_text)["format"] == "qqc-v2"
     circ_path = tmp_path / "c.json"
     circ_path.write_text(circuit_text)
     assert main(["convert", "--to", "bp", str(circ_path)]) == 0
     assert json.loads(capsys.readouterr().out)["format"] == "gqbp-v1"
+
+
+def test_hybrid_refuses_a_false_alternating_claim(tmp_path, capsys):
+    path = tmp_path / "claimed.json"
+    path.write_text(serialize_program(parity_program(4).replace(alternating=True)))
+    assert main(["hybrid", str(path), "--base", "0000", "--alt", "0010"]) == 2
+    assert "mixing level reads its query bit" in capsys.readouterr().err
 
 
 def test_split_outputs_alternating_doc(parity_file, capsys):

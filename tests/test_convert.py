@@ -173,16 +173,29 @@ def test_shuffled_bit_oracle_index_wires():
 
 
 def test_label_writer_gates_are_involutions():
-    from gqbp import Unitary
+    from gqbp import Permutation
     prog = seeded_program(14)
     circuit = rgqbp_to_circuit(prog)
     # per level: writer, oracle, phase, oracle, writer, mix
     for i in range(1, len(circuit.gates), 6):
         writer = circuit.gates[i]
-        assert isinstance(writer, Unitary)
+        assert isinstance(writer, Permutation)
         assert writer is circuit.gates[i + 4]
-        square = writer.matrix @ writer.matrix
-        assert np.abs(square - np.eye(circuit.dim)).max() <= 1e-12
+        assert np.array_equal(writer.perm[writer.perm], np.arange(circuit.dim))
+
+
+def test_compiled_circuit_is_structured_and_exact():
+    from gqbp import Diagonal, Permutation, random_rgqbp
+    for seed in range(6):
+        prog = random_rgqbp(3 + seed % 4, 2 + seed % 3, 3 + seed, seed=seed)
+        circuit = rgqbp_to_circuit(prog)
+        node_wires = tuple(range(index_register_width(prog.width)))
+        kinds = [type(g) for g in circuit.gates[1:7]]
+        assert kinds == [Permutation, BitOracle, Diagonal, BitOracle, Permutation, Unitary]
+        assert all(g.wires == node_wires for g in circuit.gates[::6])
+        assert _agreement(circuit, prog, prog.n) <= 1e-12
+        # segment fusion applies the structured gates too
+        assert _agreement(circuit, circuit_to_rgqbp(circuit), prog.n) <= 1e-12
 
 
 def test_rgqbp_to_circuit_rejects_general():

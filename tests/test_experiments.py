@@ -18,6 +18,7 @@ from gqbp import (
     parity_program,
     promise_or_expectation,
     random_rgqbp,
+    restrict,
     split_layers,
     tradeoff_scan,
 )
@@ -340,3 +341,29 @@ def test_distinguishability_empty_sides():
     assert report.min_distance == 0.0 and report.passed
     with pytest.raises(ValueError, match="length mismatch"):
         distinguishability_check(prog, ["010"], ["0000"])
+
+
+def test_false_alternating_claim_is_refused():
+    claimed = parity_program(4).replace(alternating=True)
+    for call in (lambda: hybrid_deviation(claimed, "0000", "0010"),
+                 lambda: promise_or_expectation(claimed),
+                 lambda: hamming_expectation(claimed, 2, 1, "1100"),
+                 lambda: hybrid_run(claimed, "0000", "0010", 1)):
+        with pytest.raises(ValueError, match="level 1: mixing level reads its query bit"):
+            call()
+    odd = split_layers(random_rgqbp(3, 2, 4, seed=5))
+    odd = odd.replace(levels=odd.levels[:-1])
+    with pytest.raises(ValueError, match="ends on a query level"):
+        promise_or_expectation(odd)
+
+
+def test_rewritten_alternating_programs_are_accepted():
+    prog = random_rgqbp(4, 3, 5, seed=2)
+    split = split_layers(prog)
+    rewritten = restrict(generalize(split))
+    x, y = "01101", "11100"
+    for form in (split, rewritten):
+        assert form.alternating
+        assert hybrid_deviation(form, x, y).final_distance == pytest.approx(
+            hybrid_deviation(prog, x, y).final_distance, abs=1e-12)
+        assert promise_or_expectation(form).passed

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gqbp import (
+    Diagonal,
+    Permutation,
     Program,
     QueryCircuit,
     RestrictedLevel,
@@ -15,12 +17,14 @@ from gqbp import (
     grover_promise_or,
     parity_program,
     random_rgqbp,
+    rgqbp_to_circuit,
     split_layers,
 )
-from gqbp.circuit import circuit_acceptances
+from gqbp.circuit import Unitary, circuit_acceptances, validate_circuit
 from gqbp.cli import main
 from gqbp.formats import (
     FormatError,
+    detect_format,
     parse_circuit,
     parse_program,
     serialize_circuit,
@@ -393,3 +397,106 @@ def test_largest_qubit_count_parses_with_int64_indices():
     doc["gates"] = [{"type": "bit_oracle", "index_wires": [61], "target_wire": 0}]
     circuit = parse_circuit(json.dumps(doc))
     assert circuit.q == 62 and circuit.accept == frozenset({2**62 - 1})
+
+
+def _compiled_doc():
+    """qqc-v2 document: gates[0] unitary on wires [0, 1], gates[1] permutation,
+    gates[3] diagonal, over q=5 (32 basis states)."""
+    return json.loads(serialize_circuit(rgqbp_to_circuit(random_rgqbp(3, 2, 4, seed=8))))
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(doc):
+        _at(doc, path[:-1])[path[-1]] = value
+    return edit
+
+
+V2_JUNK = [
+    ("perm out of range", _set("gates", 1, "perm", 7, 32), "gates[1].perm[7]"),
+    ("perm negative", _set("gates", 1, "perm", 7, -1), "gates[1].perm[7]"),
+    ("perm float", _set("gates", 1, "perm", 7, 7.0), "gates[1].perm[7]"),
+    ("perm bool", _set("gates", 1, "perm", 7, True), "gates[1].perm[7]"),
+    ("perm huge int", _set("gates", 1, "perm", 7, HUGE_INT), "gates[1].perm[7]"),
+    ("perm short", lambda d: d["gates"][1]["perm"].pop(), "gates[1].perm"),
+    ("perm not a list", _set("gates", 1, "perm", "0 1 2"), "gates[1].perm"),
+    ("phase null", _set("gates", 3, "phases", 5, [None, 0.0]), "gates[3].phases[5]"),
+    ("phase string", _set("gates", 3, "phases", 5, "1"), "gates[3].phases[5]"),
+    ("phase NaN", _set("gates", 3, "phases", 5, [math.nan, 0.0]), "gates[3].phases[5]"),
+    ("phase bool", _set("gates", 3, "phases", 5, [1.0, True]), "gates[3].phases[5]"),
+    ("phases short", lambda d: d["gates"][3]["phases"].pop(), "gates[3].phases"),
+    ("wire repeated", _set("gates", 0, "wires", [1, 1]), "gates[0].wires"),
+    ("wire out of range", _set("gates", 0, "wires", [0, 5]), "gates[0].wires[1]"),
+    ("wire not an int", _set("gates", 0, "wires", [0, 1.0]), "gates[0].wires[1]"),
+    ("wires not a list", _set("gates", 0, "wires", 3), "gates[0].wires"),
+    ("matrix larger than its wires", _set("gates", 0, "wires", [0]), "gates[0].matrix"),
+    ("matrix smaller than its wires", _set("gates", 0, "wires", [0, 1, 2]), "gates[0].matrix"),
+    ("structured gate in qqc-v1", _set("format", "qqc-v1"), "gates[0]"),
+]
+
+
+@pytest.mark.parametrize("junk", V2_JUNK, ids=[j[0] for j in V2_JUNK])
+def test_v2_junk_names_entry(junk):
+    _, edit, field = junk
+    doc = _compiled_doc()
+    edit(doc)
+    with pytest.raises(FormatError) as info:
+        parse_circuit(json.dumps(doc))
+    assert info.value.field == field
+
+
+def test_v2_broken_numerics_still_load():
+    doc = _compiled_doc()
+    doc["gates"][1]["perm"][7] = doc["gates"][1]["perm"][6]
+    doc["gates"][3]["phases"][5] = [2.0, 0.0]
+    circuit = parse_circuit(json.dumps(doc))
+    assert not validate_circuit(circuit).passed
+
+
+def test_v2_roundtrip_keeps_bytes_and_bits():
+    m = np.array([[complex(-0.0, 1.0), 5e-324], [1.0, complex(0.0, -0.0)]])
+    circuit = QueryCircuit(q=2, n=3, gates=(
+        Unitary(m, wires=(1,)),
+        Diagonal([complex(-0.0, 1.0), 1.0, complex(1.0, -0.0), -1.0]),
+        Permutation([1, 0, 3, 2]),
+        Unitary(np.eye(4)),
+        Unitary(np.eye(4), wires=(1, 0)),
+    ), accept=frozenset({1}))
+    text = serialize_circuit(circuit)
+    assert json.loads(text)["format"] == "qqc-v2" and detect_format(text) == "circuit"
+    assert "-0.0" in text and "5e-324" in text
+    back = parse_circuit(text)
+    assert serialize_circuit(back) == text
+    for a, b in zip(circuit.gates, back.gates):
+        assert type(a) is type(b) and getattr(a, "wires", None) == getattr(b, "wires", None)
+        for field in ("matrix", "phases", "perm"):
+            if hasattr(a, field):
+                assert _bits(getattr(a, field)) == _bits(getattr(b, field))
+    doc = json.loads(text)
+    lines = text.splitlines()
+    assert sum(line.strip().startswith('"perm": [1, 0, 3, 2]') for line in lines) == 1
+    assert sum(line.strip().startswith('"phases": [[-0.0, 1.0], ') for line in lines) == 1
+    assert "wires" not in doc["gates"][3] and doc["gates"][4]["wires"] == [1, 0]
+
+
+def test_circuit_format_tag_follows_content():
+    assert json.loads(serialize_circuit(grover_promise_or(8)))["format"] == "qqc-v1"
+    assert json.loads(serialize_circuit(deutsch_circuit()))["format"] == "qqc-v1"
+    compiled = rgqbp_to_circuit(parity_program(2))
+    assert json.loads(serialize_circuit(compiled))["format"] == "qqc-v2"
+    # a qqc-v2 document may hold only dense gates
+    doc = json.loads(serialize_circuit(deutsch_circuit()))
+    doc["format"] = "qqc-v2"
+    assert serialize_circuit(parse_circuit(json.dumps(doc))) == serialize_circuit(
+        deutsch_circuit())
+
+
+def test_compiled_q9_document_is_small():
+    circuit = rgqbp_to_circuit(random_rgqbp(16, 8, 12, seed=0))
+    assert circuit.q == 9
+    text = serialize_circuit(circuit)
+    assert len(text.encode()) < 1_000_000
+    back = parse_circuit(text)
+    xs = np.random.default_rng(0).integers(0, 2, size=(64, 12))
+    assert np.array_equal(circuit_acceptances(back, xs), circuit_acceptances(circuit, xs))
