@@ -231,12 +231,13 @@ class Program:
 class ValidationReport:
     """Outcome of a numeric well-formedness check.
 
-    ``max_deviation`` is the largest max-entry deviation from the identity
-    seen across all checked transition operators; ``assignments_checked``
-    counts the bit assignments the check covers (1 for restricted levels,
-    where base unitarity alone settles every input).  ``convention`` records
-    that general levels are checked against every assignment of bits to
-    their distinct labels, not only assignments realised by actual inputs.
+    ``max_deviation`` is the worst max-entry deviation from the identity of any
+    checked operator.  ``assignments_checked`` (``checked=`` in the CLI) and
+    ``convention`` say what was covered: 1 for a restricted level ("base-unitarity":
+    a unitary base settles every input), the 2**d bit assignments to a general
+    level's d distinct labels ("all-assignments"), their sum over a program's
+    levels ("all-assignments" if any is general), or a circuit's input-free
+    gates ("gate-unitarity"; oracles are unitary by construction).
     """
 
     passed: bool
@@ -352,21 +353,20 @@ def restrict(program: Program, tol: float = DEFAULT_TOL) -> Program:
         return program
     new_levels = []
     for i, lv in enumerate(program.levels):
-        s = lv.width
-        thetas = np.zeros(s)
-        for j in range(s):
-            c0, c1 = lv.a0[:, j], lv.a1[:, j]
-            pivot = int(np.argmax(np.abs(c0)))
-            if abs(c0[pivot]) == 0.0:
-                if np.abs(c1).max() > tol:
-                    raise ValueError(
-                        f"level {i} node {j}: zero 0-transition but nonzero 1-transition")
-                continue
-            theta = float(np.angle(c1[pivot] / c0[pivot]))
-            if np.abs(c1 - np.exp(1j * theta) * c0).max() > tol:
+        nodes = np.arange(lv.width)
+        pivots = np.argmax(np.abs(lv.a0), axis=0)
+        p0, p1 = lv.a0[pivots, nodes], lv.a1[pivots, nodes]
+        dead = p0 == 0.0
+        thetas = np.where(dead, 0.0, np.angle(p1 / np.where(dead, 1.0, p0)))
+        residual = np.abs(lv.a1 - np.exp(1j * thetas) * lv.a0).max(axis=0)
+        bad = np.flatnonzero(residual > tol)
+        if bad.size:
+            j = int(bad[0])
+            if dead[j]:
                 raise ValueError(
-                    f"level {i} node {j}: transitions are not phase-related within {tol:.1e}")
-            thetas[j] = theta
+                    f"level {i} node {j}: zero 0-transition but nonzero 1-transition")
+            raise ValueError(
+                f"level {i} node {j}: transitions are not phase-related within {tol:.1e}")
         new_levels.append(RestrictedLevel(labels=lv.labels, base=lv.a0, thetas=thetas))
     return program.replace(levels=tuple(new_levels))
 

@@ -3,8 +3,36 @@
 import numpy as np
 
 from gqbp import Program, QueryCircuit, RestrictedLevel, Unitary, PhaseOracle, random_rgqbp
+from gqbp.circuit import run_circuit_batch, validate_circuit
+from gqbp.core import accept_mass, validate_program
+from gqbp.simulate import all_inputs, final_states
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+# The one bound on what a rewrite may change: acceptance probabilities, and
+# final states where both sides have the same dimension.
+ACCEPT_TOL = 1e-12
+# rewrite_gap compares every input up to this n, else SAMPLE seeded ones.
+EXHAUSTIVE_N = 10
+SAMPLE = 1024
+
+
+def rewrite_gap(before, after, inputs=None) -> float:
+    """Assert that ``after`` (a program or circuit) passes its validator, then
+    return its worst deviation from ``before`` over ``inputs`` (by default all
+    2**n, or SAMPLE seeded inputs above EXHAUSTIVE_N): in acceptance
+    probability, and in final state when both have the same dimension."""
+    report = (validate_circuit if isinstance(after, QueryCircuit) else validate_program)(after)
+    assert report.passed, report.errors
+    n = before.n
+    xs = inputs if inputs is not None else all_inputs(n) if n <= EXHAUSTIVE_N else (
+        np.random.default_rng(0).integers(0, 2, size=(SAMPLE, n)))
+    states = [run_circuit_batch(m, xs) if isinstance(m, QueryCircuit) else final_states(m, xs)
+              for m in (before, after)]
+    gap = np.abs(accept_mass(before, states[0]) - accept_mass(after, states[1])).max()
+    if states[0].shape == states[1].shape:
+        gap = max(gap, np.abs(states[0] - states[1]).max())
+    return float(gap)
 
 
 def deutsch_circuit() -> QueryCircuit:
@@ -14,15 +42,10 @@ def deutsch_circuit() -> QueryCircuit:
                         accept=frozenset({1}))
 
 
-def seeded_dims(seed: int, smax: int = 8, lmax: int = 8, nmax: int = 8):
-    """Deterministic (s, L, n) triple within the given caps."""
-    rng = np.random.default_rng(seed)
-    return (int(rng.integers(1, smax + 1)), int(rng.integers(1, lmax + 1)),
-            int(rng.integers(1, nmax + 1)))
-
-
 def seeded_program(seed: int, smax: int = 8, lmax: int = 8, nmax: int = 8) -> Program:
-    s, length, n = seeded_dims(seed, smax, lmax, nmax)
+    """``random_rgqbp`` of a deterministic (s, L, n) within the given caps."""
+    rng = np.random.default_rng(seed)
+    s, length, n = (int(rng.integers(1, cap + 1)) for cap in (smax, lmax, nmax))
     return random_rgqbp(s, length, n, seed=seed)
 
 

@@ -9,7 +9,6 @@ import numpy as np
 from gqbp import (
     acceptance_probabilities,
     circuit_to_rgqbp,
-    count_queries,
     distinguishability_check,
     grover_promise_or,
     hamming_expectation,
@@ -23,16 +22,10 @@ from gqbp import (
     tradeoff_scan,
     zeros_input,
 )
-from gqbp.circuit import circuit_acceptances, index_register_width
-from gqbp.formats import (
-    parse_circuit,
-    parse_program,
-    serialize_circuit,
-    serialize_program,
-)
-from gqbp.simulate import all_inputs, final_states
+from gqbp.simulate import all_inputs
 
-from helpers import deutsch_circuit, seeded_dims
+from helpers import ACCEPT_TOL, deutsch_circuit, seeded_program
+from test_rewrites import check_row
 
 TOL = 1e-9
 
@@ -42,84 +35,41 @@ def _report(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _random_program(seed: int, n: int | None = None):
-    s, length, dims_n = seeded_dims(seed)
-    return random_rgqbp(s, length, n if n is not None else dims_n, seed=seed)
-
-
 def test_split_equivalence_200_random_programs():
     t0 = time.monotonic()
-    worst = 0.0
-    for seed in range(200):
-        prog = _random_program(seed)
-        split = split_layers(prog)
-        xs = all_inputs(prog.n)
-        dist = np.linalg.norm(final_states(prog, xs) - final_states(split, xs), axis=1)
-        worst = max(worst, float(dist.max()))
+    worst = max(check_row("split", seeded_program(seed)) for seed in range(200))
     elapsed = time.monotonic() - t0
-    ok = worst <= TOL and elapsed < 30.0
+    ok = worst <= ACCEPT_TOL and elapsed < 30.0
     assert _report("split equivalence (200 programs, all inputs)", ok,
-                   f"worst state distance {worst:.2e}, {elapsed:.1f}s")
-    assert worst <= TOL
-    assert elapsed < 30.0
+                   f"worst state or acceptance deviation {worst:.2e}, {elapsed:.1f}s")
+    assert ok
 
 
 def test_circuit_to_program_exactness():
-    worst = 0.0
-    cases = []
-
-    deutsch = deutsch_circuit()
-    prog = circuit_to_rgqbp(deutsch)
-    xs = all_inputs(2)
-    worst = max(worst, float(np.abs(circuit_acceptances(deutsch, xs)
-                                    - acceptance_probabilities(prog, xs)).max()))
-    cases.append("deutsch q=1")
-
-    for n in (4, 16, 64):
-        circuit = grover_promise_or(n)
-        prog = circuit_to_rgqbp(circuit)
-        if n <= 16:
-            inputs = all_inputs(n)
-            cases.append(f"grover n={n} exhaustive")
-        else:
-            rng = np.random.default_rng(0)
-            promise = np.vstack([zeros_input(n)] + [one_hot_input(n, p) for p in range(n)])
-            random_inputs = rng.integers(0, 2, size=(200, n)).astype(np.uint8)
-            inputs = np.vstack([promise, random_inputs])
-            cases.append(f"grover n={n} sampled({inputs.shape[0]})")
-        dev = np.abs(circuit_acceptances(circuit, inputs)
-                     - acceptance_probabilities(prog, inputs)).max()
-        worst = max(worst, float(dev))
-
-    ok = worst <= TOL
+    rng = np.random.default_rng(0)
+    promise = np.vstack([zeros_input(64)] + [one_hot_input(64, p) for p in range(64)])
+    cases = {"deutsch q=1": (deutsch_circuit(), None),
+             "grover n=4 exhaustive": (grover_promise_or(4), None),
+             "grover n=16 exhaustive": (grover_promise_or(16), all_inputs(16)),
+             "grover n=64 sampled(265)": (grover_promise_or(64), np.vstack(
+                 [promise, rng.integers(0, 2, size=(200, 64)).astype(np.uint8)]))}
+    worst = max(check_row("circuit_to_rgqbp", c, xs) for c, xs in cases.values())
+    ok = worst <= ACCEPT_TOL
     assert _report("circuit -> program exactness", ok,
                    f"{', '.join(cases)}; worst deviation {worst:.2e}")
-    assert worst <= TOL
+    assert ok
 
 
 def test_program_to_circuit_exactness():
-    worst = 0.0
-    structure_ok = True
     programs = [parity_program(n) for n in (2, 4, 8)]
-    programs += [_random_program(1000 + seed) for seed in range(100)]
-    for prog in programs:
-        circuit = rgqbp_to_circuit(prog)
-        if count_queries(circuit) != 2 * prog.length:
-            structure_ok = False
-        expected_wires = (index_register_width(prog.width)
-                          + index_register_width(prog.n) + 1)
-        if circuit.q != expected_wires:
-            structure_ok = False
-        xs = all_inputs(prog.n)
-        dev = np.abs(acceptance_probabilities(prog, xs)
-                     - circuit_acceptances(circuit, xs)).max()
-        worst = max(worst, float(dev))
-    ok = worst <= TOL and structure_ok
+    programs += [seeded_program(1000 + seed) for seed in range(100)]
+    # check_row asserts 2L queries on ceil(log2 s) + ceil(log2 n) + 1 wires
+    worst = max(check_row("rgqbp_to_circuit", prog) for prog in programs)
+    ok = worst <= ACCEPT_TOL
     assert _report("program -> circuit exactness", ok,
                    f"parity 2/4/8 + 100 random; worst deviation {worst:.2e}, "
-                   f"2L queries and wire formula {'held' if structure_ok else 'VIOLATED'}")
-    assert structure_ok
-    assert worst <= TOL
+                   f"2L queries and wire formula held")
+    assert ok
 
 
 def test_parity_correctness_up_to_n12():
@@ -142,7 +92,7 @@ def test_promise_or_hybrid_bound_200_random_programs():
     worst_slack = np.inf
     cauchy_ok = True
     for seed in range(200):
-        prog = _random_program(3000 + seed)
+        prog = seeded_program(3000 + seed)
         report = promise_or_expectation(prog)
         worst_slack = min(worst_slack, report.slack)
         cap = math.sqrt(prog.width) + TOL
@@ -232,16 +182,11 @@ def test_serialization_roundtrip_on_builtin_artifacts():
     program_artifacts += [circuit_to_rgqbp(grover_promise_or(4))]
     circuit_artifacts = [grover_promise_or(n) for n in (4, 16, 64)]
     circuit_artifacts += [rgqbp_to_circuit(parity_program(4)), deutsch_circuit()]
-    ok = True
-    count = 0
-    for prog in program_artifacts:
-        text = serialize_program(prog)
-        ok &= serialize_program(parse_program(text)) == text
-        count += 1
-    for circuit in circuit_artifacts:
-        text = serialize_circuit(circuit)
-        ok &= serialize_circuit(parse_circuit(text)) == text
-        count += 1
+    # check_row asserts that re-serializing gives identical bytes
+    worst = max([check_row("gqbp-v1", prog) for prog in program_artifacts]
+                + [check_row("qqc", circuit) for circuit in circuit_artifacts])
+    count = len(program_artifacts) + len(circuit_artifacts)
+    ok = worst <= ACCEPT_TOL
     assert _report("serialization byte-level roundtrip", ok,
-                   f"{count} builtin artifacts")
+                   f"{count} builtin artifacts, worst deviation {worst:.2e}")
     assert ok

@@ -3,15 +3,14 @@ import pytest
 
 from gqbp import (
     BitOracle,
-    PhaseOracle,
     QueryCircuit,
     Unitary,
-    acceptance_probabilities,
     circuit_to_rgqbp,
     count_queries,
     generalize,
     grover_promise_or,
     parity_program,
+    random_rgqbp,
     rgqbp_to_circuit,
     roundtrip_check,
     validate_restricted,
@@ -19,21 +18,12 @@ from gqbp import (
 from gqbp.circuit import circuit_acceptances, index_register_width
 from gqbp.simulate import all_inputs
 
-from helpers import HADAMARD, deutsch_circuit, seeded_program, width1_flip_program
-
-
-def _agreement(circuit, program, n):
-    xs = all_inputs(n)
-    return np.abs(circuit_acceptances(circuit, xs)
-                  - acceptance_probabilities(program, xs)).max()
+from helpers import ACCEPT_TOL, HADAMARD, rewrite_gap, seeded_program, width1_flip_program
+from test_rewrites import CIRCUITS, check_row
 
 
 def test_deutsch_to_program():
-    c = deutsch_circuit()
-    prog = circuit_to_rgqbp(c)
-    assert prog.width == 2
-    assert prog.length == 1
-    assert _agreement(c, prog, 2) <= 1e-12
+    assert check_row("circuit_to_rgqbp", CIRCUITS["deutsch"]) <= ACCEPT_TOL
 
 
 def test_queryless_circuit_to_program():
@@ -53,43 +43,15 @@ def test_grover4_to_program_decides_promise_inputs():
 
 
 def test_grover_conversion_exhaustive():
-    for n in (4, 8):
-        c = grover_promise_or(n)
-        prog = circuit_to_rgqbp(c)
-        assert prog.width == c.dim
-        assert prog.length == count_queries(c)
-        assert _agreement(c, prog, n) <= 1e-9
+    assert max(check_row("circuit_to_rgqbp", grover_promise_or(n)) for n in (4, 8)) <= ACCEPT_TOL
 
 
 def test_phase_circuit_conversion_random_unitaries():
-    rng = np.random.default_rng(17)
-    q, n = 3, 6
-    gates = []
-    for _ in range(3):
-        z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        gates += [Unitary(np.linalg.qr(z)[0]), PhaseOracle()]
-    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    gates.append(Unitary(np.linalg.qr(z)[0]))
-    c = QueryCircuit(q=q, n=n, gates=tuple(gates), accept=frozenset({0, 3, 5}))
-    prog = circuit_to_rgqbp(c)
-    assert prog.length == 3
-    assert _agreement(c, prog, n) <= 1e-9
+    assert check_row("circuit_to_rgqbp", CIRCUITS["dense random unitaries"]) <= ACCEPT_TOL
 
 
 def test_mid_sequence_bit_oracle_conversion():
-    rng = np.random.default_rng(23)
-    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    u = np.linalg.qr(z)[0]
-    c = QueryCircuit(q=3, n=4, gates=(
-        Unitary(u),
-        BitOracle(index_wires=(0, 1), target_wire=2),
-        Unitary(u),
-        PhaseOracle(),
-        Unitary(u),
-    ), accept=frozenset({1, 6}))
-    prog = circuit_to_rgqbp(c)
-    assert prog.length == 2
-    assert _agreement(c, prog, 4) <= 1e-9
+    assert check_row("circuit_to_rgqbp", CIRCUITS["bit oracle mid-sequence"]) <= ACCEPT_TOL
 
 
 def test_converted_program_passes_restricted_validation():
@@ -100,10 +62,7 @@ def test_converted_program_passes_restricted_validation():
 
 
 def test_adjacent_oracles_fuse_to_identity_segments():
-    c = QueryCircuit(q=1, n=2, gates=(PhaseOracle(), PhaseOracle()), accept=frozenset({0}))
-    prog = circuit_to_rgqbp(c)
-    assert prog.length == 2
-    assert _agreement(c, prog, 2) <= 1e-12
+    assert check_row("circuit_to_rgqbp", CIRCUITS["adjacent oracles"]) <= ACCEPT_TOL
 
 
 def test_width1_program_to_circuit():
@@ -115,61 +74,44 @@ def test_width1_program_to_circuit():
 
 
 def test_parity2_program_to_circuit():
-    prog = parity_program(2)
-    c = rgqbp_to_circuit(prog)
-    assert c.q == 3
-    assert count_queries(c) == 2
-    assert _agreement(c, prog, 2) <= 1e-9
+    # 3 wires and 2 queries, by the row's wire and query formulas
+    assert check_row("rgqbp_to_circuit", parity_program(2)) <= ACCEPT_TOL
 
 
 def test_circuit_cost_formulas():
+    # the row asserts 2L queries on ceil(log2 s) + ceil(log2 n) + 1 wires
     for seed in (0, 5, 9):
-        prog = seeded_program(seed)
-        c = rgqbp_to_circuit(prog)
-        assert count_queries(c) == 2 * prog.length
-        expected_q = (index_register_width(prog.width)
-                      + index_register_width(prog.n) + 1)
-        assert c.q == expected_q
+        assert check_row("rgqbp_to_circuit", seeded_program(seed)) <= ACCEPT_TOL
 
 
 def test_non_power_of_two_width_and_n():
-    from gqbp import random_rgqbp
     prog = random_rgqbp(3, 2, 5, seed=2)
     rep = roundtrip_check(prog)
     assert rep.exhaustive
-    assert rep.max_deviation <= 1e-9
+    assert rep.max_deviation <= ACCEPT_TOL
     c = rgqbp_to_circuit(prog)
     assert c.q == 2 + 3 + 1
 
 
 def test_width16_roundtrip_at_desk_scale():
-    from gqbp import random_rgqbp
     prog = random_rgqbp(16, 6, 8, seed=4)
     rep = roundtrip_check(prog)
     assert rep.exhaustive
-    assert rep.max_deviation <= 1e-9
+    assert rep.max_deviation <= ACCEPT_TOL
 
 
 def test_length16_roundtrip_at_desk_scale():
-    from gqbp import random_rgqbp
     prog = random_rgqbp(4, 16, 4, seed=6)
     rep = roundtrip_check(prog)
     assert rep.exhaustive
-    assert rep.max_deviation <= 1e-9
+    assert rep.max_deviation <= ACCEPT_TOL
     assert count_queries(rgqbp_to_circuit(prog)) == 32
 
 
 def test_shuffled_bit_oracle_index_wires():
     # conversion decodes the queried position from arbitrary wire order the
     # same way the circuit simulator does
-    rng = np.random.default_rng(31)
-    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    u = np.linalg.qr(z)[0]
-    c = QueryCircuit(q=3, n=4, gates=(
-        Unitary(u), BitOracle(index_wires=(2, 0), target_wire=1), Unitary(u)),
-        accept=frozenset({2, 5}))
-    prog = circuit_to_rgqbp(c)
-    assert _agreement(c, prog, 4) <= 1e-9
+    assert check_row("circuit_to_rgqbp", CIRCUITS["shuffled bit-oracle wires"]) <= ACCEPT_TOL
 
 
 def test_label_writer_gates_are_involutions():
@@ -185,7 +127,7 @@ def test_label_writer_gates_are_involutions():
 
 
 def test_compiled_circuit_is_structured_and_exact():
-    from gqbp import Diagonal, Permutation, random_rgqbp
+    from gqbp import Diagonal, Permutation
     for seed in range(6):
         prog = random_rgqbp(3 + seed % 4, 2 + seed % 3, 3 + seed, seed=seed)
         circuit = rgqbp_to_circuit(prog)
@@ -193,9 +135,9 @@ def test_compiled_circuit_is_structured_and_exact():
         kinds = [type(g) for g in circuit.gates[1:7]]
         assert kinds == [Permutation, BitOracle, Diagonal, BitOracle, Permutation, Unitary]
         assert all(g.wires == node_wires for g in circuit.gates[::6])
-        assert _agreement(circuit, prog, prog.n) <= 1e-12
+        assert rewrite_gap(prog, circuit) <= ACCEPT_TOL
         # segment fusion applies the structured gates too
-        assert _agreement(circuit, circuit_to_rgqbp(circuit), prog.n) <= 1e-12
+        assert rewrite_gap(circuit, circuit_to_rgqbp(circuit)) <= ACCEPT_TOL
 
 
 def test_rgqbp_to_circuit_rejects_general():
@@ -206,18 +148,16 @@ def test_rgqbp_to_circuit_rejects_general():
 def test_roundtrip_parity4():
     rep = roundtrip_check(parity_program(4))
     assert rep.inputs_checked == 16
-    assert rep.max_deviation <= 1e-9
+    assert rep.max_deviation <= ACCEPT_TOL
 
 
 def test_roundtrip_random():
-    from gqbp import random_rgqbp
     rep = roundtrip_check(random_rgqbp(4, 3, 4, seed=11))
     assert rep.passed
-    assert rep.max_deviation <= 1e-9
+    assert rep.max_deviation <= ACCEPT_TOL
 
 
 def test_roundtrip_sampled_above_exhaustive_limit():
-    from gqbp import random_rgqbp
     prog = random_rgqbp(4, 3, 20, seed=1)
     rep = roundtrip_check(prog)
     assert not rep.exhaustive

@@ -26,7 +26,6 @@ from gqbp import (
     hamming_family,
     hybrid_deviation,
     hybrid_run,
-    pad_width,
     parity_program,
     random_rgqbp,
     restrict,
@@ -39,7 +38,7 @@ from gqbp import (
 )
 from gqbp.circuit import run_circuit_batch
 from gqbp.core import unitarity_deviation
-from gqbp.simulate import all_inputs, transition_matrix
+from gqbp.simulate import transition_matrix
 
 from helpers import seeded_program
 
@@ -306,13 +305,6 @@ def test_validate_program_checks_alternating_claim():
     odd = odd.replace(levels=odd.levels[:3])
     assert validate_program(odd).errors == (
         "level 2: alternating program ends on a query level",)
-    # Drift within tol is not an error: restrict(generalize(.)) leaves ~1e-17 angles.
-    for seed in range(6):
-        split = split_layers(random_rgqbp(4, 3, 5, seed=seed))
-        for form in (split, pad_width(split, 6), generalize(split),
-                     restrict(generalize(split))):
-            assert form.alternating
-            assert validate_program(form).passed, validate_program(form).errors
 
 
 def test_restrict_negated_columns_give_pi():
@@ -339,6 +331,18 @@ def test_restrict_rejects_unrelated_columns():
         restrict(prog)
 
 
+@pytest.mark.parametrize("a0_diag,message", [
+    ((1, 0, 1), "zero 0-transition but nonzero 1-transition"),  # then node 2 unrelated
+    ((1, 1, 0), "transitions are not phase-related"),  # then node 2 one-sided zero
+])
+def test_restrict_names_the_first_failing_node(a0_diag, message):
+    a1 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    level = GeneralLevel(labels=np.zeros(3, dtype=np.int64), a0=np.diag(a0_diag), a1=a1)
+    prog = Program(n=1, initial=np.array([1, 0, 0], dtype=complex), levels=(level,) * 2)
+    with pytest.raises(ValueError, match=f"^level 0 node 1: {message}"):
+        restrict(prog)
+
+
 def test_generalize_zero_thetas():
     level = RestrictedLevel(labels=np.array([0, 1]), base=np.eye(2), thetas=np.zeros(2))
     prog = Program(n=2, initial=np.array([1, 0], dtype=complex), levels=(level,))
@@ -352,16 +356,6 @@ def test_generalize_pi_thetas():
     prog = Program(n=2, initial=np.array([1, 0], dtype=complex), levels=(level,))
     out = generalize(prog)
     assert np.allclose(out.levels[0].a1, -out.levels[0].a0)
-
-
-@given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_restrict_generalize_roundtrip(seed):
-    prog = seeded_program(seed, smax=6, lmax=5, nmax=6)
-    back = restrict(generalize(prog))
-    xs = all_inputs(prog.n)
-    dev = np.abs(final_states(prog, xs) - final_states(back, xs)).max()
-    assert dev <= 1e-12
 
 
 @given(seed=st.integers(0, 2**31 - 1))

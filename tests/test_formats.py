@@ -10,8 +10,6 @@ from gqbp import (
     Program,
     QueryCircuit,
     RestrictedLevel,
-    acceptance_probabilities,
-    circuit_acceptance,
     circuit_to_rgqbp,
     generalize,
     grover_promise_or,
@@ -30,9 +28,8 @@ from gqbp.formats import (
     serialize_circuit,
     serialize_program,
 )
-from gqbp.simulate import all_inputs
 
-from helpers import deutsch_circuit
+from helpers import ACCEPT_TOL, deutsch_circuit, rewrite_gap
 
 
 def test_minimal_program_roundtrip_bytes():
@@ -43,10 +40,7 @@ def test_minimal_program_roundtrip_bytes():
 
 def test_parity_roundtrip_simulates_identically():
     prog = parity_program(4)
-    back = parse_program(serialize_program(prog))
-    xs = all_inputs(4)
-    assert np.abs(acceptance_probabilities(prog, xs)
-                  - acceptance_probabilities(back, xs)).max() <= 1e-12
+    assert rewrite_gap(prog, parse_program(serialize_program(prog))) <= ACCEPT_TOL
 
 
 def test_general_program_roundtrip():
@@ -102,9 +96,7 @@ def test_empty_circuit_roundtrip_bytes():
 
 def test_deutsch_circuit_roundtrip_preserves_acceptance():
     c = deutsch_circuit()
-    back = parse_circuit(serialize_circuit(c))
-    for x in ("00", "01", "10", "11"):
-        assert circuit_acceptance(back, x) == pytest.approx(circuit_acceptance(c, x))
+    assert rewrite_gap(c, parse_circuit(serialize_circuit(c))) <= ACCEPT_TOL
 
 
 def test_unknown_gate_type():
@@ -117,9 +109,7 @@ def test_bit_oracle_roundtrip():
     c = grover_promise_or(4)
     text = serialize_circuit(c)
     back = parse_circuit(text)
-    assert serialize_circuit(back) == text
-    xs = all_inputs(4)
-    assert np.abs(circuit_acceptances(back, xs) - circuit_acceptances(c, xs)).max() == 0.0
+    assert serialize_circuit(back) == text and rewrite_gap(c, back) == 0.0
 
 
 def test_schema_junk_never_escapes_format_error():
@@ -139,16 +129,6 @@ def test_schema_junk_never_escapes_format_error():
                     parse(json.dumps(mutated))
                 except FormatError:
                     pass
-
-
-def test_builtin_generators_roundtrip_semantically():
-    artifacts = [parity_program(6), random_rgqbp(4, 3, 5, seed=3),
-                 split_layers(parity_program(4))]
-    for prog in artifacts:
-        back = parse_program(serialize_program(prog))
-        xs = all_inputs(prog.n)
-        assert np.abs(acceptance_probabilities(prog, xs)
-                      - acceptance_probabilities(back, xs)).max() <= 1e-12
 
 
 # --- amplitude blocks: junk entries, exact bits, and the older layout -------

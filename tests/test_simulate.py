@@ -155,13 +155,6 @@ def test_global_phase_invariance(seed, phi):
         acceptance_probability(shifted, x), abs=1e-12)
 
 
-def test_restricted_matches_generalized():
-    prog = seeded_program(9, smax=5, lmax=4, nmax=5)
-    xs = all_inputs(prog.n)
-    dev = np.abs(final_states(prog, xs) - final_states(generalize(prog), xs)).max()
-    assert dev <= 1e-12
-
-
 def test_batch_matches_single_runs():
     prog = seeded_program(21, smax=6, lmax=5, nmax=6)
     xs = all_inputs(prog.n)
