@@ -41,6 +41,9 @@ from .core import (DEFAULT_TOL, ValidationReport, _freeze, _one_row, accept_mass
                    unitarity_deviation)
 
 
+_HADAMARD = _freeze(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
+
+
 def _check_size(size: int) -> None:
     if size < 1 or size & (size - 1):
         raise ValueError(f"gate dimension must be a power of two, got {size}")
@@ -200,17 +203,17 @@ def _wire_bits(circuit: QueryCircuit, wire: int) -> np.ndarray:
     return (np.arange(circuit.dim, dtype=np.int64) >> (circuit.q - 1 - wire)) & 1
 
 
-def _phase_oracle_indices(circuit: QueryCircuit) -> np.ndarray:
-    m = index_register_width(circuit.n)
-    return np.arange(circuit.dim, dtype=np.int64) >> (circuit.q - m)
-
-
-def _bit_oracle_tables(circuit: QueryCircuit, gate: BitOracle):
-    k = np.zeros(circuit.dim, dtype=np.int64)
-    for w in gate.index_wires:
-        k = (k << 1) | _wire_bits(circuit, w)
-    flipped = np.arange(circuit.dim, dtype=np.int64) ^ (1 << (circuit.q - 1 - gate.target_wire))
-    return k, flipped
+def _oracle_reads(circuit: QueryCircuit, gate: PhaseOracle | BitOracle) -> np.ndarray:
+    """The one oracle rule: the input position each basis state reads, taken
+    from the first ceil(log2 n) wires (phase oracle) or the index wires (bit
+    oracle), with every position >= n mapped to n, whose bit is 0."""
+    if isinstance(gate, PhaseOracle):
+        k = np.arange(circuit.dim, dtype=np.int64) >> (circuit.q - index_register_width(circuit.n))
+    else:
+        k = np.zeros(circuit.dim, dtype=np.int64)
+        for w in gate.index_wires:
+            k = (k << 1) | _wire_bits(circuit, w)
+    return np.minimum(k, circuit.n)
 
 
 def _apply_local(matrix: np.ndarray, wires: tuple[int, ...], states: np.ndarray,
@@ -239,9 +242,9 @@ def _permute(perm: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _apply(circuit: QueryCircuit, gate: Gate, states: np.ndarray,
-           pad: np.ndarray | None = None) -> np.ndarray:
+           bits: np.ndarray | None = None) -> np.ndarray:
     """``gate`` applied to each column of ``states`` (2^q rows).  Oracles read
-    column b of ``pad``, the 0/1 input of column b zero-padded to 2^q rows."""
+    column b of ``bits``: the n input bits of column b and then one 0."""
     if isinstance(gate, Unitary):
         if gate.wires is None:
             # Each state is multiplied as a row, so dense circuits keep the
@@ -253,22 +256,22 @@ def _apply(circuit: QueryCircuit, gate: Gate, states: np.ndarray,
         return _permute(gate.perm, states)
     if isinstance(gate, Diagonal):
         return states * gate.phases[:, np.newaxis]
+    read = bits[_oracle_reads(circuit, gate)]
     if isinstance(gate, PhaseOracle):
-        return states * (1.0 - 2.0 * pad[_phase_oracle_indices(circuit)])
-    k, flipped = _bit_oracle_tables(circuit, gate)
-    return np.where(pad[k].view(bool), states[flipped], states)
+        return states * (1.0 - 2.0 * read)
+    flipped = np.arange(circuit.dim, dtype=np.int64) ^ (1 << (circuit.q - 1 - gate.target_wire))
+    return np.where(read.view(bool), states[flipped], states)
 
 
 def _run(circuit: QueryCircuit, inputs) -> np.ndarray:
     """(2^q, B) final states, one column per input."""
     inputs = as_bit_rows(inputs, circuit.n)
-    shape = (circuit.dim, inputs.shape[0])
-    pad = np.zeros(shape, dtype=np.uint8)
-    pad[: circuit.n] = inputs.T
-    states = np.zeros(shape, dtype=np.complex128)
+    bits = np.zeros((circuit.n + 1, inputs.shape[0]), dtype=np.uint8)
+    bits[: circuit.n] = inputs.T
+    states = np.zeros((circuit.dim, inputs.shape[0]), dtype=np.complex128)
     states[0] = 1.0
     for gate in circuit.gates:
-        states = _apply(circuit, gate, states, pad)
+        states = _apply(circuit, gate, states, bits)
     return states
 
 

@@ -15,7 +15,7 @@ import sys
 from . import experiments, formats, programs
 from .convert import circuit_to_rgqbp, rgqbp_to_circuit
 from .core import DEFAULT_TOL, accept_mass, validate_program
-from .circuit import circuit_acceptance, count_queries, validate_circuit
+from .circuit import QueryCircuit, circuit_acceptance, count_queries, validate_circuit
 from .simulate import evolve
 from .transform import split_layers
 
@@ -43,12 +43,9 @@ def _fmt(x: float) -> str:
 
 
 def cmd_validate(args) -> int:
-    text = _read(args.file)
-    kind = formats.detect_format(text)
-    if kind == "program":
-        report = validate_program(formats.parse_program(text), tol=args.tol)
-    else:
-        report = validate_circuit(formats.parse_circuit(text), tol=args.tol)
+    parsed = formats.parse(_read(args.file))
+    check = validate_circuit if isinstance(parsed, QueryCircuit) else validate_program
+    report = check(parsed, tol=args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max_deviation={_fmt(report.max_deviation)} "
           f"checked={report.assignments_checked} convention={report.convention}")
@@ -58,20 +55,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    text = _read(args.file)
-    kind = formats.detect_format(text)
-    if kind == "circuit":
-        circuit = formats.parse_circuit(text)
-        prob = circuit_acceptance(circuit, args.input)
-        print(f"acceptance_probability={_fmt(prob)} queries={count_queries(circuit)}")
+    parsed = formats.parse(_read(args.file))
+    if isinstance(parsed, QueryCircuit):
+        prob = circuit_acceptance(parsed, args.input)
+        print(f"acceptance_probability={_fmt(prob)} queries={count_queries(parsed)}")
         return 0
-    program = formats.parse_program(text)
-    states = evolve(program, args.input, record=True)[:, 0]
+    states = evolve(parsed, args.input, record=True)[:, 0]
     if args.trace:
         for t, state in enumerate(states):
             amps = " ".join(f"({_fmt(z.real)},{_fmt(z.imag)})" for z in state)
             print(f"state[{t}] {amps}")
-    print(f"acceptance_probability={_fmt(float(accept_mass(program, states[-1])))}")
+    print(f"acceptance_probability={_fmt(float(accept_mass(parsed, states[-1])))}")
     return 0
 
 

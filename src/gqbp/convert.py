@@ -39,9 +39,9 @@ from .circuit import (
     PhaseOracle,
     QueryCircuit,
     Unitary,
+    _HADAMARD,
     _apply,
-    _bit_oracle_tables,
-    _phase_oracle_indices,
+    _oracle_reads,
     _wire_bits,
     circuit_acceptances,
     complete_unitary,
@@ -57,20 +57,14 @@ ROUNDTRIP_SAMPLE = 256
 ROUNDTRIP_SEED = 0
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-
-
-def _phase_oracle_phases(circuit: QueryCircuit):
-    idx = _phase_oracle_indices(circuit)
-    live = idx < circuit.n
-    return np.where(live, np.pi, 0.0), np.where(live, idx, 0)
-
-
-def _bit_oracle_phases(circuit: QueryCircuit, gate: BitOracle):
-    k, _ = _bit_oracle_tables(circuit, gate)
-    live = k < circuit.n
-    thetas = np.where(live, np.pi * _wire_bits(circuit, gate.target_wire), 0.0)
-    return thetas, np.where(live, k, 0)
+def _oracle_level(circuit: QueryCircuit, gate: PhaseOracle | BitOracle):
+    """(thetas, labels) of the level an oracle becomes: phase pi where the
+    oracle flips the sign (a bit oracle only where its target bit is 1,
+    between the Hadamards), on nodes that read a live input position."""
+    reads = _oracle_reads(circuit, gate)
+    live = reads < circuit.n
+    flip = 1 if isinstance(gate, PhaseOracle) else _wire_bits(circuit, gate.target_wire)
+    return np.where(live, np.pi * flip, 0.0), np.where(live, reads, 0)
 
 
 def circuit_to_rgqbp(circuit: QueryCircuit) -> Program:
@@ -81,12 +75,12 @@ def circuit_to_rgqbp(circuit: QueryCircuit) -> Program:
     queries = []
     for gate in circuit.gates:
         if isinstance(gate, PhaseOracle):
-            queries.append(_phase_oracle_phases(circuit))
+            queries.append(_oracle_level(circuit, gate))
             segments.append(eye)
         elif isinstance(gate, BitOracle):
             wire = gate.target_wire
             segments[-1] = _apply(circuit, Unitary(_HADAMARD, wires=(wire,)), segments[-1])
-            queries.append(_bit_oracle_phases(circuit, gate))
+            queries.append(_oracle_level(circuit, gate))
             # The next segment starts as the Hadamard's dense matrix.  A
             # Kronecker product forms each entry as one product, with no
             # sum, so zero entries keep their signs and the level's base

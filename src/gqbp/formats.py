@@ -223,7 +223,10 @@ def serialize_program(program: Program) -> str:
 
 
 def parse_program(text: str) -> Program:
-    doc = _load(text)
+    return _read_program(_load(text))
+
+
+def _read_program(doc: dict) -> Program:
     if _get(doc, "format", str) != PROGRAM_FORMAT:
         raise FormatError("format", f"expected {PROGRAM_FORMAT!r}, got {doc['format']!r}")
     n = _get(doc, "n", int)
@@ -339,7 +342,10 @@ def _parse_gate(entry: dict, where: str, q: int) -> Gate:
 
 
 def parse_circuit(text: str) -> QueryCircuit:
-    doc = _load(text)
+    return _read_circuit(_load(text))
+
+
+def _read_circuit(doc: dict) -> QueryCircuit:
     fmt = _get(doc, "format", str)
     if fmt not in (CIRCUIT_FORMAT, STRUCTURED_FORMAT):
         raise FormatError("format", f"expected {CIRCUIT_FORMAT!r} or {STRUCTURED_FORMAT!r}, "
@@ -367,12 +373,13 @@ def parse_circuit(text: str) -> QueryCircuit:
         raise FormatError("document", str(e))
 
 
-def detect_format(text: str) -> str:
-    """Return 'program' or 'circuit' from a document's format field."""
+def parse(text: str) -> Program | QueryCircuit:
+    """Decode a document once and read it as a program or a circuit, as its
+    format tag says."""
     doc = _load(text)
     fmt = _get(doc, "format", str)
     if fmt == PROGRAM_FORMAT:
-        return "program"
+        return _read_program(doc)
     if fmt in (CIRCUIT_FORMAT, STRUCTURED_FORMAT):
-        return "circuit"
+        return _read_circuit(doc)
     raise FormatError("format", f"unknown format {fmt!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BitOracle, PhaseOracle, QueryCircuit, Unitary
+from .circuit import _HADAMARD, BitOracle, PhaseOracle, QueryCircuit, Unitary
 from .core import Program, RestrictedLevel, as_bits
 
 MATERIALIZE_LIMIT = 100_000
@@ -44,11 +44,10 @@ def parity_program(n: int) -> Program:
     if n < 2 or n % 2:
         raise ValueError(f"parity program needs a positive even input length, got {n}")
     eye = np.eye(2, dtype=np.complex128)
-    mix = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
     flips = np.array([np.pi, np.pi])
     levels = []
     for i in range(n // 2):
-        base = mix if i == n // 2 - 1 else eye
+        base = _HADAMARD if i == n // 2 - 1 else eye
         levels.append(RestrictedLevel(labels=np.array([2 * i, 2 * i + 1]),
                                       base=base, thetas=flips))
     initial = np.array([1, 1], dtype=np.complex128) / np.sqrt(2)
@@ -73,10 +72,9 @@ def grover_promise_or(n: int) -> QueryCircuit:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     m = n.bit_length() - 1
     q = m + 1
-    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
     walsh = np.eye(1, dtype=np.complex128)
     for _ in range(m):
-        walsh = np.kron(walsh, h)
+        walsh = np.kron(walsh, _HADAMARD)
     prep = Unitary(np.kron(walsh, np.eye(2)))
     uniform = np.full((n, n), 1.0 / n, dtype=np.complex128)
     diffusion = Unitary(np.kron(2.0 * uniform - np.eye(n), np.eye(2)))

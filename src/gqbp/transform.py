@@ -49,8 +49,6 @@ def pad_width(program: Program, target: int) -> Program:
     def extend_matrix(m: np.ndarray) -> np.ndarray:
         out = np.eye(target, dtype=np.complex128)
         out[:s, :s] = m
-        out[:s, s:] = 0.0
-        out[s:, :s] = 0.0
         return out
 
     new_levels = []

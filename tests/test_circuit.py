@@ -95,6 +95,13 @@ def test_oracle_padding_reads_zero_beyond_n():
     assert state[3] == pytest.approx(0.5)  # unflipped sign on the padded index
 
 
+def test_bit_oracle_with_fewer_index_wires_than_n_needs():
+    # one index wire addresses positions 0 and 1 of an 8-bit input
+    c = QueryCircuit(q=2, n=8, gates=(BitOracle(index_wires=(0,), target_wire=1),),
+                     accept=frozenset({1}))
+    assert np.array_equal(circuit_acceptances(c, ["01111111", "10000000"]), [0.0, 1.0])
+
+
 def test_run_circuit_batch_matches_single():
     c = deutsch_circuit()
     xs = all_inputs(2)

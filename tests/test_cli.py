@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,18 @@ def test_simulate_trace_prints_the_same_probability(tmp_path, capsys):
     assert main(["simulate", str(path), "--input", "0110", "--trace"]) == 0
     traced = capsys.readouterr().out.splitlines()
     assert [line for line in traced if not line.startswith("state[")] == plain.splitlines()
+
+
+def test_simulate_circuit_file(tmp_path, capsys):
+    path = tmp_path / "grover4.json"
+    assert main(["gen", "grover-or", "--n", "4"]) == 0
+    path.write_text(capsys.readouterr().out)
+    assert main(["simulate", str(path), "--input", "0100"]) == 0
+    out = capsys.readouterr().out
+    # one Grover round: sin^2(3 asin(1/2)) = 1, then the readout query
+    prob, queries = re.fullmatch(r"acceptance_probability=(\S+) queries=(\d+)\n", out).groups()
+    assert float(prob) == pytest.approx(np.sin(3 * np.arcsin(0.5)) ** 2, abs=1e-12)
+    assert queries == "2"
 
 
 def test_convert_both_directions(tmp_path, capsys):

@@ -23,7 +23,7 @@ from gqbp import (
     tradeoff_scan,
 )
 from gqbp.core import bits_to_str
-from gqbp.experiments import DISTANCE_FLOOR, PROBABILITY_GAP, SLACK_TOL
+from gqbp.experiments import DISTANCE_FLOOR, FAMILY_SAMPLE, PROBABILITY_GAP, SLACK_TOL
 from gqbp.simulate import all_inputs
 
 from helpers import input_independent_program, seeded_program, width1_flip_program
@@ -141,6 +141,20 @@ def test_hamming_random_program_both_cases():
         report = hamming_expectation(prog, 2, 1, fixed)
         assert report.passed
         assert report.metadata["mode"] == "exhaustive"
+
+
+def test_hamming_sampled_above_family_limit():
+    # C(20, 8) = 125,970 members: too many to list, so a seeded sample is compared
+    from gqbp import random_rgqbp
+    prog = random_rgqbp(3, 2, 24, seed=0)
+    fixed = "1" * 4 + "0" * 20
+    report = hamming_expectation(prog, 4, 8, fixed)
+    assert report.metadata["family_size"] == 125_970
+    assert report.metadata["mode"] == "sampled"
+    assert report.metadata["compared"] == FAMILY_SAMPLE == 10_000
+    assert report.passed
+    assert hamming_expectation(prog, 4, 8, fixed, seed=0) == report
+    assert hamming_expectation(prog, 4, 8, fixed, seed=1).empirical != report.empirical
 
 
 def test_hamming_weight_mismatch_error():

@@ -22,25 +22,20 @@ from gqbp.circuit import Unitary, circuit_acceptances, validate_circuit
 from gqbp.cli import main
 from gqbp.formats import (
     FormatError,
-    detect_format,
+    parse,
     parse_circuit,
     parse_program,
     serialize_circuit,
     serialize_program,
 )
 
-from helpers import ACCEPT_TOL, deutsch_circuit, rewrite_gap
+from helpers import deutsch_circuit
 
 
 def test_minimal_program_roundtrip_bytes():
     prog = Program(n=1, initial=np.array([1.0 + 0j]), levels=(), accept=frozenset({0}))
     text = serialize_program(prog)
     assert serialize_program(parse_program(text)) == text
-
-
-def test_parity_roundtrip_simulates_identically():
-    prog = parity_program(4)
-    assert rewrite_gap(prog, parse_program(serialize_program(prog))) <= ACCEPT_TOL
 
 
 def test_general_program_roundtrip():
@@ -94,22 +89,51 @@ def test_empty_circuit_roundtrip_bytes():
     assert serialize_circuit(parse_circuit(text)) == text
 
 
-def test_deutsch_circuit_roundtrip_preserves_acceptance():
-    c = deutsch_circuit()
-    assert rewrite_gap(c, parse_circuit(serialize_circuit(c))) <= ACCEPT_TOL
-
-
 def test_unknown_gate_type():
     text = serialize_circuit(deutsch_circuit()).replace("phase_oracle", "mystery")
     with pytest.raises(FormatError, match="unknown gate type"):
         parse_circuit(text)
 
 
-def test_bit_oracle_roundtrip():
-    c = grover_promise_or(4)
-    text = serialize_circuit(c)
-    back = parse_circuit(text)
-    assert serialize_circuit(back) == text and rewrite_gap(c, back) == 0.0
+def _edited(text: str, edit) -> str:
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+_GROVER4 = serialize_circuit(grover_promise_or(4))  # gates[3] is the readout bit oracle
+_PARITY2 = serialize_program(parity_program(2))
+REACHABLE_ERRORS = {  # document, field, message
+    "bit oracle target among its index wires": (
+        _edited(_GROVER4, lambda d: d["gates"][3].update(target_wire=0)), "gates[3]",
+        "target wire must not be an index wire"),
+    "target wire out of range": (
+        _edited(_GROVER4, lambda d: d["gates"][3].update(target_wire=3)),
+        "gates[3].target_wire", "wire 3 out of range [0, 3)"),
+    "level with too few labels": (
+        _edited(_PARITY2, lambda d: d["levels"][0].update(labels=[0])), "levels[0].labels",
+        "expected 2 labels, got 1"),
+    "alternating not a boolean": (
+        _edited(_PARITY2, lambda d: d.update(alternating="yes")), "alternating",
+        "expected a boolean"),
+    "phase oracle on too few wires": (
+        json.dumps({"format": "qqc-v1", "qubits": 1, "n": 4,
+                    "gates": [{"type": "phase_oracle"}], "accept": []}), "document",
+        "phase oracle needs 2 index wires but circuit has 1"),
+    "unknown format tag": (json.dumps({"format": "gqbp-v9"}), "format",
+                           "unknown format 'gqbp-v9'"),
+}
+
+
+@pytest.mark.parametrize("text,field,message", REACHABLE_ERRORS.values(), ids=REACHABLE_ERRORS)
+def test_reachable_parse_error_names_field_and_exits_2(tmp_path, capsys, text, field, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert info.value.field == field and message in str(info.value)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_schema_junk_never_escapes_format_error():
@@ -444,7 +468,7 @@ def test_v2_roundtrip_keeps_bytes_and_bits():
         Unitary(np.eye(4), wires=(1, 0)),
     ), accept=frozenset({1}))
     text = serialize_circuit(circuit)
-    assert json.loads(text)["format"] == "qqc-v2" and detect_format(text) == "circuit"
+    assert json.loads(text)["format"] == "qqc-v2" and isinstance(parse(text), QueryCircuit)
     assert "-0.0" in text and "5e-324" in text
     back = parse_circuit(text)
     assert serialize_circuit(back) == text
