@@ -57,6 +57,8 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     parsed = formats.parse(_read(args.file))
     if isinstance(parsed, QueryCircuit):
+        if args.trace:
+            raise ValueError("--trace needs a program document, not a circuit")
         prob = circuit_acceptance(parsed, args.input)
         print(f"acceptance_probability={_fmt(prob)} queries={count_queries(parsed)}")
         return 0

@@ -20,6 +20,7 @@ broken numerics can still be loaded and inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -160,6 +161,19 @@ class RestrictedLevel:
 Level = GeneralLevel | RestrictedLevel
 
 
+def reads_input(level: Level, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ``level`` reads its input bit: some ``|exp(1j*theta_j) - 1|``
+    of a restricted level, or some ``|a1 - a0|`` entry of a general level,
+    exceeds ``tol``.  The tolerance absorbs rewrites such as
+    ``restrict(generalize(split_layers(p)))``, which leave angles near 1e-17
+    on the mixing levels."""
+    if isinstance(level, RestrictedLevel):
+        gap = np.abs(np.exp(1j * level.thetas) - 1.0)
+    else:
+        gap = np.abs(level.a1 - level.a0)
+    return bool(gap.max(initial=0.0) > tol)
+
+
 @dataclass(frozen=True, eq=False)
 class Program:
     """A levelled branching program over ``n`` input bits.
@@ -167,15 +181,14 @@ class Program:
     ``initial`` is the starting amplitude vector (one entry per node),
     ``levels`` the transitions applied in order, and ``accept`` the node
     indices at the final level whose measurement outcome means "accept".
-    ``alternating`` marks programs already in split form (even-indexed
-    levels carry the queries, odd-indexed levels the mixing).
+    Which levels are queries is read off the levels themselves
+    (``query_levels``), not declared.
     """
 
     n: int
     initial: np.ndarray
     levels: tuple[Level, ...]
     accept: frozenset[int] = field(default_factory=frozenset)
-    alternating: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -217,14 +230,17 @@ class Program:
             return "general"
         return "restricted"
 
+    @cached_property
+    def query_levels(self) -> np.ndarray:
+        """Indices of the levels that read their input bit (``reads_input``),
+        in order; computed once per program."""
+        reads = [i for i, lv in enumerate(self.levels) if reads_input(lv)]
+        return _freeze(np.array(reads, dtype=np.intp))
+
     @property
     def query_depth(self) -> int:
-        """Number of query-carrying transitions: every level of a plain
-        program, half the levels of an alternating-form program."""
-        return self.length // 2 if self.alternating else self.length
-
-    def replace(self, **changes) -> "Program":
-        return replace(self, **changes)
+        """Number of query levels, the ``L`` of the drift caps."""
+        return self.query_levels.size
 
 
 @dataclass(frozen=True)
@@ -298,24 +314,8 @@ def validate_general(level: GeneralLevel, tol: float = DEFAULT_TOL) -> Validatio
                             assignments_checked=2 ** np.unique(labels).size)
 
 
-def _alternating_errors(program: Program, tol: float = DEFAULT_TOL) -> list[str]:
-    """Why ``program`` is not in alternating form: an odd level that reads its
-    query bit by more than ``tol``, or an odd length.  Empty when it is."""
-    errors = []
-    for i in range(1, program.length, 2):
-        lv = program.levels[i]
-        reads = (np.abs(np.exp(1j * lv.thetas) - 1.0) if isinstance(lv, RestrictedLevel)
-                 else np.abs(lv.a1 - lv.a0)).max(initial=0.0)
-        if reads > tol:
-            errors.append(f"level {i}: mixing level reads its query bit by {reads:.3e}")
-    if program.length % 2:
-        errors.append(f"level {program.length - 1}: alternating program ends on a query level")
-    return errors
-
-
 def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Aggregate numeric validation: initial norm, every level's report and, for an
-    ``alternating`` program, even length and odd levels that ignore their bit."""
+    """Aggregate numeric validation: initial norm and every level's report."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     errors = []
@@ -334,8 +334,6 @@ def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationRe
         worst = max(worst, rep.max_deviation)
         checked += rep.assignments_checked
         errors.extend(f"level {i}: {e}" for e in rep.errors)
-    if program.alternating:
-        errors.extend(_alternating_errors(program, tol))
     return ValidationReport(passed=not errors, max_deviation=worst,
                             assignments_checked=checked, convention=convention,
                             errors=tuple(errors))
@@ -368,7 +366,7 @@ def restrict(program: Program, tol: float = DEFAULT_TOL) -> Program:
             raise ValueError(
                 f"level {i} node {j}: transitions are not phase-related within {tol:.1e}")
         new_levels.append(RestrictedLevel(labels=lv.labels, base=lv.a0, thetas=thetas))
-    return program.replace(levels=tuple(new_levels))
+    return replace(program, levels=tuple(new_levels))
 
 
 def generalize(program: Program) -> Program:
@@ -379,4 +377,4 @@ def generalize(program: Program) -> Program:
     for lv in program.levels:
         a1 = lv.base * np.exp(1j * lv.thetas)[np.newaxis, :]
         new_levels.append(GeneralLevel(labels=lv.labels, a0=lv.base, a1=a1))
-    return program.replace(levels=tuple(new_levels))
+    return replace(program, levels=tuple(new_levels))

@@ -1,8 +1,9 @@
-"""Empirical deviation bounds and tradeoff scans for restricted programs.
+"""Empirical deviation bounds and tradeoff scans for branching programs.
 
 The central quantity is how far the final states of two runs can drift
-when only some queried bits differ.  Working on the alternating (split)
-form, the drift between inputs x and y telescopes over the query levels:
+when only some queried bits differ.  The drift between inputs x and y
+telescopes over the query levels (``Program.query_levels``, the levels
+that read their bit; a level that reads none preserves distances):
 
     ||final(x) - final(y)||  <=  2 * sum_t sum_{j in D(x,y,t)} |alpha[t][j]|
 
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .convert import circuit_to_rgqbp
-from .core import Program, _alternating_errors, _one_row, accept_mass, as_bit_rows, bits_to_str
+from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str
 from .programs import grover_promise_or, hamming_family, parity_program
 from .simulate import acceptance_probabilities, all_inputs, evolve
 
@@ -78,36 +79,16 @@ class ExperimentReport:
         return "pass" if self.passed else "fail"
 
 
-def _query_levels(program: Program) -> slice:
-    """The query-carrying levels: every level of a plain program, the even
-    ones of an alternating-form program.
-
-    The drift accounting is defined on the split form, which exists only
-    for restricted programs; the plain form gives the same states without
-    building it.  A false ``alternating`` claim would make the accounting
-    skip query levels, so it raises ValueError.
-    """
-    if program.alternating:
-        errors = _alternating_errors(program)
-        if errors:
-            raise ValueError(f"program is not in alternating form: {errors[0]}")
-        return slice(0, 2 * program.query_depth, 2)
-    if program.kind != "restricted":
-        raise ValueError("split_layers requires a restricted program")
-    return slice(0, program.length, 1)
-
-
 def hybrid_run(program: Program, x_base, x_alt, k: int) -> np.ndarray:
     """Final state when the first L-k query levels read ``x_base`` and the
     last k read ``x_alt`` (L = number of query levels).
 
     k=0 reproduces the plain run on x_base and k=L the plain run on x_alt.
     """
-    queries = _query_levels(program)
     depth = program.query_depth
     if not 0 <= k <= depth:
         raise ValueError(f"k must be in [0, {depth}], got {k}")
-    cut = queries.step * (depth - k)
+    cut = program.query_levels[depth - k] if k else program.length
     prefix = _one_row(evolve(program, x_base, levels=slice(0, cut)))
     return _one_row(evolve(program, x_alt, start=prefix, levels=slice(cut, None)))
 
@@ -119,11 +100,11 @@ def hybrid_deviation(program: Program, x, y) -> HybridTrace:
     """
     pair = as_bit_rows([x, y], program.n)
     xb, yb = pair
-    queries = _query_levels(program)
+    queries = program.query_levels
     states = evolve(program, pair, record=True)
     alpha = states[queries, 0]
-    differs = np.array([xb[lv.labels] != yb[lv.labels] for lv in program.levels[queries]],
-                       dtype=bool).reshape(alpha.shape)
+    labels = [program.levels[t].labels for t in queries]
+    differs = np.array([xb[lb] != yb[lb] for lb in labels], dtype=bool).reshape(alpha.shape)
     deviations = 2.0 * np.where(differs, np.abs(alpha), 0.0).sum(axis=1)
     distance = float(np.linalg.norm(states[-1, 0] - states[-1, 1]))
     return HybridTrace(alpha=tuple(alpha), deviations=tuple(deviations.tolist()),
@@ -147,9 +128,8 @@ def _drift_report(program: Program, finals: np.ndarray, family: str, delta: int,
 def promise_or_expectation(program: Program) -> ExperimentReport:
     """Mean final-state drift between the all-zero input and the n one-hot
     inputs, against the cap 2*(L+1)*sqrt(s)/n."""
-    queries = _query_levels(program)
     states = evolve(program, _promise_or_inputs(program.n), record=True)
-    level_l1 = tuple(np.abs(states[queries, 0]).sum(axis=1).tolist())
+    level_l1 = tuple(np.abs(states[program.query_levels, 0]).sum(axis=1).tolist())
     return _drift_report(program, states[-1], "promise-or", 1, program.n,
                          {"level_l1": level_l1})
 
@@ -165,7 +145,6 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
     else:
         members = family.sample(FAMILY_SAMPLE, seed)
         mode = "sampled"
-    _query_levels(program)  # same ValueError as the other drift reports
     denom = (program.n - k) if family.side == "fix_yes" else k
     if denom <= 0:
         raise ValueError(f"degenerate case denominator for side {family.side}: {denom}")

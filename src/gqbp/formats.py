@@ -217,8 +217,6 @@ def serialize_program(program: Program) -> str:
         "levels": levels,
         "accept": sorted(program.accept),
     }
-    if program.alternating:
-        doc["alternating"] = True
     return _dump(doc, table)
 
 
@@ -260,12 +258,8 @@ def _read_program(doc: dict) -> Program:
             a1 = _parse_matrix(_get(entry, "a1", list, where), f"{where}.a1", width)
             levels.append(GeneralLevel(labels=labels, a0=a0, a1=a1))
     accept = _parse_index_list(_get(doc, "accept", list), "accept", width, "accept node")
-    alternating = doc.get("alternating", False)
-    if not isinstance(alternating, bool):
-        raise FormatError("alternating", "expected a boolean")
     try:
-        return Program(n=n, initial=initial, levels=tuple(levels),
-                       accept=frozenset(accept), alternating=alternating)
+        return Program(n=n, initial=initial, levels=tuple(levels), accept=frozenset(accept))
     except ValueError as e:
         raise FormatError("document", str(e))
 

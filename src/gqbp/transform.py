@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .core import GeneralLevel, Program, RestrictedLevel
@@ -14,9 +16,9 @@ def split_layers(program: Program) -> Program:
     Level (base, thetas, labels) becomes (I, thetas, labels) then
     (base, 0, 0): the identity-based level applies exactly the per-node
     input phases and the second level the fixed unitary, so their product
-    reproduces the original transition on every input.  The result carries
-    the ``alternating`` marker and has twice the length, same width, same
-    accept set.
+    reproduces the original transition on every input.  The result has
+    twice the length, same width, same accept set; its query levels are the
+    even ones whose angles are not all zero.
     """
     if program.kind != "restricted":
         raise ValueError("split_layers requires a restricted program")
@@ -28,7 +30,7 @@ def split_layers(program: Program) -> Program:
     for lv in program.levels:
         new_levels.append(RestrictedLevel(labels=lv.labels, base=eye, thetas=lv.thetas))
         new_levels.append(RestrictedLevel(labels=zero_labels, base=lv.base, thetas=zeros))
-    return program.replace(levels=tuple(new_levels), alternating=True)
+    return replace(program, levels=tuple(new_levels))
 
 
 def pad_width(program: Program, target: int) -> Program:
@@ -61,4 +63,4 @@ def pad_width(program: Program, target: int) -> Program:
         else:
             new_levels.append(GeneralLevel(labels=labels, a0=extend_matrix(lv.a0),
                                            a1=extend_matrix(lv.a1)))
-    return program.replace(initial=initial, levels=tuple(new_levels))
+    return replace(program, initial=initial, levels=tuple(new_levels))

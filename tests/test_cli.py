@@ -59,6 +59,14 @@ def test_simulate_circuit_file(tmp_path, capsys):
     assert queries == "2"
 
 
+def test_simulate_trace_refuses_a_circuit_file(tmp_path, capsys):
+    path = tmp_path / "grover4.json"
+    assert main(["gen", "grover-or", "--n", "4"]) == 0
+    path.write_text(capsys.readouterr().out)
+    assert main(["simulate", str(path), "--input", "0100", "--trace"]) == 2
+    assert "--trace needs a program document" in capsys.readouterr().err
+
+
 def test_convert_both_directions(tmp_path, capsys):
     prog_path = tmp_path / "p.json"
     prog_path.write_text(serialize_program(parity_program(2)))
@@ -71,18 +79,12 @@ def test_convert_both_directions(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["format"] == "gqbp-v1"
 
 
-def test_hybrid_refuses_a_false_alternating_claim(tmp_path, capsys):
-    path = tmp_path / "claimed.json"
-    path.write_text(serialize_program(parity_program(4).replace(alternating=True)))
-    assert main(["hybrid", str(path), "--base", "0000", "--alt", "0010"]) == 2
-    assert "mixing level reads its query bit" in capsys.readouterr().err
-
-
 def test_split_outputs_alternating_doc(parity_file, capsys):
     assert main(["split", parity_file]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["alternating"] is True
+    assert "alternating" not in doc
     assert len(doc["levels"]) == 4
+    assert all(theta == 0 for level in doc["levels"][1::2] for theta in level["thetas"])
 
 
 def test_gen_random_and_grover(capsys):

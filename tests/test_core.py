@@ -31,7 +31,6 @@ from gqbp import (
     restrict,
     run_circuit,
     sample_measurement,
-    split_layers,
     validate_general,
     validate_program,
     validate_restricted,
@@ -292,19 +291,6 @@ def test_validate_program_reports_initial_norm():
     report = validate_program(bad)
     assert not report.passed
     assert any("norm" in e for e in report.errors)
-
-
-def test_validate_program_checks_alternating_claim():
-    parity = parity_program(4)
-    claimed = validate_program(parity.replace(alternating=True))
-    assert not claimed.passed
-    assert claimed.errors == ("level 1: mixing level reads its query bit by 2.000e+00",)
-    general = validate_program(generalize(parity).replace(alternating=True))
-    assert general.errors == ("level 1: mixing level reads its query bit by 1.414e+00",)
-    odd = split_layers(parity)
-    odd = odd.replace(levels=odd.levels[:3])
-    assert validate_program(odd).errors == (
-        "level 2: alternating program ends on a query level",)
 
 
 def test_restrict_negated_columns_give_pi():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from gqbp import (
     distinguishability_check,
     final_state,
     final_states,
-    generalize,
     grover_promise_or,
     hamming_expectation,
     hybrid_deviation,
@@ -18,13 +19,12 @@ from gqbp import (
     parity_program,
     promise_or_expectation,
     random_rgqbp,
-    restrict,
     split_layers,
     tradeoff_scan,
 )
 from gqbp.core import bits_to_str
 from gqbp.experiments import DISTANCE_FLOOR, FAMILY_SAMPLE, PROBABILITY_GAP, SLACK_TOL
-from gqbp.simulate import all_inputs
+from gqbp.simulate import all_inputs, transition_matrix
 
 from helpers import input_independent_program, seeded_program, width1_flip_program
 
@@ -55,9 +55,28 @@ def test_hybrid_run_accepts_presplit_program():
 
 def test_hybrid_run_input_independent_program():
     prog = input_independent_program()
-    states = [hybrid_run(prog, "0000", "1111", k) for k in range(prog.length + 1)]
-    for state in states[1:]:
-        assert np.abs(state - states[0]).max() <= 1e-12
+    assert prog.query_depth == 0
+    with pytest.raises(ValueError, match="k must be"):
+        hybrid_run(prog, "0000", "1111", 1)
+    assert np.abs(hybrid_run(prog, "0000", "1111", 0) - final_state(prog, "1111")).max() <= 1e-12
+
+
+def test_query_levels_skip_a_level_that_reads_nothing():
+    base = random_rgqbp(4, 5, 4, seed=3)
+    quiet = RestrictedLevel(labels=base.levels[2].labels, base=base.levels[2].base,
+                            thetas=np.zeros(4))
+    prog = replace(base, levels=base.levels[:2] + (quiet,) + base.levels[3:])
+    assert prog.query_levels.tolist() == [0, 1, 3, 4] and prog.query_depth == 4
+    x, y = "0110", "1011"
+    for k in range(prog.query_depth + 1):
+        # the first L-k query levels read x and every later level reads y
+        reads_x = set(prog.query_levels[:prog.query_depth - k].tolist())
+        state = prog.initial
+        for t, level in enumerate(prog.levels):
+            state = transition_matrix(level, x if t in reads_x else y) @ state
+        assert np.abs(hybrid_run(prog, x, y, k) - state).max() <= 1e-12
+    assert len(hybrid_deviation(prog, x, y).deviations) == 4
+    assert promise_or_expectation(prog).metadata["L"] == 4
 
 
 def test_hybrid_run_rejects_bad_k():
@@ -118,7 +137,7 @@ def test_promise_or_cauchy_schwarz_levels():
 
 
 def test_hamming_delta_zero_degenerate():
-    prog = seeded_program(6, nmax=4).replace(accept=frozenset({0}))
+    prog = replace(seeded_program(6, nmax=4), accept=frozenset({0}))
     n = prog.n
     k = min(2, n)
     fixed = "1" * k + "0" * (n - k)
@@ -130,7 +149,9 @@ def test_hamming_input_independent():
     prog = input_independent_program(n=4)
     report = hamming_expectation(prog, 1, 1, "1000")
     assert report.empirical == pytest.approx(0.0, abs=1e-12)
-    assert report.bound == pytest.approx(2 * (prog.length + 1) * np.sqrt(prog.width) / 3)
+    # no level reads its bit, so L = 0 and the cap is 2*(0+1)*sqrt(2)/(4-1)
+    assert report.metadata["L"] == prog.query_depth == 0
+    assert report.bound == pytest.approx(2 * np.sqrt(2) / 3)
     assert report.passed
 
 
@@ -183,7 +204,7 @@ def test_distinguishability_parity():
 
 
 def test_distinguishability_reports_decision_failure():
-    prog = parity_program(4).replace(accept=frozenset())
+    prog = replace(parity_program(4), accept=frozenset())
     xs = all_inputs(4)
     yes = [x for x in xs if x.sum() % 2 == 1][:2]
     no = [x for x in xs if x.sum() % 2 == 0][:2]
@@ -275,16 +296,6 @@ def test_drift_results_agree_on_plain_and_split_forms(seed):
                 assert np.abs(np.subtract(value, q.metadata[key])).max(initial=0) <= 1e-12
 
 
-def test_drift_on_general_program_raises_as_before():
-    prog = generalize(seeded_program(7))
-    x = "0" * prog.n
-    for call in (lambda: hybrid_run(prog, x, x, 0), lambda: hybrid_deviation(prog, x, x),
-                 lambda: promise_or_expectation(prog),
-                 lambda: hamming_expectation(prog, 1, 1, "1" + "0" * (prog.n - 1))):
-        with pytest.raises(ValueError, match="split_layers requires a restricted program"):
-            call()
-
-
 def _pairwise_reference(prog, yes, no):
     """Per-pair loop: (qualifying, min distance, floor violations, decision failures)."""
     finals_yes, finals_no = final_states(prog, yes), final_states(prog, no)
@@ -316,7 +327,7 @@ def test_distinguishability_matches_pairwise_loop(monkeypatch, block):
     base = random_rgqbp(4, 3, 6, seed=8)
     levels = tuple(RestrictedLevel(labels=lv.labels, base=lv.base, thetas=0.05 * lv.thetas)
                    for lv in base.levels)
-    prog = base.replace(initial=6 * base.initial, levels=levels)
+    prog = replace(base, initial=6 * base.initial, levels=levels)
     xs = all_inputs(6)
     odd = xs.sum(axis=1) % 2 == 1
     yes, no = xs[odd], xs[~odd]
@@ -349,29 +360,3 @@ def test_distinguishability_empty_sides():
     assert report.min_distance == 0.0 and report.passed
     with pytest.raises(ValueError, match="length mismatch"):
         distinguishability_check(prog, ["010"], ["0000"])
-
-
-def test_false_alternating_claim_is_refused():
-    claimed = parity_program(4).replace(alternating=True)
-    for call in (lambda: hybrid_deviation(claimed, "0000", "0010"),
-                 lambda: promise_or_expectation(claimed),
-                 lambda: hamming_expectation(claimed, 2, 1, "1100"),
-                 lambda: hybrid_run(claimed, "0000", "0010", 1)):
-        with pytest.raises(ValueError, match="level 1: mixing level reads its query bit"):
-            call()
-    odd = split_layers(random_rgqbp(3, 2, 4, seed=5))
-    odd = odd.replace(levels=odd.levels[:-1])
-    with pytest.raises(ValueError, match="ends on a query level"):
-        promise_or_expectation(odd)
-
-
-def test_rewritten_alternating_programs_are_accepted():
-    prog = random_rgqbp(4, 3, 5, seed=2)
-    split = split_layers(prog)
-    rewritten = restrict(generalize(split))
-    x, y = "01101", "11100"
-    for form in (split, rewritten):
-        assert form.alternating
-        assert hybrid_deviation(form, x, y).final_distance == pytest.approx(
-            hybrid_deviation(prog, x, y).final_distance, abs=1e-12)
-        assert promise_or_expectation(form).passed

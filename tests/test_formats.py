@@ -46,11 +46,15 @@ def test_general_program_roundtrip():
     assert serialize_program(back) == text
 
 
-def test_alternating_flag_survives_roundtrip():
+def test_old_alternating_key_is_ignored():
     split = split_layers(parity_program(4))
-    back = parse_program(serialize_program(split))
-    assert back.alternating
-    assert back.query_depth == 2
+    text = serialize_program(split)
+    assert '"alternating"' not in text
+    old = json.loads(text)
+    old["alternating"] = True
+    back = parse_program(json.dumps(old))
+    assert serialize_program(back) == text
+    assert back.query_levels.tolist() == [0, 2]
 
 
 def test_accept_out_of_range_names_field():
@@ -113,9 +117,6 @@ REACHABLE_ERRORS = {  # document, field, message
     "level with too few labels": (
         _edited(_PARITY2, lambda d: d["levels"][0].update(labels=[0])), "levels[0].labels",
         "expected 2 labels, got 1"),
-    "alternating not a boolean": (
-        _edited(_PARITY2, lambda d: d.update(alternating="yes")), "alternating",
-        "expected a boolean"),
     "phase oracle on too few wires": (
         json.dumps({"format": "qqc-v1", "qubits": 1, "n": 4,
                     "gates": [{"type": "phase_oracle"}], "accept": []}), "document",

@@ -1,7 +1,8 @@
 """Every semantics-preserving rewrite against one invariant table: a row
 names a rewrite, what it takes and the structural facts it must keep, and
 ``check_row`` also asserts the result's validity and returns the deviation
-``rewrite_gap`` measures, which must stay within ``ACCEPT_TOL``."""
+``rewrite_gap`` measures, and on program rewrites the drift gap, which must
+stay within ``ACCEPT_TOL``."""
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from gqbp import (
     count_queries,
     generalize,
     grover_promise_or,
+    hybrid_deviation,
+    hybrid_run,
     pad_width,
     parity_program,
+    promise_or_expectation,
     restrict,
     rgqbp_to_circuit,
     split_layers,
@@ -46,15 +50,16 @@ def _wires(p: Program) -> int:
 
 
 def _kept(p: Program, r: Program, kind=object) -> bool:
-    """``r`` keeps ``p``'s length and alternating claim and has only ``kind`` levels."""
-    return (r.length, r.alternating) == (p.length, p.alternating) and all(
+    """``r`` keeps ``p``'s length and query levels and has only ``kind`` levels."""
+    return r.length == p.length and np.array_equal(r.query_levels, p.query_levels) and all(
         isinstance(lv, kind) for lv in r.levels)
 
 
 # row: (what it takes, rewrite, structural facts of (before, after))
 ROWS = {
     "split": ("restricted", split_layers,
-              lambda p, r: r.length == 2 * p.length and r.alternating),
+              lambda p, r: r.length == 2 * p.length
+              and np.array_equal(r.query_levels, 2 * p.query_levels)),
     "pad": ("program", lambda p: pad_width(p, p.width + 3),
             lambda p, r: r.width == p.width + 3 and _kept(p, r)),
     "generalize": ("restricted", generalize, lambda p, r: _kept(p, r, GeneralLevel)),
@@ -74,13 +79,42 @@ ROWS = {
 }
 
 
+# program rows whose drift accounting must match the source's, and whether
+# hybrid_run states can be compared (pad changes the width)
+DRIFT_ROWS = {"split": True, "pad": False, "generalize": True,
+              "restrict(generalize)": True, "gqbp-v1": True}
+
+
+def _drift_gap(p: Program, r: Program, states: bool) -> float:
+    """Worst gap between ``p`` and ``r`` in ``hybrid_deviation`` (final
+    distance, per-level deviations, bound) on two input pairs, in
+    ``promise_or_expectation().empirical`` and, with ``states``, in every
+    ``hybrid_run``."""
+    assert r.query_depth == p.query_depth
+    x, y = np.random.default_rng(0).integers(0, 2, size=(2, p.n))
+    gaps = [abs(promise_or_expectation(r).empirical - promise_or_expectation(p).empirical)]
+    for a, b in ((np.zeros(p.n, dtype=int), np.ones(p.n, dtype=int)), (x, y)):
+        before, after = hybrid_deviation(p, a, b), hybrid_deviation(r, a, b)
+        gaps += [abs(after.final_distance - before.final_distance),
+                 abs(after.bound - before.bound),
+                 np.abs(np.subtract(after.deviations, before.deviations)).max(initial=0.0)]
+        if states:
+            gaps += [np.abs(hybrid_run(r, a, b, k) - hybrid_run(p, a, b, k)).max()
+                     for k in range(p.query_depth + 1)]
+    return float(max(gaps))
+
+
 def check_row(row: str, artifact, inputs=None) -> float:
     """Apply ``row`` to ``artifact``, assert its facts and the result's
-    validity, and return the deviation ``rewrite_gap`` measures."""
+    validity, and return the deviation ``rewrite_gap`` measures, with the
+    drift gap on the ``DRIFT_ROWS``."""
     _, rewrite, facts = ROWS[row]
     after = rewrite(artifact)
     assert facts(artifact, after), row
-    return rewrite_gap(artifact, after, inputs)
+    gap = rewrite_gap(artifact, after, inputs)
+    if row in DRIFT_ROWS:
+        gap = max(gap, _drift_gap(artifact, after, DRIFT_ROWS[row]))
+    return gap
 
 
 def _unitary(rng, d):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,13 +72,13 @@ def test_run_parity2_hand_values():
 
 
 def test_acceptance_all_nodes_is_one():
-    prog = seeded_program(3).replace(accept=frozenset(range(seeded_program(3).width)))
+    prog = replace(seeded_program(3), accept=frozenset(range(seeded_program(3).width)))
     for x in all_inputs(prog.n)[:4]:
         assert acceptance_probability(prog, x) == pytest.approx(1.0)
 
 
 def test_acceptance_empty_set_is_zero():
-    prog = seeded_program(4).replace(accept=frozenset())
+    prog = replace(seeded_program(4), accept=frozenset())
     assert acceptance_probability(prog, np.zeros(prog.n, dtype=np.uint8)) == 0.0
 
 
@@ -127,8 +129,8 @@ def test_sample_measurement_frequencies():
 
 
 def test_sample_measurement_reproducible():
-    prog = parity_program(2).replace(
-        initial=np.array([1, 1], dtype=complex) / np.sqrt(2))
+    prog = replace(parity_program(2),
+                   initial=np.array([1, 1], dtype=complex) / np.sqrt(2))
     a = sample_measurement(prog, "01", seed=7, shots=32)
     b = sample_measurement(prog, "01", seed=7, shots=32)
     assert np.array_equal(a, b)
@@ -149,7 +151,7 @@ def test_norm_preserved_along_trace(seed):
 @settings(max_examples=20, deadline=None)
 def test_global_phase_invariance(seed, phi):
     prog = seeded_program(seed, smax=5, lmax=4, nmax=5)
-    shifted = prog.replace(initial=prog.initial * np.exp(1j * phi))
+    shifted = replace(prog, initial=prog.initial * np.exp(1j * phi))
     x = np.random.default_rng(seed).integers(0, 2, prog.n).astype(np.uint8)
     assert acceptance_probability(prog, x) == pytest.approx(
         acceptance_probability(shifted, x), abs=1e-12)
@@ -239,7 +241,7 @@ def test_evolve_start_vector_and_empty_slice():
     xs = all_inputs(prog.n)
     start = np.zeros(prog.width, dtype=complex)
     start[-1] = 1.0
-    shifted = prog.replace(initial=start)
+    shifted = replace(prog, initial=start)
     assert np.abs(evolve(prog, xs, start=start) - evolve(shifted, xs)).max() <= 1e-12
     untouched = evolve(prog, xs, levels=slice(0, 0))
     assert np.array_equal(untouched, np.broadcast_to(prog.initial, untouched.shape))

@@ -41,9 +41,8 @@ def test_split_zero_thetas_gives_identity_query_levels():
 def test_split_structure_and_marker():
     prog = seeded_program(5)
     split = split_layers(prog)
-    assert split.alternating
     assert split.length == 2 * prog.length
-    assert split.query_depth == prog.length
+    assert split.query_levels.tolist() == list(range(0, split.length, 2))
     for i, level in enumerate(split.levels):
         if i % 2 == 0:
             assert np.array_equal(level.base, np.eye(split.width))
