@@ -162,16 +162,68 @@ Level = GeneralLevel | RestrictedLevel
 
 
 def reads_input(level: Level, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``level`` reads its input bit: some ``|exp(1j*theta_j) - 1|``
-    of a restricted level, or some ``|a1 - a0|`` entry of a general level,
-    exceeds ``tol``.  The tolerance absorbs rewrites such as
-    ``restrict(generalize(split_layers(p)))``, which leave angles near 1e-17
-    on the mixing levels."""
+    """Whether ``level`` reads its input bit: whether some node's
+    1-transition column differs from its 0-transition column by more than
+    ``tol`` in norm.  That norm is ``||a1[:, j] - a0[:, j]||`` for a general
+    level and ``|exp(1j*theta_j) - 1| * ||base[:, j]||`` for a restricted
+    one, so a program and its ``generalize`` agree up to rounding.  The
+    tolerance absorbs gaps of a few ulps, which rounding in a rewrite or in
+    another tool's document can leave on a level that reads nothing."""
     if isinstance(level, RestrictedLevel):
-        gap = np.abs(np.exp(1j * level.thetas) - 1.0)
+        gap = np.abs(np.exp(1j * level.thetas) - 1.0) * np.linalg.norm(level.base, axis=0)
     else:
-        gap = np.abs(level.a1 - level.a0)
+        gap = np.linalg.norm(level.a1 - level.a0, axis=0)
     return bool(gap.max(initial=0.0) > tol)
+
+
+# The kernel takes the restricted step for a general level whose columns are
+# phase-related within this max-entry residual.  It is a few ulps of a
+# unit-size entry, within the rounding of the general step's own products,
+# so the two steps agree to rounding and no other level is treated as one.
+PHASE_TOL = 4 * np.finfo(float).eps
+
+
+def _phase_relation(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node angles ``thetas`` for ``a1 ~ a0 @ diag(exp(1j*thetas))`` and
+    each column's max-entry residual from that relation.
+
+    Each angle is read at the largest-magnitude entry of the node's
+    0-transition column, avoiding near-zero denominators.  A node whose
+    ``a0`` column is zero, or whose two pivot entries are equal, gets angle
+    exactly 0, so a zero angle survives ``generalize`` for ``restrict`` and
+    for the kernel's zero-angle skip.
+    """
+    nodes = np.arange(a0.shape[1])
+    pivots = np.argmax(np.abs(a0), axis=0)
+    p0, p1 = a0[pivots, nodes], a1[pivots, nodes]
+    dead = p0 == 0.0
+    thetas = np.where(dead | (p1 == p0), 0.0, np.angle(p1 / np.where(dead, 1.0, p0)))
+    residual = np.abs(a1 - np.exp(1j * thetas) * a0).max(axis=0)
+    return thetas, residual
+
+
+def _step(level: Level) -> tuple:
+    """One level as ``simulate.evolve`` applies it to row states:
+    ``(labels, phases, mix, mix1)``.
+
+    A restricted level, and a general level whose columns are phase-related
+    within ``PHASE_TOL``, give the restricted step: ``phases`` (the factors
+    for bit 1) is None when every angle is zero, ``mix`` is None when the
+    base is exactly the identity, and ``mix1`` is None.  Any other general
+    level gives ``(labels, None, a0.T, a1.T)``: ``a0`` for the nodes reading
+    0 and ``a1`` for those reading 1.  The matrices are transposed views,
+    not copies.
+    """
+    if isinstance(level, RestrictedLevel):
+        base, thetas = level.base, level.thetas
+    else:
+        thetas, residual = _phase_relation(level.a0, level.a1)
+        if residual.max() > PHASE_TOL:
+            return level.labels, None, level.a0.T, level.a1.T
+        base = level.a0
+    phases = np.exp(1j * thetas) if thetas.any() else None
+    identity = np.array_equal(base, np.eye(level.width))
+    return level.labels, phases, None if identity else base.T, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +288,12 @@ class Program:
         in order; computed once per program."""
         reads = [i for i, lv in enumerate(self.levels) if reads_input(lv)]
         return _freeze(np.array(reads, dtype=np.intp))
+
+    @cached_property
+    def kernel_steps(self) -> tuple:
+        """The levels as the evolution kernel applies them (``_step``), built
+        once per program."""
+        return tuple(map(_step, self.levels))
 
     @property
     def query_depth(self) -> int:
@@ -342,25 +400,19 @@ def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationRe
 def restrict(program: Program, tol: float = DEFAULT_TOL) -> Program:
     """Convert a general program to restricted form.
 
-    For each node the phase is extracted at the largest-magnitude entry of
-    its 0-transition column (avoiding near-zero denominators) and then
-    verified against the whole column pair.  Nodes whose columns are not
+    Each node's angle and residual come from ``_phase_relation``, the rule
+    the evolution kernel also uses.  Nodes whose columns are not
     phase-related within ``tol`` raise, identifying level and node.
     """
     if program.kind == "restricted":
         return program
     new_levels = []
     for i, lv in enumerate(program.levels):
-        nodes = np.arange(lv.width)
-        pivots = np.argmax(np.abs(lv.a0), axis=0)
-        p0, p1 = lv.a0[pivots, nodes], lv.a1[pivots, nodes]
-        dead = p0 == 0.0
-        thetas = np.where(dead, 0.0, np.angle(p1 / np.where(dead, 1.0, p0)))
-        residual = np.abs(lv.a1 - np.exp(1j * thetas) * lv.a0).max(axis=0)
+        thetas, residual = _phase_relation(lv.a0, lv.a1)
         bad = np.flatnonzero(residual > tol)
         if bad.size:
             j = int(bad[0])
-            if dead[j]:
+            if not lv.a0[:, j].any():
                 raise ValueError(
                     f"level {i} node {j}: zero 0-transition but nonzero 1-transition")
             raise ValueError(

@@ -216,6 +216,9 @@ def distinguishability_check(program: Program, yes_inputs: Iterable,
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One size of a family: ``length`` is the query depth L (levels that
+    read nothing are not counted) and ``query_space`` is L*sqrt(s)."""
+
     n: int
     width: int
     length: int
@@ -249,8 +252,9 @@ FAMILIES: dict[str, Callable[[int], tuple]] = {
 
 
 def tradeoff_scan(family, sizes: Sequence[int]) -> list[ScanRow]:
-    """Tabulate width, length, worst-case success, and the query-space
-    product L*sqrt(s) (plus its ratio to n) over a family of sizes.
+    """Tabulate width, query depth L, worst-case success, and the
+    query-space product L*sqrt(s) (plus its ratio to n) over a family of
+    sizes.
 
     ``family`` is a registered name ('parity', 'grover-or') or a callable
     n -> (program, inputs, expected_bits).
@@ -263,8 +267,8 @@ def tradeoff_scan(family, sizes: Sequence[int]) -> list[ScanRow]:
         program, inputs, expected = build(n)
         probs = acceptance_probabilities(program, inputs)
         success = np.where(expected == 1, probs, 1.0 - probs)
-        qs = program.length * np.sqrt(program.width)
-        rows.append(ScanRow(n=program.n, width=program.width, length=program.length,
+        qs = program.query_depth * np.sqrt(program.width)
+        rows.append(ScanRow(n=program.n, width=program.width, length=program.query_depth,
                             min_success=float(success.min()),
                             query_space=float(qs), ratio=float(qs / program.n)))
     return rows

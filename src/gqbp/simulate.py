@@ -9,8 +9,13 @@ Every result is read off ``evolve``, the one batch kernel.  A restricted
 level multiplies node ``j`` by ``exp(1j * thetas[j])`` where its queried bit
 is 1 and then applies ``base``; the phase step is skipped when all angles
 are zero and the mix when ``base`` is exactly the identity, so the split
-form costs what the plain form costs.  A general level applies ``a0`` to
-the nodes reading 0 and ``a1`` to those reading 1.
+form costs what the plain form costs.  A general level whose 1-transition
+columns are its 0-transition columns times a phase (within
+``core.PHASE_TOL``, as ``generalize`` makes them) takes the same restricted
+step with ``a0`` as its base, so the general form costs what its source
+costs too.  Any other general level applies ``a0`` to the nodes reading 0
+and ``a1`` to those reading 1.  The steps are built once per program
+(``Program.kernel_steps``).
 """
 
 from __future__ import annotations
@@ -39,29 +44,6 @@ def transition_matrix(level: Level, x) -> np.ndarray:
     return np.where(node_bits.astype(bool)[np.newaxis, :], level.a1, level.a0)
 
 
-def _step(level: Level) -> tuple:
-    """One level as the kernel applies it to row states: ``(labels, phases,
-    mix)`` for a restricted level, with ``phases`` (the factors for bit 1)
-    None when every angle is zero and ``mix`` None when ``base`` is the
-    identity; ``(labels, a0.T, a1.T)`` for a general level.  The matrices
-    are transposed views, not copies."""
-    if isinstance(level, RestrictedLevel):
-        phases = np.exp(1j * level.thetas) if level.thetas.any() else None
-        identity = np.array_equal(level.base, np.eye(level.width))
-        return level.labels, phases, None if identity else level.base.T
-    return level.labels, level.a0.T, level.a1.T
-
-
-def _steps(program: Program) -> tuple:
-    """The kernel steps of ``program``'s levels, built on first use and kept
-    on the instance; programs and their arrays are immutable."""
-    steps = program.__dict__.get("_steps")
-    if steps is None:
-        steps = tuple(map(_step, program.levels))
-        object.__setattr__(program, "_steps", steps)
-    return steps
-
-
 def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
            record: bool = False) -> np.ndarray:
     """Evolve a batch of inputs (see ``as_bit_rows``) through ``program.levels[levels]``.
@@ -77,18 +59,17 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     if start.shape not in ((s,), (nb, s)):
         raise ValueError(f"start must have shape ({s},) or ({nb}, {s}), got {start.shape}")
     is_one = inputs.view(bool)
-    general = program.kind == "general"
     v = np.array(np.broadcast_to(start, (nb, s)))
     states = [v]
-    for labels, first, second in _steps(program)[levels]:
-        if general:
+    for labels, phases, mix, mix1 in program.kernel_steps[levels]:
+        if mix1 is not None:
             bits = inputs[:, labels]
-            v = ((1 - bits) * v) @ first + (bits * v) @ second
+            v = ((1 - bits) * v) @ mix + (bits * v) @ mix1
         else:
-            if first is not None:
-                v = v * np.where(is_one[:, labels], first, 1)
-            if second is not None:
-                v = v @ second
+            if phases is not None:
+                v = v * np.where(is_one[:, labels], phases, 1)
+            if mix is not None:
+                v = v @ mix
         if record:
             states.append(v)
     return np.stack(states) if record else v

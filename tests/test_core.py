@@ -434,6 +434,15 @@ def test_restrict_zero_column_pair():
         restrict(prog)
 
 
+def test_query_rule_scales_each_angle_by_its_column():
+    # node 1's angle pi reads nothing where its outgoing column is zero, in
+    # both forms; with a unit column it reads
+    for base, depth in ((np.diag([1.0, 0.0]), 0), (np.eye(2), 1)):
+        level = RestrictedLevel(labels=np.array([0, 1]), base=base, thetas=np.array([0.0, np.pi]))
+        prog = Program(n=2, initial=np.array([1, 0], dtype=complex), levels=(level,))
+        assert prog.query_depth == generalize(prog).query_depth == depth
+
+
 def test_package_has_no_assert_statements():
     # Runtime checks must hold under ``python -O``, which strips asserts.
     package = Path(gqbp.__file__).parent

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqbp import (
+    Program,
     RestrictedLevel,
     acceptance_probabilities,
+    acceptance_probability,
     circuit_to_rgqbp,
     distinguishability_check,
     final_state,
@@ -23,10 +25,16 @@ from gqbp import (
     tradeoff_scan,
 )
 from gqbp.core import bits_to_str
-from gqbp.experiments import DISTANCE_FLOOR, FAMILY_SAMPLE, PROBABILITY_GAP, SLACK_TOL
+from gqbp.experiments import (
+    DISTANCE_FLOOR,
+    FAMILIES,
+    FAMILY_SAMPLE,
+    PROBABILITY_GAP,
+    SLACK_TOL,
+)
 from gqbp.simulate import all_inputs, transition_matrix
 
-from helpers import input_independent_program, seeded_program, width1_flip_program
+from helpers import HADAMARD, input_independent_program, seeded_program, width1_flip_program
 
 
 def _random_pair(seed, n):
@@ -213,6 +221,20 @@ def test_distinguishability_reports_decision_failure():
     assert len(report.decision_failures) == 4
 
 
+def test_distinguishability_lists_a_gap_below_one_third():
+    # P('0') - P('1') = sin(2*phi) = 0.3: at least 1/4 but under the 1/3 gap
+    phi = np.arcsin(0.3) / 2
+    level = RestrictedLevel(labels=np.zeros(2, dtype=np.int64), base=HADAMARD,
+                            thetas=np.array([0.0, np.pi]))
+    prog = Program(n=1, initial=np.array([np.cos(phi), np.sin(phi)]), levels=(level,),
+                   accept=frozenset({0}))
+    gap = acceptance_probability(prog, "0") - acceptance_probability(prog, "1")
+    assert gap == pytest.approx(0.3, abs=1e-12)
+    report = distinguishability_check(prog, ["0"], ["1"])
+    assert report.decision_failures == (("0", "1"),)
+    assert report.qualifying_pairs == 0 and not report.passed
+
+
 def test_distinguishability_grover_program():
     from gqbp import one_hot_input, zeros_input
     prog = circuit_to_rgqbp(grover_promise_or(4))
@@ -236,6 +258,18 @@ def test_tradeoff_scan_grover_rows():
         assert row.min_success >= 2 / 3
         assert row.ratio <= 2.0
         assert row.width == 2 * row.n
+
+
+def test_tradeoff_scan_counts_query_levels():
+    # the split form has twice the levels but the query depth of its source
+    def split_parity(n):
+        program, inputs, expected = FAMILIES["parity"](n)
+        return split_layers(program), inputs, expected
+
+    sizes = [2, 4, 8]
+    for plain, split in zip(tradeoff_scan("parity", sizes), tradeoff_scan(split_parity, sizes)):
+        assert replace(split, min_success=plain.min_success) == plain
+        assert split.min_success == pytest.approx(plain.min_success, abs=1e-12)
 
 
 def test_tradeoff_scan_custom_family():

@@ -4,6 +4,8 @@ names a rewrite, what it takes and the structural facts it must keep, and
 ``rewrite_gap`` measures, and on program rewrites the drift gap, which must
 stay within ``ACCEPT_TOL``."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from gqbp import (
     split_layers,
 )
 from gqbp.circuit import index_register_width
+from gqbp.core import DEFAULT_TOL
 from gqbp.formats import parse_circuit, parse_program, serialize_circuit, serialize_program
 
 from helpers import (
@@ -55,6 +58,20 @@ def _kept(p: Program, r: Program, kind=object) -> bool:
         isinstance(lv, kind) for lv in r.levels)
 
 
+def _two_matmuls(p: Program) -> list[bool]:
+    """Which of ``p``'s kernel steps are the general step's two matmuls."""
+    return [mix1 is not None for *_, mix1 in p.kernel_steps]
+
+
+def _on_two_matmuls(p: Program) -> Program:
+    """A copy of ``p`` whose kernel applies every level with the general
+    step's two matmuls, phase-related or not."""
+    slow = replace(p)
+    slow.__dict__["kernel_steps"] = tuple((lv.labels, None, lv.a0.T, lv.a1.T)
+                                          for lv in p.levels)
+    return slow
+
+
 # row: (what it takes, rewrite, structural facts of (before, after))
 ROWS = {
     "split": ("restricted", split_layers,
@@ -72,6 +89,10 @@ ROWS = {
         lambda p, r: r.width == 2 ** _wires(p) and r.length == 2 * p.length),
     "circuit_to_rgqbp": ("circuit", circuit_to_rgqbp,
                          lambda c, r: r.width == c.dim and r.length == count_queries(c)),
+    # not a rewrite of the program: the restricted step a generalized level
+    # takes, against the two-matmul step it replaces
+    "two-matmul step": ("general", _on_two_matmuls,
+                        lambda p, r: not any(_two_matmuls(p)) and all(_two_matmuls(r))),
     "gqbp-v1": ("program", lambda p: parse_program(serialize_program(p)),
                 lambda p, r: serialize_program(r) == serialize_program(p)),
     "qqc": ("circuit", lambda c: parse_circuit(serialize_circuit(c)),
@@ -139,6 +160,26 @@ def _random_circuit(seed: int) -> QueryCircuit:
         for a, b, t in wires))
 
 
+def _near_tol_program(theta: float, base: np.ndarray) -> Program:
+    """Two levels of ``base`` on 4 nodes with angle ``theta`` on node 0 only."""
+    level = RestrictedLevel(labels=np.array([0, 1, 0, 1]), base=base,
+                            thetas=np.array([theta, 0.0, 0.0, 0.0]))
+    return Program(n=2, initial=np.eye(4)[0], levels=(level, level), accept=frozenset({0}))
+
+
+# programs whose angles sit near the query threshold DEFAULT_TOL, with their
+# query depth: every form must read the same levels, and a gap equal to the
+# tolerance does not read
+HH = np.kron(HADAMARD, HADAMARD)
+NEAR_TOL = {
+    "H(x)H angle 1.5e-9": (_near_tol_program(1.5e-9, HH), 2),
+    "angle just above tol": (_near_tol_program((1 + 1e-3) * DEFAULT_TOL, HH), 2),
+    "angle just below tol": (_near_tol_program((1 - 1e-3) * DEFAULT_TOL, HH), 0),
+    # |exp(1j*tol) - 1| rounds to tol, and the identity's columns have norm 1
+    "gap equal to tol": (_near_tol_program(DEFAULT_TOL, np.eye(4)), 0),
+}
+
+
 PROGRAMS = {
     **{f"parity n={n}": parity_program(n) for n in (2, 4, 6, 8)},
     "width-1": width1_flip_program(),
@@ -146,6 +187,7 @@ PROGRAMS = {
                            accept=frozenset({1})),
     "input-independent": input_independent_program(),
     "compiled promise-OR n=4": circuit_to_rgqbp(grover_promise_or(4)),
+    **{f"near tol: {name}": prog for name, (prog, _) in NEAR_TOL.items()},
 }
 FORMS = {
     "plain": lambda p: p,
@@ -169,7 +211,8 @@ CIRCUITS = {
     "qqc-v2 compiled split random": rgqbp_to_circuit(split_layers(seeded_program(8))),
 }
 # the program forms each row takes
-TAKES = {"restricted": ("plain", "split"), "program": tuple(FORMS), "circuit": ()}
+TAKES = {"restricted": ("plain", "split"), "general": ("general", "general split"),
+         "program": tuple(FORMS), "circuit": ()}
 FIXED = [pytest.param(row, FORMS[form](prog), id=f"{row}-{form} {name}")
          for row, (kind, _, _) in ROWS.items()
          for name, prog in PROGRAMS.items() for form in TAKES[kind]]
@@ -189,3 +232,10 @@ def test_row_holds_on_seeded_programs(row, seed, data):
     # seeded random_rgqbp shapes, s, L, n <= 8, in each form the row takes
     form = data.draw(st.sampled_from(TAKES[ROWS[row][0]]), label="form")
     assert check_row(row, FORMS[form](seeded_program(seed))) <= ACCEPT_TOL
+
+
+@pytest.mark.parametrize("name", NEAR_TOL)
+def test_near_tolerance_query_depth(name):
+    # the rows above check that every form keeps these query levels
+    program, depth = NEAR_TOL[name]
+    assert program.query_depth == depth

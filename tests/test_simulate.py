@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqbp import (
+    GeneralLevel,
     Program,
     RestrictedLevel,
     acceptance_probabilities,
@@ -21,6 +22,7 @@ from gqbp import (
     sample_measurement,
     split_layers,
 )
+from gqbp.core import accept_mass
 from gqbp.simulate import all_inputs, transition_matrix
 
 from helpers import seeded_program
@@ -285,26 +287,64 @@ def _skippable_program():
                    accept=frozenset({0, 1}))
 
 
+def _reference_batch(prog, xs):
+    """The (L+1, B, s) stack of ``_reference_states`` over the rows of ``xs``."""
+    return np.array([_reference_states(prog, x) for x in xs]).swapaxes(0, 1)
+
+
 def test_identity_and_zero_phase_levels_match_general_form():
+    # both forms against one transition-matrix reference: the general form
+    # takes the same restricted step, so it is no reference for the plain one
     prog = _skippable_program()
     xs = all_inputs(prog.n)
-    want = evolve(generalize(prog), xs, record=True)
-    assert np.abs(evolve(prog, xs, record=True) - want).max() <= 1e-12
-    assert np.abs(acceptance_probabilities(prog, xs)
-                  - acceptance_probabilities(generalize(prog), xs)).max() <= 1e-12
+    want = _reference_batch(prog, xs)
+    for form in (prog, generalize(prog)):
+        assert np.abs(evolve(form, xs, record=True) - want).max() <= 1e-12
+        assert np.abs(acceptance_probabilities(form, xs)
+                      - accept_mass(prog, want[-1])).max() <= 1e-12
 
 
 def test_kernel_steps_skip_and_share_matrices():
-    from gqbp.simulate import _steps
-
     prog = _skippable_program()
-    steps = _steps(prog)
-    assert steps is _steps(prog)  # built once per program
-    assert [phases is None for _, phases, _ in steps] == [False, True, True, False]
-    assert [mix is None for _, _, mix in steps] == [True, False, True, False]
-    for level, (_, _, mix) in zip(prog.levels, steps):
-        if mix is not None:
-            assert np.shares_memory(mix, level.base)
+    assert prog.kernel_steps is prog.kernel_steps  # built once per program
     general = generalize(prog)
-    for level, (_, a0, a1) in zip(general.levels, _steps(general)):
-        assert np.shares_memory(a0, level.a0) and np.shares_memory(a1, level.a1)
+    # a generalized level is phase-related, so it takes the restricted step
+    # with a0 as its base and the same skips
+    for form, bases in ((prog, [lv.base for lv in prog.levels]),
+                        (general, [lv.a0 for lv in general.levels])):
+        steps = form.kernel_steps
+        assert [phases is None for _, phases, _, _ in steps] == [False, True, True, False]
+        assert [mix is None for _, _, mix, _ in steps] == [True, False, True, False]
+        assert all(mix1 is None for *_, mix1 in steps)
+        for base, (_, _, mix, _) in zip(bases, steps):
+            if mix is not None:
+                assert np.shares_memory(mix, base)
+
+
+def _off_phase_program(case: str) -> Program:
+    """``generalize`` of a seeded program whose middle level is replaced by a
+    general level that is not phase-related within ``PHASE_TOL``."""
+    prog = generalize(random_rgqbp(4, 3, 5, seed=41))
+    mid = prog.levels[1]
+    a0, a1 = mid.a0.copy(), mid.a1.copy()
+    if case == "unrelated":
+        rng = np.random.default_rng(7)  # not random_rgqbp's seed, so not its bases
+        a1 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    elif case == "perturbed by 1e-13":
+        a1[0, 2] += 1e-13
+    else:  # a zero 0-transition column beside a nonzero 1-transition column
+        a0[:, 1] = 0.0
+    levels = (prog.levels[0], GeneralLevel(labels=mid.labels, a0=a0, a1=a1), prog.levels[2])
+    return replace(prog, levels=levels)
+
+
+@pytest.mark.parametrize("case", ["unrelated", "perturbed by 1e-13", "zero a0 column"])
+def test_general_levels_off_the_phase_relation_take_two_matmuls(case):
+    prog = _off_phase_program(case)
+    steps = prog.kernel_steps
+    assert [mix1 is not None for *_, mix1 in steps] == [False, True, False]
+    _, phases, mix, mix1 = steps[1]
+    assert phases is None
+    assert np.shares_memory(mix, prog.levels[1].a0) and np.shares_memory(mix1, prog.levels[1].a1)
+    xs = all_inputs(prog.n)
+    assert np.abs(evolve(prog, xs, record=True) - _reference_batch(prog, xs)).max() <= 1e-12
