@@ -47,7 +47,7 @@ from .circuit import (
     complete_unitary,
     index_register_width,
 )
-from .core import DEFAULT_TOL, Program, RestrictedLevel
+from .core import DEFAULT_TOL, Program, RestrictedLevel, check_alloc
 from .simulate import acceptance_probabilities, all_inputs
 from .transform import pad_width
 
@@ -106,6 +106,8 @@ def rgqbp_to_circuit(program: Program) -> QueryCircuit:
     padded = pad_width(program, 1 << a)
     m = index_register_width(program.n)
     q = a + m + 1
+    # three int64 index tables, and one int64 and one complex table per level
+    check_alloc(24 * (program.length + 1) << q, f"the gate tables of a {q}-wire circuit")
     j = np.arange(1 << q, dtype=np.int64)
     node = j >> (m + 1)
     query_bit = j & 1

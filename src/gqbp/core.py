@@ -26,6 +26,18 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# Generators and compilers refuse to build more than this many bytes of
+# arrays; the CLI reports the refusal as a usage error (exit 2).
+ALLOC_LIMIT = 1 << 30
+
+
+def check_alloc(nbytes: int, what: str) -> None:
+    """Raise ValueError, before anything is allocated, when ``what`` would
+    take more than ``ALLOC_LIMIT`` bytes."""
+    if nbytes > ALLOC_LIMIT:
+        raise ValueError(f"refusing to allocate {nbytes} bytes for {what} "
+                         f"(limit {ALLOC_LIMIT} bytes)")
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -183,9 +195,10 @@ def reads_input(level: Level, tol: float = DEFAULT_TOL) -> bool:
 PHASE_TOL = 4 * np.finfo(float).eps
 
 
-def _phase_relation(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node angles ``thetas`` for ``a1 ~ a0 @ diag(exp(1j*thetas))`` and
-    each column's max-entry residual from that relation.
+def _phase_relation(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node angles ``thetas`` for ``a1 ~ a0 @ diag(exp(1j*thetas))``, the
+    factors ``exp(1j*thetas)``, and each column's max-entry residual from
+    that relation.
 
     Each angle is read at the largest-magnitude entry of the node's
     0-transition column, avoiding near-zero denominators.  A node whose
@@ -198,8 +211,9 @@ def _phase_relation(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndar
     p0, p1 = a0[pivots, nodes], a1[pivots, nodes]
     dead = p0 == 0.0
     thetas = np.where(dead | (p1 == p0), 0.0, np.angle(p1 / np.where(dead, 1.0, p0)))
-    residual = np.abs(a1 - np.exp(1j * thetas) * a0).max(axis=0)
-    return thetas, residual
+    factors = np.exp(1j * thetas)
+    residual = np.abs(a1 - factors * a0).max(axis=0)
+    return thetas, factors, residual
 
 
 def _step(level: Level) -> tuple:
@@ -216,14 +230,15 @@ def _step(level: Level) -> tuple:
     """
     if isinstance(level, RestrictedLevel):
         base, thetas = level.base, level.thetas
+        factors = np.exp(1j * thetas)
     else:
-        thetas, residual = _phase_relation(level.a0, level.a1)
+        thetas, factors, residual = _phase_relation(level.a0, level.a1)
         if residual.max() > PHASE_TOL:
             return level.labels, None, level.a0.T, level.a1.T
         base = level.a0
-    phases = np.exp(1j * thetas) if thetas.any() else None
-    identity = np.array_equal(base, np.eye(level.width))
-    return level.labels, phases, None if identity else base.T, None
+    # s nonzero entries, all of them a diagonal 1: exactly the identity
+    identity = np.count_nonzero(base) == level.width and (base.diagonal() == 1).all()
+    return level.labels, factors if thetas.any() else None, None if identity else base.T, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +423,7 @@ def restrict(program: Program, tol: float = DEFAULT_TOL) -> Program:
         return program
     new_levels = []
     for i, lv in enumerate(program.levels):
-        thetas, residual = _phase_relation(lv.a0, lv.a1)
+        thetas, _, residual = _phase_relation(lv.a0, lv.a1)
         bad = np.flatnonzero(residual > tol)
         if bad.size:
             j = int(bad[0])

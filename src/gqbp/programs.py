@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import _HADAMARD, BitOracle, PhaseOracle, QueryCircuit, Unitary
-from .core import Program, RestrictedLevel, as_bits
+from .core import Program, RestrictedLevel, as_bits, check_alloc
 
 MATERIALIZE_LIMIT = 100_000
 
@@ -70,6 +70,7 @@ def grover_promise_or(n: int) -> QueryCircuit:
     """
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
+    check_alloc(2 * 16 * (2 * n) ** 2, f"the two {2 * n}x{2 * n} gates of grover-or n={n}")
     m = n.bit_length() - 1
     q = m + 1
     walsh = np.eye(1, dtype=np.complex128)
@@ -100,6 +101,8 @@ def random_rgqbp(s: int, length: int, n: int, seed: int) -> Program:
     the nodes (rounded up)."""
     if min(s, length, n) < 1:
         raise ValueError("s, length and n must all be >= 1")
+    check_alloc(16 * s * (length * (s + 1) + 1),
+                f"a random program of width {s} and length {length}")
     rng = np.random.default_rng(seed)
     levels = []
     for _ in range(length):

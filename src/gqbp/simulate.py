@@ -15,7 +15,8 @@ columns are its 0-transition columns times a phase (within
 step with ``a0`` as its base, so the general form costs what its source
 costs too.  Any other general level applies ``a0`` to the nodes reading 0
 and ``a1`` to those reading 1.  The steps are built once per program
-(``Program.kernel_steps``).
+(``Program.kernel_steps``); each gathers its bits contiguously and writes
+into buffers allocated once per call, and every result is the caller's.
 """
 
 from __future__ import annotations
@@ -52,27 +53,42 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     vector by default) and the (B, s) states after the last selected level
     are returned.  With ``record`` the result is the (k+1, B, s) stack of
     the states before and after each of the k selected levels.
+
+    A level's bits are one contiguous gather, ``inputs.take(labels, axis=1)``.
+    The steps write with ``out=`` into two (B, s) arrays in turn, or into
+    the recorded stack; only the phase product of a phase-and-mix step
+    allocates.  The result is the caller's: it shares no memory with
+    ``start`` or with any other call's result.
     """
     inputs = as_bit_rows(inputs, program.n)
     nb, s = inputs.shape[0], program.width
     start = program.initial if start is None else np.asarray(start, dtype=np.complex128)
     if start.shape not in ((s,), (nb, s)):
         raise ValueError(f"start must have shape ({s},) or ({nb}, {s}), got {start.shape}")
-    is_one = inputs.view(bool)
-    v = np.array(np.broadcast_to(start, (nb, s)))
-    states = [v]
-    for labels, phases, mix, mix1 in program.kernel_steps[levels]:
+    steps = program.kernel_steps[levels]
+    # without record, two separate arrays: the result keeps no second buffer alive
+    states = (np.empty((len(steps) + 1, nb, s), dtype=np.complex128) if record
+              else [np.empty((nb, s), dtype=np.complex128) for _ in range(2)])
+    v = states[0]
+    v[...] = start
+    for i, (labels, phases, mix, mix1) in enumerate(steps, 1):
+        out = states[i if record else i % 2]
         if mix1 is not None:
-            bits = inputs[:, labels]
-            v = ((1 - bits) * v) @ mix + (bits * v) @ mix1
+            bits = inputs.take(labels, axis=1)
+            np.matmul((1 - bits) * v, mix, out=out)
+            out += (bits * v) @ mix1
+        elif phases is not None:
+            factors = np.where(inputs.take(labels, axis=1).view(bool), phases, 1)
+            if mix is None:
+                np.multiply(v, factors, out=out)
+            else:
+                np.matmul(v * factors, mix, out=out)
+        elif mix is not None:
+            np.matmul(v, mix, out=out)
         else:
-            if phases is not None:
-                v = v * np.where(is_one[:, labels], phases, 1)
-            if mix is not None:
-                v = v @ mix
-        if record:
-            states.append(v)
-    return np.stack(states) if record else v
+            out[...] = v
+        v = out
+    return states if record else v
 
 
 def final_state(program: Program, x) -> np.ndarray:

@@ -145,6 +145,24 @@ def test_validate_general_program_with_25_labels(tmp_path, capsys):
         f"PASS max_deviation=0 checked={2**25} convention=all-assignments\n")
 
 
+@pytest.mark.parametrize("argv, doc_n", [
+    (["gen", "random", "--n", "4", "--s", "30000", "--len", "1"], None),
+    (["gen", "grover-or", "--n", "1048576"], None),
+    (["convert", "--to", "circuit"], 2**40),
+    (["convert", "--to", "circuit"], 2**70),
+], ids=["gen random s=30000", "gen grover-or n=2^20", "convert n=2^40", "convert n=2^70"])
+def test_oversized_request_is_refused_before_allocating(argv, doc_n, tmp_path, capsys):
+    if doc_n is not None:
+        level = RestrictedLevel(labels=np.array([0]), base=np.eye(1), thetas=np.array([np.pi]))
+        path = tmp_path / "huge_n.json"
+        path.write_text(serialize_program(Program(n=doc_n, initial=np.ones(1), levels=(level,))))
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"error: refusing to allocate \d+ bytes for .+\n", out.err)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -15,6 +15,7 @@ from gqbp import (
     validate_program,
     zeros_input,
 )
+from gqbp import core
 from gqbp.formats import serialize_program
 from gqbp.programs import grover_iterations
 from gqbp.simulate import all_inputs
@@ -138,6 +139,21 @@ def test_hamming_family_parameter_guards():
 def test_random_rgqbp_parameter_guard():
     with pytest.raises(ValueError):
         random_rgqbp(0, 1, 1, seed=0)
+
+
+def test_generators_refuse_more_than_the_alloc_limit(monkeypatch):
+    # the checked count is the bytes of the arrays each generator returns
+    prog = random_rgqbp(4, 2, 3, seed=0)
+    program_bytes = prog.initial.nbytes + sum(
+        lv.base.nbytes + lv.labels.nbytes + lv.thetas.nbytes for lv in prog.levels)
+    gate_bytes = sum(g.matrix.nbytes for g in grover_promise_or(4).gates if hasattr(g, "matrix"))
+    for build, nbytes in ((lambda: random_rgqbp(4, 2, 3, seed=0), program_bytes),
+                          (lambda: grover_promise_or(4), gate_bytes)):
+        monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes)
+        build()
+        monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes - 1)
+        with pytest.raises(ValueError, match=f"refusing to allocate {nbytes} bytes"):
+            build()
 
 
 def test_hamming_family_cardinalities():

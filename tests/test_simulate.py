@@ -321,6 +321,19 @@ def test_kernel_steps_skip_and_share_matrices():
                 assert np.shares_memory(mix, base)
 
 
+def test_only_the_exact_identity_skips_the_mix():
+    eye = np.eye(3, dtype=complex)
+    off, ulp, flip = eye.copy(), eye.copy(), eye.copy()
+    off[0, 2] = 1e-300
+    ulp[1, 1] = 1 + 2**-52
+    flip[2, 2] = -1
+    signed_zeros = np.where(eye == 0, -0.0, eye)  # still the identity
+    for base in (eye[[1, 0, 2]], off, ulp, flip, signed_zeros):
+        level = RestrictedLevel(labels=np.zeros(3, dtype=int), base=base, thetas=np.zeros(3))
+        (_, _, mix, _), = Program(n=1, initial=eye[0], levels=(level,)).kernel_steps
+        assert (mix is None) == (base is signed_zeros) == np.array_equal(base, eye)
+
+
 def _off_phase_program(case: str) -> Program:
     """``generalize`` of a seeded program whose middle level is replaced by a
     general level that is not phase-related within ``PHASE_TOL``."""
@@ -348,3 +361,33 @@ def test_general_levels_off_the_phase_relation_take_two_matmuls(case):
     assert np.shares_memory(mix, prog.levels[1].a0) and np.shares_memory(mix1, prog.levels[1].a1)
     xs = all_inputs(prog.n)
     assert np.abs(evolve(prog, xs, record=True) - _reference_batch(prog, xs)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["plain", "split", "general", "two-matmul"])
+def test_evolve_buffers_are_the_callers_own(form):
+    # hybrid_run hands its prefix states to evolve as ``start``
+    prog = random_rgqbp(4, 3, 5, seed=41)
+    prog = {"plain": prog, "split": split_layers(prog), "general": generalize(prog),
+            "two-matmul": _off_phase_program("unrelated")}[form]
+    xs = all_inputs(prog.n)
+    start = evolve(prog, xs, levels=slice(0, 1))
+    before = start.copy()
+    finals = [evolve(prog, xs, start=start, levels=slice(1, None)) for _ in range(2)]
+    stack = evolve(prog, xs, start=start, levels=slice(1, None), record=True)
+    assert start.tobytes() == before.tobytes()
+    assert finals[0].base is None  # owns its memory: no second buffer kept alive
+    assert not np.shares_memory(finals[0], finals[1])
+    assert not any(np.shares_memory(a, start) for a in (*finals, stack))
+    assert stack[-1].tobytes() == finals[0].tobytes() == finals[1].tobytes()
+    assert np.abs(stack - _reference_batch(prog, xs)[1:]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["split", "general"])
+def test_evolve_matches_reference_on_a_wide_batch(form):
+    # from B*s = 16384 on, the kernel's last bits depend on where its buffers sit
+    prog = _forms(random_rgqbp(16, 3, 10, seed=13))[form]
+    xs = all_inputs(prog.n)
+    assert xs.shape[0] * prog.width >= 16384
+    want = _reference_batch(prog, xs)
+    assert np.abs(evolve(prog, xs, record=True) - want).max() <= 1e-12
+    assert np.abs(evolve(prog, xs) - want[-1]).max() <= 1e-12
