@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DEFAULT_TOL, ValidationReport, _freeze, _one_row, accept_mass, as_bit_rows,
-                   unitarity_deviation)
+                   check_alloc, unitarity_deviation)
 
 
 _HADAMARD = _freeze(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
@@ -266,6 +266,8 @@ def _apply(circuit: QueryCircuit, gate: Gate, states: np.ndarray,
 def _run(circuit: QueryCircuit, inputs) -> np.ndarray:
     """(2^q, B) final states, one column per input."""
     inputs = as_bit_rows(inputs, circuit.n)
+    check_alloc(16 * inputs.shape[0] << circuit.q,
+                f"the {circuit.dim}x{inputs.shape[0]} states of a {circuit.q}-wire circuit")
     bits = np.zeros((circuit.n + 1, inputs.shape[0]), dtype=np.uint8)
     bits[: circuit.n] = inputs.T
     states = np.zeros((circuit.dim, inputs.shape[0]), dtype=np.complex128)

@@ -45,6 +45,7 @@ from .circuit import (
     _wire_bits,
     circuit_acceptances,
     complete_unitary,
+    count_queries,
     index_register_width,
 )
 from .core import DEFAULT_TOL, Program, RestrictedLevel, check_alloc
@@ -70,6 +71,9 @@ def _oracle_level(circuit: QueryCircuit, gate: PhaseOracle | BitOracle):
 def circuit_to_rgqbp(circuit: QueryCircuit) -> Program:
     """Compile a query circuit into an equivalent restricted program of
     width 2^q and length equal to the circuit's query count."""
+    # one dense 2^q x 2^q segment before each query and one after the last
+    check_alloc(16 * (count_queries(circuit) + 1) << 2 * circuit.q,
+                f"the {circuit.dim}x{circuit.dim} segments of a {circuit.q}-wire circuit")
     eye = np.eye(circuit.dim, dtype=np.complex128)
     segments = [eye]
     queries = []

@@ -5,11 +5,13 @@ Serialisation is deterministic: sorted keys, two-space indent, shortest
 round-trip decimals, trailing newline.  Amplitudes are [re, im] pairs and
 matrices are row-major (column j holds node j's transition vector).  Each
 amplitude vector and each matrix row is written on one line; every other
-field keeps the one-value-per-line layout of the indent.  Whitespace is not
-significant on input, so documents in any layout (including the older one
-with every number on its own line) parse to the same values, and
-serialize(parse(text)) == text for every document this module writes.
-Amplitudes keep their bits through the round trip, -0.0 included.
+field keeps the one-value-per-line layout of the indent.  The writer emits
+this text itself, formatting each distinct float of a document once; its
+bytes are those of ``json.dumps(sort_keys=True, indent=2)`` with the rows
+inlined.  Whitespace is not significant on input, so documents in any layout
+(the older one with every number on its own line too) parse to the same
+values, and serialize(parse(text)) == text for every document this module
+writes.  Amplitudes keep their bits through the round trip, -0.0 included.
 
 A circuit is written as "qqc-v1" when every gate is a full-width unitary or
 an oracle, and as "qqc-v2" when it holds a structured gate: a permutation
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from itertools import chain
 
 import numpy as np
@@ -54,32 +55,46 @@ class FormatError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _pairs(a: np.ndarray) -> list:
-    """Nested [re, im] float lists of complex ``a``, bit for bit."""
-    block = np.ascontiguousarray(a, dtype=np.complex128)
-    return block.view(np.float64).reshape(*block.shape, 2).tolist()
+def _emit(value, indent: str = "\n") -> str:
+    """``value`` in the layout of ``json.dumps(sort_keys=True, indent=2)``,
+    one line per item of each dict and non-empty list.  Keys are plain names;
+    a str is JSON text (a number, a quoted tag, a row), written as it is."""
+    if isinstance(value, str):
+        return value
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (f'"{key}": {_emit(value[key], inner)}' for key in sorted(value))
+        return "{" + inner + f",{inner}".join(items) + indent + "}"
+    return "[" + inner + f",{inner}".join(_emit(item, inner) for item in value) + indent + "]"
 
 
-def _inline(table: list[str], value: list) -> str:
-    """Park ``value``'s one-line JSON in ``table``; ``_dump`` splices it in.
-
-    The placeholder starts with a NUL, which no other string in these
-    documents contains, so ``_SLOT`` finds exactly the placeholders.
-    """
-    table.append(json.dumps(value))
-    return f"\0{len(table) - 1}"
-
-
-def _inline_rows(table: list[str], m: np.ndarray) -> list[str]:
-    return [_inline(table, row) for row in _pairs(m)]
-
-
-_SLOT = re.compile(r'"\\u0000(\d+)"')
-
-
-def _dump(doc: dict, table: list[str]) -> str:
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    return _SLOT.sub(lambda m: table[int(m.group(1))], text) + "\n"
+def _number_text(blocks: list[np.ndarray]) -> list:
+    """JSON text of float and complex blocks as ``_emit`` lays them out: a
+    float vector one number per line, a complex vector one line of [re, im]
+    pairs, a complex matrix one such line per row.  Each distinct bit pattern
+    (-0.0 apart from 0.0) is formatted once, by ``repr`` as json.dumps does."""
+    if not blocks:
+        return []
+    keys = [np.ascontiguousarray(b).view(np.float64).ravel().view(np.int64) for b in blocks]
+    bits = np.sort(np.concatenate(keys))  # np.unique would import numpy.ma on first use
+    bits = bits[np.append(True, bits[1:] != bits[:-1])]
+    words = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    texts = []
+    for block, key in zip(blocks, keys):
+        numbers = words[np.searchsorted(bits, key)]
+        if block.dtype == np.float64:
+            texts.append(numbers.tolist())
+            continue
+        rows = numbers.reshape(-1, 2 * block.shape[-1])
+        cells = np.empty((rows.shape[0], 2 * rows.shape[1] - 1), dtype=object)
+        cells[:, 0::2] = rows
+        cells[:, 1::4] = ", "
+        cells[:, 3::4] = "], ["
+        lines = ["[[" + "".join(row) + "]]" for row in cells.tolist()]
+        texts.append(lines if block.ndim == 2 else lines[0])
+    return texts
 
 
 def _load(text: str) -> dict:
@@ -141,22 +156,25 @@ def _parse_block(value, path: str, axes: tuple, pairs: bool) -> np.ndarray:
     """Float64 array of finite JSON numbers shaped by ``axes`` ((length,
     noun) pairs), plus a trailing axis of 2 when ``pairs``.
 
-    One array conversion checks the shape and values; the entries' types
-    are then read in one pass at C speed, because the conversion also takes
-    true, null and numeric strings.  Only on failure does ``_first_bad``
-    walk the lists to name the offending entry.
+    The lists are flattened one axis at a time, each item checked to be a
+    list of the axis' length; the leaves' types are read once (true, null and
+    strings are refused) and the flat list converted in one call.  Only on
+    failure does ``_first_bad`` walk the lists to name the offending entry.
     """
     shape = tuple(length for length, _ in axes) + ((2,) if pairs else ())
-    try:
-        block = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        block = None
-    if block is not None and block.shape == shape and np.isfinite(block).all():
-        leaves = value
-        for _ in shape[1:]:
-            leaves = chain.from_iterable(leaves)
+    leaves = [value]
+    for length in shape:
+        if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {length}:
+            break
+        leaves = list(chain.from_iterable(leaves))
+    else:
         if set(map(type, leaves)) <= {int, float}:
-            return block
+            try:
+                block = np.array(leaves, dtype=np.float64)
+                if np.isfinite(block).all():
+                    return block.reshape(shape)
+            except OverflowError:  # an integer beyond the float range
+                pass
     if pairs:
         error = _first_bad(value, path, axes, _is_pair,
                            "amplitude must be a [re, im] pair of finite numbers")
@@ -197,27 +215,27 @@ def _parse_index_list(value, path: str, upper: int, what: str) -> list[int]:
 
 
 def serialize_program(program: Program) -> str:
-    table: list[str] = []
-    levels = []
+    blocks = [program.initial]
     for lv in program.levels:
-        entry = {"labels": lv.labels.tolist()}
-        if isinstance(lv, RestrictedLevel):
-            entry["base"] = _inline_rows(table, lv.base)
-            entry["thetas"] = lv.thetas.tolist()
-        else:
-            entry["a0"] = _inline_rows(table, lv.a0)
-            entry["a1"] = _inline_rows(table, lv.a1)
-        levels.append(entry)
+        blocks += [lv.base, lv.thetas] if isinstance(lv, RestrictedLevel) else [lv.a0, lv.a1]
+    text = iter(_number_text(blocks))
     doc = {
-        "format": PROGRAM_FORMAT,
-        "n": program.n,
-        "kind": program.kind,
-        "width": program.width,
-        "initial": _inline(table, _pairs(program.initial)),
-        "levels": levels,
-        "accept": sorted(program.accept),
+        "format": f'"{PROGRAM_FORMAT}"',
+        "n": str(program.n),
+        "kind": f'"{program.kind}"',
+        "width": str(program.width),
+        "initial": next(text),
+        "levels": [],
+        "accept": list(map(str, sorted(program.accept))),
     }
-    return _dump(doc, table)
+    for lv in program.levels:
+        entry = {"labels": list(map(str, lv.labels.tolist()))}
+        if isinstance(lv, RestrictedLevel):
+            entry["base"], entry["thetas"] = next(text), next(text)
+        else:
+            entry["a0"], entry["a1"] = next(text), next(text)
+        doc["levels"].append(entry)
+    return _emit(doc) + "\n"
 
 
 def parse_program(text: str) -> Program:
@@ -271,32 +289,34 @@ def _needs_v2(gate: Gate) -> bool:
 
 
 def serialize_circuit(circuit: QueryCircuit) -> str:
-    table: list[str] = []
+    text = iter(_number_text([gate.matrix if isinstance(gate, Unitary) else gate.phases
+                              for gate in circuit.gates if isinstance(gate, (Unitary, Diagonal))]))
     gates = []
     for gate in circuit.gates:
         if isinstance(gate, Unitary):
-            entry = {"type": "unitary", "matrix": _inline_rows(table, gate.matrix)}
+            entry = {"type": '"unitary"', "matrix": next(text)}
             if gate.wires is not None:
-                entry["wires"] = list(gate.wires)
+                entry["wires"] = list(map(str, gate.wires))
         elif isinstance(gate, Permutation):
-            entry = {"type": "permutation", "perm": _inline(table, gate.perm.tolist())}
+            entry = {"type": '"permutation"', "perm": json.dumps(gate.perm.tolist())}
         elif isinstance(gate, Diagonal):
-            entry = {"type": "diagonal", "phases": _inline(table, _pairs(gate.phases))}
+            entry = {"type": '"diagonal"', "phases": next(text)}
         elif isinstance(gate, PhaseOracle):
-            entry = {"type": "phase_oracle"}
+            entry = {"type": '"phase_oracle"'}
         else:
-            entry = {"type": "bit_oracle",
-                     "index_wires": list(gate.index_wires),
-                     "target_wire": gate.target_wire}
+            entry = {"type": '"bit_oracle"',
+                     "index_wires": list(map(str, gate.index_wires)),
+                     "target_wire": str(gate.target_wire)}
         gates.append(entry)
+    fmt = STRUCTURED_FORMAT if any(map(_needs_v2, circuit.gates)) else CIRCUIT_FORMAT
     doc = {
-        "format": STRUCTURED_FORMAT if any(map(_needs_v2, circuit.gates)) else CIRCUIT_FORMAT,
-        "qubits": circuit.q,
-        "n": circuit.n,
+        "format": f'"{fmt}"',
+        "qubits": str(circuit.q),
+        "n": str(circuit.n),
         "gates": gates,
-        "accept": sorted(circuit.accept),
+        "accept": list(map(str, sorted(circuit.accept))),
     }
-    return _dump(doc, table)
+    return _emit(doc) + "\n"
 
 
 def _parse_gate(entry: dict, where: str, q: int) -> Gate:

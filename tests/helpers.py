@@ -1,8 +1,12 @@
 """Shared test helpers."""
 
+import json
+import re
+
 import numpy as np
 
-from gqbp import Program, QueryCircuit, RestrictedLevel, Unitary, PhaseOracle, random_rgqbp
+from gqbp import (Diagonal, Permutation, PhaseOracle, Program, QueryCircuit, RestrictedLevel,
+                  Unitary, random_rgqbp)
 from gqbp.circuit import run_circuit_batch, validate_circuit
 from gqbp.core import accept_mass, validate_program
 from gqbp.simulate import all_inputs, final_states
@@ -66,3 +70,76 @@ def input_independent_program(n: int = 4, s: int = 2) -> Program:
     initial = np.zeros(s, dtype=complex)
     initial[0] = 1.0
     return Program(n=n, initial=initial, levels=(level, level), accept=frozenset({0}))
+
+
+# --- byte reference for the document writers ---------------------------------
+# The writers of gqbp.formats emit their text directly.  These are the
+# json.dumps-based writers they replaced, kept here only to pin the bytes:
+# each amplitude vector and matrix row is dumped on its own, parked in the
+# indented document as a NUL-led placeholder string, and spliced back in.
+
+_SLOT = re.compile(r'"\\u0000(\d+)"')
+
+
+def _pairs(a: np.ndarray) -> list:
+    block = np.ascontiguousarray(a, dtype=np.complex128)
+    return block.view(np.float64).reshape(*block.shape, 2).tolist()
+
+
+def _inline(table: list[str], value: list) -> str:
+    table.append(json.dumps(value))
+    return f"\0{len(table) - 1}"
+
+
+def _inline_rows(table: list[str], m: np.ndarray) -> list[str]:
+    return [_inline(table, row) for row in _pairs(m)]
+
+
+def _dump(doc: dict, table: list[str]) -> str:
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    return _SLOT.sub(lambda m: table[int(m.group(1))], text) + "\n"
+
+
+def reference_serialize_program(program: Program) -> str:
+    table: list[str] = []
+    levels = []
+    for lv in program.levels:
+        entry = {"labels": lv.labels.tolist()}
+        if isinstance(lv, RestrictedLevel):
+            entry["base"] = _inline_rows(table, lv.base)
+            entry["thetas"] = lv.thetas.tolist()
+        else:
+            entry["a0"] = _inline_rows(table, lv.a0)
+            entry["a1"] = _inline_rows(table, lv.a1)
+        levels.append(entry)
+    doc = {"format": "gqbp-v1", "n": program.n, "kind": program.kind, "width": program.width,
+           "initial": _inline(table, _pairs(program.initial)), "levels": levels,
+           "accept": sorted(program.accept)}
+    return _dump(doc, table)
+
+
+def reference_serialize_circuit(circuit: QueryCircuit) -> str:
+    table: list[str] = []
+    gates = []
+    structured = False
+    for gate in circuit.gates:
+        if isinstance(gate, Unitary):
+            entry = {"type": "unitary", "matrix": _inline_rows(table, gate.matrix)}
+            if gate.wires is not None:
+                entry["wires"] = list(gate.wires)
+                structured = True
+        elif isinstance(gate, Permutation):
+            entry = {"type": "permutation", "perm": _inline(table, gate.perm.tolist())}
+            structured = True
+        elif isinstance(gate, Diagonal):
+            entry = {"type": "diagonal", "phases": _inline(table, _pairs(gate.phases))}
+            structured = True
+        elif isinstance(gate, PhaseOracle):
+            entry = {"type": "phase_oracle"}
+        else:
+            entry = {"type": "bit_oracle", "index_wires": list(gate.index_wires),
+                     "target_wire": gate.target_wire}
+        gates.append(entry)
+    doc = {"format": "qqc-v2" if structured else "qqc-v1", "qubits": circuit.q, "n": circuit.n,
+           "gates": gates, "accept": sorted(circuit.accept)}
+    return _dump(doc, table)

@@ -145,17 +145,30 @@ def test_validate_general_program_with_25_labels(tmp_path, capsys):
         f"PASS max_deviation=0 checked={2**25} convention=all-assignments\n")
 
 
-@pytest.mark.parametrize("argv, doc_n", [
+def _huge_n_program(n: int) -> str:
+    level = RestrictedLevel(labels=np.array([0]), base=np.eye(1), thetas=np.array([np.pi]))
+    return serialize_program(Program(n=n, initial=np.ones(1), levels=(level,)))
+
+
+def _one_oracle_circuit(qubits: int) -> str:
+    return json.dumps({"format": "qqc-v1", "qubits": qubits, "n": 4,
+                       "gates": [{"type": "phase_oracle"}], "accept": [0]})
+
+
+@pytest.mark.parametrize("argv, doc", [
     (["gen", "random", "--n", "4", "--s", "30000", "--len", "1"], None),
     (["gen", "grover-or", "--n", "1048576"], None),
-    (["convert", "--to", "circuit"], 2**40),
-    (["convert", "--to", "circuit"], 2**70),
-], ids=["gen random s=30000", "gen grover-or n=2^20", "convert n=2^40", "convert n=2^70"])
-def test_oversized_request_is_refused_before_allocating(argv, doc_n, tmp_path, capsys):
-    if doc_n is not None:
-        level = RestrictedLevel(labels=np.array([0]), base=np.eye(1), thetas=np.array([np.pi]))
-        path = tmp_path / "huge_n.json"
-        path.write_text(serialize_program(Program(n=doc_n, initial=np.ones(1), levels=(level,))))
+    (["convert", "--to", "circuit"], _huge_n_program(2**40)),
+    (["convert", "--to", "circuit"], _huge_n_program(2**70)),
+    (["convert", "--to", "bp"], _one_oracle_circuit(20)),
+    (["convert", "--to", "bp"], _one_oracle_circuit(40)),
+    (["simulate", "--input", "0101"], _one_oracle_circuit(40)),
+], ids=["gen random s=30000", "gen grover-or n=2^20", "convert n=2^40", "convert n=2^70",
+        "convert q=20 to bp", "convert q=40 to bp", "simulate q=40"])
+def test_oversized_request_is_refused_before_allocating(argv, doc, tmp_path, capsys):
+    if doc is not None:
+        path = tmp_path / "huge.json"
+        path.write_text(doc)
         argv = argv + [str(path)]
     assert main(argv) == 2
     out = capsys.readouterr()

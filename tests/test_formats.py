@@ -1,11 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gqbp import (
     Diagonal,
+    GeneralLevel,
     Permutation,
     Program,
     QueryCircuit,
@@ -29,7 +34,7 @@ from gqbp.formats import (
     serialize_program,
 )
 
-from helpers import deutsch_circuit
+from helpers import deutsch_circuit, reference_serialize_circuit, reference_serialize_program
 
 
 def test_minimal_program_roundtrip_bytes():
@@ -198,6 +203,11 @@ MATRIX_JUNK = [
     ("long row", lambda m: m[1].append([0.0, 0.0]), "[1]"),
     ("row not a list", lambda m: m.__setitem__(1, "row"), "[1]"),
     ("wrong row count", lambda m: m.append(m[0]), ""),
+    # the right number of entries in the wrong shape
+    ("ragged rows, right total", lambda m: m[1].append(m[0].pop()), "[0]"),
+    ("3-number pair next to 1-number pair", lambda m: m[1][0].append(m[1][1].pop()), "[1][0]"),
+    ("pair nested too deep", lambda m: m[1].__setitem__(0, [m[1][0]]), "[1][0]"),
+    ("number nested too deep", _replace(1, 0, 0, [0.5]), "[1][0]"),
 ]
 
 MATRIX_SITES = [
@@ -231,6 +241,9 @@ VECTOR_JUNK = [
     ("3-element pair", lambda v: v[1].append(0.0), "initial[1]"),
     ("short vector", lambda v: v.pop(), "initial"),
     ("empty vector", lambda v: v.clear(), "initial"),
+    ("numeric string", lambda v: v[1].__setitem__(0, "0.5"), "initial[1]"),
+    ("3-number pair next to 1-number pair", lambda v: v[0].append(v[1].pop()), "initial[0]"),
+    ("pair nested too deep", lambda v: v.__setitem__(1, [v[1]]), "initial[1]"),
 ]
 
 
@@ -247,8 +260,10 @@ def test_vector_junk_names_entry(junk):
 @pytest.mark.parametrize("value,field", [
     (math.nan, "levels[0].thetas[1]"),
     (True, "levels[0].thetas[1]"),
+    ("0.5", "levels[0].thetas[1]"),
     (HUGE_INT, "levels[0].thetas[1]"),
     ([0.0], "levels[0].thetas[1]"),
+    ([[0.0]], "levels[0].thetas[1]"),
 ])
 def test_angle_junk_names_entry(value, field):
     doc = json.loads(serialize_program(parity_program(2)))
@@ -256,6 +271,17 @@ def test_angle_junk_names_entry(value, field):
     with pytest.raises(FormatError) as info:
         parse_program(json.dumps(doc))
     assert info.value.field == field
+
+
+def test_angles_in_the_wrong_shape_name_the_vector():
+    # two angles packed into one entry: the right number of angles in total
+    doc = json.loads(serialize_program(parity_program(2)))
+    thetas = doc["levels"][0]["thetas"]
+    doc["levels"][0]["thetas"] = [thetas]
+    with pytest.raises(FormatError) as info:
+        parse_program(json.dumps(doc))
+    assert info.value.field == "levels[0].thetas"
+    assert "expected 2 angles in radians, got 1" in str(info.value)
 
 
 @pytest.mark.parametrize("key,value,field", [
@@ -431,6 +457,14 @@ V2_JUNK = [
     ("phase NaN", _set("gates", 3, "phases", 5, [math.nan, 0.0]), "gates[3].phases[5]"),
     ("phase bool", _set("gates", 3, "phases", 5, [1.0, True]), "gates[3].phases[5]"),
     ("phases short", lambda d: d["gates"][3]["phases"].pop(), "gates[3].phases"),
+    ("phase numeric string", _set("gates", 3, "phases", 5, ["0.5", 0.0]), "gates[3].phases[5]"),
+    ("phase 3-number pair next to 1-number pair",
+     lambda d: d["gates"][3]["phases"][5].append(d["gates"][3]["phases"][6].pop()),
+     "gates[3].phases[5]"),
+    ("phase nested too deep", _set("gates", 3, "phases", 5, [[1.0, 0.0]]), "gates[3].phases[5]"),
+    ("phases merged, right total",
+     lambda d: d["gates"][3]["phases"][5].extend(d["gates"][3]["phases"].pop(6)),
+     "gates[3].phases"),
     ("wire repeated", _set("gates", 0, "wires", [1, 1]), "gates[0].wires"),
     ("wire out of range", _set("gates", 0, "wires", [0, 5]), "gates[0].wires[1]"),
     ("wire not an int", _set("gates", 0, "wires", [0, 1.0]), "gates[0].wires[1]"),
@@ -505,3 +539,121 @@ def test_compiled_q9_document_is_small():
     back = parse_circuit(text)
     xs = np.random.default_rng(0).integers(0, 2, size=(64, 12))
     assert np.array_equal(circuit_acceptances(back, xs), circuit_acceptances(circuit, xs))
+
+
+# --- the writer: golden documents and the byte reference ----------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _extreme_program() -> Program:
+    """-0.0, the smallest subnormal and 1e308 in every kind of block."""
+    tiny, big = 5e-324, 1e308
+    base = np.array([[complex(-0.0, tiny), complex(big, -0.0)],
+                     [complex(tiny, -big), complex(-0.0, -0.0)]])
+    return Program(n=2, initial=np.array([complex(-0.0, big), complex(tiny, -0.0)]),
+                   levels=(RestrictedLevel(labels=np.array([0, 1]), base=base,
+                                           thetas=np.array([-0.0, tiny])),
+                           RestrictedLevel(labels=np.array([1, 0]), base=base.T,
+                                           thetas=np.array([big, -tiny]))),
+                   accept=frozenset({0, 1}))
+
+
+# file under tests/data: what its document holds (see tests/data/README.md)
+GOLDEN = {
+    "grover_or_n4.json": lambda: grover_promise_or(4),
+    "grover_or_n4_bp.json": lambda: circuit_to_rgqbp(grover_promise_or(4)),
+    "random_s3_l3_n5_seed7.json": lambda: random_rgqbp(3, 3, 5, seed=7),
+    "random_s3_l3_n5_seed7_general.json": lambda: generalize(random_rgqbp(3, 3, 5, seed=7)),
+    "compiled_random_s3_l2_n4_seed8.json":
+        lambda: rgqbp_to_circuit(random_rgqbp(3, 2, 4, seed=8)),
+    "extreme_amplitudes.json": _extreme_program,
+}
+
+
+def _serialize(artifact) -> str:
+    if isinstance(artifact, QueryCircuit):
+        return serialize_circuit(artifact)
+    return serialize_program(artifact)
+
+
+def _blocks(artifact) -> list:
+    if isinstance(artifact, QueryCircuit):
+        return [getattr(g, f) for g in artifact.gates for f in ("matrix", "phases", "perm")
+                if hasattr(g, f)]
+    return _program_blocks(artifact)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_document_bytes(name):
+    text = (DATA / name).read_bytes().decode()
+    parsed, built = parse(text), GOLDEN[name]()
+    assert _serialize(parsed) == text
+    assert _serialize(built) == text
+    assert len(_blocks(parsed)) == len(_blocks(built))
+    for a, b in zip(_blocks(parsed), _blocks(built)):
+        assert a.dtype == b.dtype and a.shape == b.shape and _bits(a) == _bits(b)
+
+
+def test_golden_corpus_holds_the_edge_values():
+    texts = {name: (DATA / name).read_text() for name in GOLDEN}
+    assert "-0.0" in texts["grover_or_n4_bp.json"]
+    assert all(v in texts["extreme_amplitudes.json"] for v in ("-0.0", "5e-324", "1e+308"))
+    assert json.loads(texts["compiled_random_s3_l2_n4_seed8.json"])["format"] == "qqc-v2"
+    assert sum(len(t) for t in texts.values()) < 100_000
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_writer_matches_reference_on_compiled_grover(n):
+    circuit = grover_promise_or(n)
+    program = circuit_to_rgqbp(circuit)
+    assert serialize_circuit(circuit) == reference_serialize_circuit(circuit)
+    assert serialize_program(program) == reference_serialize_program(program)
+
+
+# every finite float64: -0.0, subnormals and the largest magnitudes included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _amplitudes(data, *shape) -> np.ndarray:
+    pairs = data.draw(arrays(np.float64, shape + (2,), elements=FINITE))
+    return pairs.view(np.complex128)[..., 0]
+
+
+@given(data=st.data(), s=st.integers(1, 4), length=st.integers(0, 3), n=st.integers(1, 4),
+       general=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_writer_matches_reference_on_drawn_programs(data, s, length, n, general):
+    levels = []
+    for _ in range(length):
+        labels = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=s, max_size=s)))
+        if general:
+            levels.append(GeneralLevel(labels=labels, a0=_amplitudes(data, s, s),
+                                       a1=_amplitudes(data, s, s)))
+        else:
+            thetas = data.draw(arrays(np.float64, (s,), elements=FINITE))
+            levels.append(RestrictedLevel(labels=labels, base=_amplitudes(data, s, s),
+                                          thetas=thetas))
+    accept = data.draw(st.frozensets(st.integers(0, s - 1)))
+    program = Program(n=n, initial=_amplitudes(data, s), levels=tuple(levels), accept=accept)
+    text = serialize_program(program)
+    assert text == reference_serialize_program(program)
+    back = parse_program(text)
+    for a, b in zip(_program_blocks(program), _program_blocks(back)):
+        assert _bits(a) == _bits(b)
+
+
+@given(data=st.data(), q=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_writer_matches_reference_on_drawn_circuits(data, q):
+    dim = 1 << q
+    wires = tuple(data.draw(st.permutations(range(q))))[:data.draw(st.integers(0, q))]
+    circuit = QueryCircuit(q=q, n=2, gates=(
+        Unitary(_amplitudes(data, dim, dim)),
+        Diagonal(_amplitudes(data, dim)),
+        Permutation(np.array(data.draw(st.permutations(range(dim))))),
+        Unitary(_amplitudes(data, 1 << len(wires), 1 << len(wires)), wires=wires),
+    ), accept=data.draw(st.frozensets(st.integers(0, dim - 1))))
+    text = serialize_circuit(circuit)
+    assert text == reference_serialize_circuit(circuit)
+    assert serialize_circuit(parse_circuit(text)) == text

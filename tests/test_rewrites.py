@@ -41,6 +41,8 @@ from helpers import (
     HADAMARD,
     deutsch_circuit,
     input_independent_program,
+    reference_serialize_circuit,
+    reference_serialize_program,
     rewrite_gap,
     seeded_program,
     width1_flip_program,
@@ -93,10 +95,13 @@ ROWS = {
     # takes, against the two-matmul step it replaces
     "two-matmul step": ("general", _on_two_matmuls,
                         lambda p, r: not any(_two_matmuls(p)) and all(_two_matmuls(r))),
+    # the writers' bytes are also those of the reference writer
     "gqbp-v1": ("program", lambda p: parse_program(serialize_program(p)),
-                lambda p, r: serialize_program(r) == serialize_program(p)),
+                lambda p, r: serialize_program(r) == serialize_program(p)
+                == reference_serialize_program(p)),
     "qqc": ("circuit", lambda c: parse_circuit(serialize_circuit(c)),
-            lambda c, r: serialize_circuit(r) == serialize_circuit(c)),
+            lambda c, r: serialize_circuit(r) == serialize_circuit(c)
+            == reference_serialize_circuit(c)),
 }
 
 
