@@ -266,11 +266,14 @@ def _apply(circuit: QueryCircuit, gate: Gate, states: np.ndarray,
 def _run(circuit: QueryCircuit, inputs) -> np.ndarray:
     """(2^q, B) final states, one column per input."""
     inputs = as_bit_rows(inputs, circuit.n)
-    check_alloc(16 * inputs.shape[0] << circuit.q,
-                f"the {circuit.dim}x{inputs.shape[0]} states of a {circuit.q}-wire circuit")
-    bits = np.zeros((circuit.n + 1, inputs.shape[0]), dtype=np.uint8)
+    nb, dim = inputs.shape[0], circuit.dim
+    # A gate step holds at most, per entry, the state, a gathered copy, the result and
+    # a uint8 read mask; four int64 index tables; the bits; two complex ufunc buffers.
+    check_alloc(49 * nb * dim + 32 * dim + (circuit.n + 1) * nb + 32 * np.getbufsize(),
+                f"the {dim}x{nb} states of a {circuit.q}-wire circuit and their temporaries")
+    bits = np.zeros((circuit.n + 1, nb), dtype=np.uint8)
     bits[: circuit.n] = inputs.T
-    states = np.zeros((circuit.dim, inputs.shape[0]), dtype=np.complex128)
+    states = np.zeros((dim, nb), dtype=np.complex128)
     states[0] = 1.0
     for gate in circuit.gates:
         states = _apply(circuit, gate, states, bits)
@@ -339,15 +342,16 @@ def validate_circuit(circuit: QueryCircuit, tol: float = DEFAULT_TOL) -> Validat
                             errors=tuple(errors))
 
 
-def complete_unitary(first_column: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Deterministically extend a unit vector to a unitary with it as column 0.
+def complete_unitary(first_column: np.ndarray) -> np.ndarray:
+    """Deterministically extend a unit vector (norm 1 within ``DEFAULT_TOL``)
+    to a unitary with it as column 0.
 
     Uses a Householder reflection composed with a phase so that the identity
     comes back exactly for e_0.
     """
     v = np.asarray(first_column, dtype=np.complex128).ravel()
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > DEFAULT_TOL:
         raise ValueError(f"first column must be a unit vector (norm {norm:.6f})")
     d = v.size
     # sign choice makes w[0] = v[0] + exp(i*angle(v[0])): no cancellation
@@ -356,6 +360,5 @@ def complete_unitary(first_column: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     w[0] -= alpha
     wsq = float(np.real(w.conj() @ w))
     reflector = np.eye(d, dtype=np.complex128) - (2.0 / wsq) * np.outer(w, w.conj())
-    u = reflector.copy()
-    u[:, 0] *= alpha
-    return u
+    reflector[:, 0] *= alpha
+    return reflector

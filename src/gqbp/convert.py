@@ -136,9 +136,10 @@ class RoundtripReport:
     passed: bool
 
 
-def roundtrip_check(program: Program, tol: float = DEFAULT_TOL) -> RoundtripReport:
+def roundtrip_check(program: Program) -> RoundtripReport:
     """Compare program acceptance with its compiled circuit's acceptance,
-    exhaustively for n <= 16 and on seeded random inputs otherwise."""
+    exhaustively for n <= 16 and on seeded random inputs otherwise; the check
+    passes when they agree within ``DEFAULT_TOL``."""
     circuit = rgqbp_to_circuit(program)
     if program.n <= EXHAUSTIVE_LIMIT:
         inputs = all_inputs(program.n)
@@ -151,4 +152,4 @@ def roundtrip_check(program: Program, tol: float = DEFAULT_TOL) -> RoundtripRepo
                  - circuit_acceptances(circuit, inputs))
     worst = float(dev.max())
     return RoundtripReport(max_deviation=worst, inputs_checked=inputs.shape[0],
-                           exhaustive=exhaustive, passed=worst <= tol)
+                           exhaustive=exhaustive, passed=worst <= DEFAULT_TOL)

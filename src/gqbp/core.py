@@ -173,19 +173,19 @@ class RestrictedLevel:
 Level = GeneralLevel | RestrictedLevel
 
 
-def reads_input(level: Level, tol: float = DEFAULT_TOL) -> bool:
+def reads_input(level: Level) -> bool:
     """Whether ``level`` reads its input bit: whether some node's
     1-transition column differs from its 0-transition column by more than
-    ``tol`` in norm.  That norm is ``||a1[:, j] - a0[:, j]||`` for a general
-    level and ``|exp(1j*theta_j) - 1| * ||base[:, j]||`` for a restricted
-    one, so a program and its ``generalize`` agree up to rounding.  The
-    tolerance absorbs gaps of a few ulps, which rounding in a rewrite or in
-    another tool's document can leave on a level that reads nothing."""
+    ``DEFAULT_TOL`` in norm.  That norm is ``||a1[:, j] - a0[:, j]||`` for a
+    general level and ``|exp(1j*theta_j) - 1| * ||base[:, j]||`` for a
+    restricted one, so a program and its ``generalize`` agree up to rounding.
+    The tolerance absorbs gaps of a few ulps, which rounding in a rewrite or
+    in another tool's document can leave on a level that reads nothing."""
     if isinstance(level, RestrictedLevel):
         gap = np.abs(np.exp(1j * level.thetas) - 1.0) * np.linalg.norm(level.base, axis=0)
     else:
         gap = np.linalg.norm(level.a1 - level.a0, axis=0)
-    return bool(gap.max(initial=0.0) > tol)
+    return bool(gap.max(initial=0.0) > DEFAULT_TOL)
 
 
 # The kernel takes the restricted step for a general level whose columns are
@@ -412,26 +412,26 @@ def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationRe
                             errors=tuple(errors))
 
 
-def restrict(program: Program, tol: float = DEFAULT_TOL) -> Program:
+def restrict(program: Program) -> Program:
     """Convert a general program to restricted form.
 
     Each node's angle and residual come from ``_phase_relation``, the rule
     the evolution kernel also uses.  Nodes whose columns are not
-    phase-related within ``tol`` raise, identifying level and node.
+    phase-related within ``DEFAULT_TOL`` raise, identifying level and node.
     """
     if program.kind == "restricted":
         return program
     new_levels = []
     for i, lv in enumerate(program.levels):
         thetas, _, residual = _phase_relation(lv.a0, lv.a1)
-        bad = np.flatnonzero(residual > tol)
+        bad = np.flatnonzero(residual > DEFAULT_TOL)
         if bad.size:
             j = int(bad[0])
             if not lv.a0[:, j].any():
                 raise ValueError(
                     f"level {i} node {j}: zero 0-transition but nonzero 1-transition")
             raise ValueError(
-                f"level {i} node {j}: transitions are not phase-related within {tol:.1e}")
+                f"level {i} node {j}: transitions are not phase-related within {DEFAULT_TOL:.1e}")
         new_levels.append(RestrictedLevel(labels=lv.labels, base=lv.a0, thetas=thetas))
     return replace(program, levels=tuple(new_levels))
 

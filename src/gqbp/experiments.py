@@ -13,6 +13,11 @@ in the x-run.  Averaging the left side over structured input families and
 bounding the right side per level by sqrt(width) (Cauchy-Schwarz on a unit
 vector) yields closed-form caps that every valid program must respect;
 the reports here pair the measured expectation with its cap.
+
+The one drift report is ``hamming_expectation``; promise-OR is its k=0,
+delta=1 instance anchored at 0^n, whose members are the n one-hot inputs.
+A family is compared whole, or on ``FAMILY_SAMPLE`` seeded members, as
+``hamming_family`` decides; one too large for either is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .convert import circuit_to_rgqbp
 from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str
-from .programs import grover_promise_or, hamming_family, parity_program
+from .programs import grover_promise_or, hamming_family, parity_program, zeros_input
 from .simulate import acceptance_probabilities, all_inputs, evolve
 
 SLACK_TOL = 1e-9
@@ -111,48 +116,33 @@ def hybrid_deviation(program: Program, x, y) -> HybridTrace:
                        final_distance=distance)
 
 
-def _drift_report(program: Program, finals: np.ndarray, family: str, delta: int,
-                  denom: int, extra: dict) -> ExperimentReport:
-    """Mean distance of ``finals[1:]`` from ``finals[0]`` against the cap
-    2*(L+1)*delta*sqrt(s)/denom (promise-OR: delta=1, denom=n)."""
+def promise_or_expectation(program: Program) -> ExperimentReport:
+    """Mean final-state drift from 0^n to the n one-hot inputs against the cap
+    2*(L+1)*sqrt(s)/n: ``hamming_expectation`` at k=0, delta=1, fixed 0^n."""
+    return hamming_expectation(program, 0, 1, zeros_input(program.n))
+
+
+def hamming_expectation(program: Program, k: int, delta: int, fixed,
+                        seed: int = 0) -> ExperimentReport:
+    """Mean final-state drift between ``fixed`` and its weight-family
+    members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k; a
+    family that is not materialised is sampled with ``seed``."""
+    family = hamming_family(program.n, k, delta, fixed)
+    members = family.members if family.materialized else family.sample(FAMILY_SAMPLE, seed)
+    mode = "exhaustive" if family.materialized else "sampled"
+    denom = (program.n - k) if family.side == "fix_yes" else k
+    if denom <= 0:
+        raise ValueError(f"degenerate case denominator for side {family.side}: {denom}")
+    finals = evolve(program, np.vstack([family.fixed, members]))
     depth = program.query_depth
     empirical = float(np.linalg.norm(finals[1:] - finals[0], axis=1).mean())
     bound = 2.0 * (depth + 1) * delta * np.sqrt(program.width) / denom
     slack = bound - empirical
     return ExperimentReport(
         empirical=empirical, bound=bound, slack=slack, passed=slack >= -SLACK_TOL,
-        metadata={"family": family, "n": program.n, "s": program.width,
-                  "L": depth, **extra})
-
-
-def promise_or_expectation(program: Program) -> ExperimentReport:
-    """Mean final-state drift between the all-zero input and the n one-hot
-    inputs, against the cap 2*(L+1)*sqrt(s)/n."""
-    states = evolve(program, _promise_or_inputs(program.n), record=True)
-    level_l1 = tuple(np.abs(states[program.query_levels, 0]).sum(axis=1).tolist())
-    return _drift_report(program, states[-1], "promise-or", 1, program.n,
-                         {"level_l1": level_l1})
-
-
-def hamming_expectation(program: Program, k: int, delta: int, fixed,
-                        seed: int = 0) -> ExperimentReport:
-    """Mean final-state drift between ``fixed`` and its weight-family
-    members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k."""
-    family = hamming_family(program.n, k, delta, fixed)
-    if family.materialized:
-        members = family.members
-        mode = "exhaustive"
-    else:
-        members = family.sample(FAMILY_SAMPLE, seed)
-        mode = "sampled"
-    denom = (program.n - k) if family.side == "fix_yes" else k
-    if denom <= 0:
-        raise ValueError(f"degenerate case denominator for side {family.side}: {denom}")
-    finals = evolve(program, np.vstack([family.fixed, members]))
-    return _drift_report(program, finals, "hamming", delta, denom,
-                         {"k": k, "delta": delta, "side": family.side,
-                          "family_size": family.size, "mode": mode,
-                          "compared": int(members.shape[0])})
+        metadata={"family": "hamming", "n": program.n, "s": program.width, "L": depth,
+                  "k": k, "delta": delta, "side": family.side, "family_size": family.size,
+                  "mode": mode, "compared": int(members.shape[0])})
 
 
 @dataclass(frozen=True)
@@ -227,15 +217,12 @@ class ScanRow:
     ratio: float
 
 
-def _promise_or_inputs(n: int) -> np.ndarray:
-    """The promise-OR batch: the all-zero input, then the n one-hot inputs."""
-    return np.eye(n + 1, n, k=-1, dtype=np.uint8)
-
-
 def _promise_or_instance(n: int):
+    """Grover on the promise-OR family: 0^n (answer 0), then its one-hot members."""
     program = circuit_to_rgqbp(grover_promise_or(n))
+    family = hamming_family(n, 0, 1, zeros_input(n))
     expected = np.array([0] + [1] * n, dtype=np.uint8)
-    return program, _promise_or_inputs(n), expected
+    return program, np.vstack([family.fixed, family.members]), expected
 
 
 def _parity_instance(n: int):

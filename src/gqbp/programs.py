@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .circuit import _HADAMARD, BitOracle, PhaseOracle, QueryCircuit, Unitary
 from .core import Program, RestrictedLevel, as_bits, check_alloc
 
@@ -21,6 +22,8 @@ MATERIALIZE_LIMIT = 100_000
 
 
 def zeros_input(n: int) -> np.ndarray:
+    """The all-zero string; ``check_alloc`` refuses it before it is built."""
+    check_alloc(n, f"the all-zero input of {n} bits")
     return np.zeros(n, dtype=np.uint8)
 
 
@@ -117,10 +120,17 @@ def random_rgqbp(s: int, length: int, n: int, seed: int) -> Program:
     return Program(n=n, initial=initial, levels=tuple(levels), accept=accept)
 
 
-def _flips(fixed: np.ndarray, side: str) -> tuple[int, np.ndarray]:
-    """The bit members write over ``fixed`` and the positions they write it at."""
+def _member_rows(fixed: np.ndarray, side: str, delta: int, rows: int, picks) -> np.ndarray:
+    """The one row builder of both family modes: ``rows`` copies of ``fixed``
+    with the member bit written at the ``delta`` positions per row that
+    ``picks(flippable positions)`` yields, after ``check_alloc`` of their bytes."""
+    n = fixed.size
+    check_alloc(rows * (n + 8 * delta), f"{rows} family members of {n} bits")
     fill = int(side == "fix_yes")
-    return fill, np.flatnonzero(fixed != fill)
+    index = np.fromiter(picks((fixed != fill).nonzero()[0]), np.intp, rows * delta)
+    out = np.full((rows, n), fixed)
+    out[np.arange(rows)[:, np.newaxis], index.reshape(rows, delta)] = fill
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +141,8 @@ class HammingFamily:
     delta more, so there are C(n-k, delta) of them, all of weight k+delta.
     ``fix_no``: the reference has weight k+delta; members zero out delta of
     its 1s, so there are C(k+delta, delta) of them, all of weight k.
-    Families up to 100k members are materialised; larger ones are sampled.
+    A family is materialised when it has at most ``MATERIALIZE_LIMIT``
+    members and their rows fit ``core.ALLOC_LIMIT``; otherwise it is sampled.
     """
 
     n: int
@@ -149,11 +160,8 @@ class HammingFamily:
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Seeded uniform member sample (with replacement) as (count, n) bits."""
         rng = np.random.default_rng(seed)
-        fill, positions = _flips(self.fixed, self.side)
-        out = np.broadcast_to(self.fixed, (count, self.n)).copy()
-        for row in out:
-            row[rng.choice(positions, size=self.delta, replace=False)] = fill
-        return out
+        return _member_rows(self.fixed, self.side, self.delta, count, lambda positions: (
+            i for _ in range(count) for i in rng.choice(positions, self.delta, replace=False)))
 
 
 def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
@@ -178,14 +186,10 @@ def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
     else:
         raise ValueError(
             f"fixed string has weight {weight}; expected {k} (fix_yes) or {k + delta} (fix_no)")
-    fill, positions = _flips(fixed, side)
     members = None
-    if size <= MATERIALIZE_LIMIT:
-        members = np.empty((size, n), dtype=np.uint8)
-        for i, combo in enumerate(itertools.combinations(positions.tolist(), delta)):
-            row = fixed.copy()
-            row[list(combo)] = fill
-            members[i] = row
+    if size <= MATERIALIZE_LIMIT and size * (n + 8 * delta) <= core.ALLOC_LIMIT:
+        members = _member_rows(fixed, side, delta, size, lambda positions: (
+            itertools.chain.from_iterable(itertools.combinations(positions.tolist(), delta))))
         members.setflags(write=False)
     return HammingFamily(n=n, k=k, delta=delta, side=side, fixed=fixed,
                          size=size, members=members)

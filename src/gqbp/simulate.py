@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Level, Program, RestrictedLevel, _one_row, accept_mass, as_bit_rows, as_bits
+from .core import (Level, Program, RestrictedLevel, _one_row, accept_mass, as_bit_rows, as_bits,
+                   check_alloc)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -144,10 +145,13 @@ def acceptance_probabilities(program: Program, inputs: np.ndarray) -> np.ndarray
 
 def all_inputs(n: int) -> np.ndarray:
     """All 2**n inputs as a (2**n, n) uint8 array; row i is the n-bit
-    big-endian expansion of i (so row index equals int(bitstring, 2))."""
+    big-endian expansion of i (so row index equals int(bitstring, 2)),
+    written in place a column at a time after ``check_alloc`` of its bytes."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 24:
-        raise ValueError(f"refusing to enumerate 2^{n} inputs")
-    r = np.arange(1 << n, dtype=np.int64)
-    return ((r[:, np.newaxis] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    check_alloc(n << n, f"all 2^{n} inputs of {n} bits")
+    table = np.zeros((1 << n, n), dtype=np.uint8)
+    for j in range(n):
+        # bit n-1-j of the row index: the second half of each block of 2^(n-j) rows
+        table.reshape(1 << j, 2, -1, n)[:, 1, :, j] = 1
+    return table

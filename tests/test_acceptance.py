@@ -13,6 +13,7 @@ from gqbp import (
     grover_promise_or,
     hamming_expectation,
     hamming_family,
+    hybrid_deviation,
     one_hot_input,
     parity_program,
     promise_or_expectation,
@@ -96,7 +97,8 @@ def test_promise_or_hybrid_bound_200_random_programs():
         report = promise_or_expectation(prog)
         worst_slack = min(worst_slack, report.slack)
         cap = math.sqrt(prog.width) + TOL
-        if any(l1 > cap for l1 in report.metadata["level_l1"]):
+        trace = hybrid_deviation(prog, zeros_input(prog.n), one_hot_input(prog.n, 0))
+        if any(l1 > cap for l1 in trace.level_l1):
             cauchy_ok = False
     ok = worst_slack >= -TOL and cauchy_ok
     assert _report("one-hot family expectation bound (200 programs)", ok,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from gqbp import (
     run_circuit,
     validate_circuit,
 )
+from gqbp import circuit
 from gqbp.circuit import circuit_acceptances, run_circuit_batch
 from gqbp.core import unitarity_deviation
 from gqbp.simulate import all_inputs
 
 from helpers import HADAMARD, deutsch_circuit
+from test_rewrites import CIRCUITS
 
 
 def test_empty_circuit_stays_at_zero_state():
@@ -308,3 +312,22 @@ def test_structured_gate_construction_checks():
         QueryCircuit(q=3, n=2, gates=(Permutation(np.arange(4)),))
     with pytest.raises(ValueError, match="phases is 2-dimensional"):
         QueryCircuit(q=3, n=2, gates=(Diagonal(np.ones(2)),))
+
+
+@pytest.mark.parametrize("batch", [1, 64, 1024])
+@pytest.mark.parametrize("name", CIRCUITS)
+def test_circuit_run_stays_within_its_checked_bytes(name, batch, monkeypatch):
+    c = CIRCUITS[name]
+    checked = []
+    check = circuit.check_alloc
+    monkeypatch.setattr(circuit, "check_alloc",
+                        lambda nbytes, what: (checked.append(nbytes), check(nbytes, what)))
+    inputs = np.random.default_rng(batch).integers(0, 2, size=(batch, c.n), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        circuit_acceptances(c, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1
+    assert peak <= checked[0]

@@ -163,8 +163,14 @@ def _one_oracle_circuit(qubits: int) -> str:
     (["convert", "--to", "bp"], _one_oracle_circuit(20)),
     (["convert", "--to", "bp"], _one_oracle_circuit(40)),
     (["simulate", "--input", "0101"], _one_oracle_circuit(40)),
+    (["expect", "or"], _huge_n_program(2**40)),
+    (["expect", "or"], _huge_n_program(2**70)),
+    (["expect", "or"], _huge_n_program(150_000)),
+    (["expect", "hamming", "--k", "1", "--delta", "1", "--fixed", "1" + "0" * 149_999],
+     _huge_n_program(150_000)),
 ], ids=["gen random s=30000", "gen grover-or n=2^20", "convert n=2^40", "convert n=2^70",
-        "convert q=20 to bp", "convert q=40 to bp", "simulate q=40"])
+        "convert q=20 to bp", "convert q=40 to bp", "simulate q=40", "expect or n=2^40",
+        "expect or n=2^70", "expect or n=150000", "expect hamming n=150000"])
 def test_oversized_request_is_refused_before_allocating(argv, doc, tmp_path, capsys):
     if doc is not None:
         path = tmp_path / "huge.json"

@@ -14,16 +14,20 @@ from gqbp import (
     distinguishability_check,
     final_state,
     final_states,
+    generalize,
     grover_promise_or,
     hamming_expectation,
     hybrid_deviation,
     hybrid_run,
+    one_hot_input,
     parity_program,
     promise_or_expectation,
     random_rgqbp,
     split_layers,
     tradeoff_scan,
+    zeros_input,
 )
+from gqbp import core, experiments
 from gqbp.core import bits_to_str
 from gqbp.experiments import (
     DISTANCE_FLOOR,
@@ -139,9 +143,43 @@ def test_promise_or_grover16():
 
 def test_promise_or_cauchy_schwarz_levels():
     prog = seeded_program(31)
-    report = promise_or_expectation(prog)
+    trace = hybrid_deviation(prog, zeros_input(prog.n), one_hot_input(prog.n, 0))
     cap = np.sqrt(prog.width) + SLACK_TOL
-    assert all(l1 <= cap for l1 in report.metadata["level_l1"])
+    assert all(l1 <= cap for l1 in trace.level_l1)
+
+
+@pytest.mark.parametrize("name, prog", [
+    *((f"seeded {seed}", seeded_program(seed)) for seed in range(6)),
+    ("general", generalize(seeded_program(40))),
+    ("compiled grover n=16", circuit_to_rgqbp(grover_promise_or(16))),
+    ("parity n=8", parity_program(8)),
+])
+def test_promise_or_is_the_hamming_k0_delta1_instance(name, prog):
+    got = promise_or_expectation(prog)
+    want = hamming_expectation(prog, 0, 1, zeros_input(prog.n))
+    assert got.empirical == want.empirical
+    assert got.bound == want.bound
+    assert got.slack == want.slack
+    assert got.passed == want.passed
+    assert got.metadata == want.metadata
+    assert got.metadata["family_size"] == got.metadata["compared"] == prog.n
+    assert (got.metadata["family"], got.metadata["side"], got.metadata["mode"]) == (
+        "hamming", "fix_yes", "exhaustive")
+
+
+def test_family_mode_follows_the_alloc_limit(monkeypatch):
+    # C(6, 1) = 6 members of 8 bits, each with one int64 position: 6 * (8 + 8) bytes
+    prog, fixed = random_rgqbp(4, 3, 8, seed=9), "11000000"
+    monkeypatch.setattr(experiments, "FAMILY_SAMPLE", 4)
+    modes = []
+    for limit in (6 * 16, 6 * 16 - 1, 4 * 16):
+        monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
+        report = hamming_expectation(prog, 2, 1, fixed)
+        modes.append((report.metadata["mode"], report.metadata["compared"]))
+    assert modes == [("exhaustive", 6), ("sampled", 4), ("sampled", 4)]
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 4 * 16 - 1)
+    with pytest.raises(ValueError, match="refusing to allocate 64 bytes for 4 family members"):
+        hamming_expectation(prog, 2, 1, fixed)
 
 
 def test_hamming_delta_zero_degenerate():
@@ -290,8 +328,6 @@ def test_tradeoff_scan_unknown_family():
 
 
 def test_hybrid_trace_reports_bound_holds():
-    from gqbp import experiments
-
     prog = seeded_program(5)
     trace = hybrid_deviation(prog, "0" * prog.n, "1" * prog.n)
     assert trace.bound_holds
@@ -351,8 +387,6 @@ def _pairwise_reference(prog, yes, no):
 
 @pytest.mark.parametrize("block", [None, 1, 37])
 def test_distinguishability_matches_pairwise_loop(monkeypatch, block):
-    from gqbp import experiments
-
     if block is not None:
         monkeypatch.setattr(experiments, "PAIR_BLOCK", block)
     # Small phases keep the final states close, and an initial vector of

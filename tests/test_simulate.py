@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,24 @@ def test_all_inputs_bounds():
         all_inputs(0)
     with pytest.raises(ValueError, match="refusing"):
         all_inputs(30)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_all_inputs_rows_are_big_endian_expansions(n):
+    rows = [[int(b) for b in format(i, f"0{n}b")] for i in range(1 << n)]
+    table = all_inputs(n)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, rows)
+
+
+def test_all_inputs_peak_is_at_most_twice_the_table():
+    tracemalloc.start()
+    try:
+        table = all_inputs(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes
 
 
 def test_final_states_rejects_wrong_row_width():
