@@ -149,7 +149,7 @@ def index_register_width(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class QueryCircuit:
-    """Gate list over ``q`` wires plus the accepting basis states."""
+    """Gate list over ``q`` wires plus the accepting basis states (sorted: ``accept_index``)."""
 
     q: int
     n: int
@@ -187,6 +187,7 @@ class QueryCircuit:
                 raise ValueError(f"accept state {v} out of range [0, {dim})")
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "accept", accept)
+        object.__setattr__(self, "accept_index", _freeze(np.array(sorted(accept), dtype=np.intp)))
 
     @property
     def dim(self) -> int:

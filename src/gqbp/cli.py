@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 
@@ -104,8 +105,8 @@ def cmd_hybrid(args) -> int:
     program = formats.parse_program(_read(args.file))
     trace = experiments.hybrid_deviation(program, args.base, args.alt)
     print(f"final_distance={_fmt(trace.final_distance)} bound={_fmt(trace.bound)}")
-    for t, dev in enumerate(trace.deviations):
-        print(f"level[{t}] deviation={_fmt(dev)} l1={_fmt(trace.level_l1[t])}")
+    for t, (dev, l1) in enumerate(zip(trace.deviations, trace.level_l1)):
+        print(f"level[{t}] deviation={_fmt(dev)} l1={_fmt(l1)}")
     return 0 if trace.bound_holds else 1
 
 
@@ -144,6 +145,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
+@functools.cache  # once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gqbp",

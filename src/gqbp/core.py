@@ -95,10 +95,7 @@ def as_bits(x, n: int | None = None) -> np.ndarray:
 
 def accept_mass(machine, states: np.ndarray) -> np.ndarray:
     """Squared mass of each row of ``states`` on a program's or circuit's accept set."""
-    idx = sorted(machine.accept)
-    if not idx:
-        return np.zeros(states.shape[:-1])
-    return np.sum(np.abs(states[..., idx]) ** 2, axis=-1)
+    return np.sum(np.abs(states[..., machine.accept_index]) ** 2, axis=-1)
 
 
 def bits_to_str(bits: np.ndarray) -> str:
@@ -249,7 +246,7 @@ class Program:
     ``levels`` the transitions applied in order, and ``accept`` the node
     indices at the final level whose measurement outcome means "accept".
     Which levels are queries is read off the levels themselves
-    (``query_levels``), not declared.
+    (``query_levels``), not declared.  ``accept_index`` is ``accept`` sorted.
     """
 
     n: int
@@ -282,6 +279,7 @@ class Program:
         object.__setattr__(self, "initial", _freeze(initial))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "accept", accept)
+        object.__setattr__(self, "accept_index", _freeze(np.array(sorted(accept), dtype=np.intp)))
 
     @property
     def width(self) -> int:
@@ -309,6 +307,24 @@ class Program:
         """The levels as the evolution kernel applies them (``_step``), built
         once per program."""
         return tuple(map(_step, self.levels))
+
+    @cached_property
+    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (R, s) labels and bit-1 factors (1 without phases) of the R kernel
+        steps that read bits, and each step's row in them (-1: reads none)."""
+        reads = np.array([p is not None or m1 is not None for _, p, _, m1 in self.kernel_steps],
+                         dtype=bool)
+        steps = [step for step, read in zip(self.kernel_steps, reads) if read]
+        labels = np.array([step[0] for step in steps], dtype=np.intp).reshape(-1, self.width)
+        factors = np.array([np.ones(self.width) if p is None else p for _, p, _, _ in steps],
+                           dtype=np.complex128).reshape(labels.shape)
+        return _freeze(labels), _freeze(factors), _freeze(np.where(reads, reads.cumsum() - 1, -1))
+
+    @cached_property
+    def query_labels(self) -> np.ndarray:
+        """The query levels' labels as one (L, s) table."""
+        return _freeze(np.array([self.levels[t].labels for t in self.query_levels],
+                                dtype=np.intp).reshape(-1, self.width))
 
     @property
     def query_depth(self) -> int:

@@ -104,13 +104,10 @@ def hybrid_deviation(program: Program, x, y) -> HybridTrace:
     The returned trace's ``bound_holds`` reports whether the cap held.
     """
     pair = as_bit_rows([x, y], program.n)
-    xb, yb = pair
-    queries = program.query_levels
     states = evolve(program, pair, record=True)
-    alpha = states[queries, 0]
-    labels = [program.levels[t].labels for t in queries]
-    differs = np.array([xb[lb] != yb[lb] for lb in labels], dtype=bool).reshape(alpha.shape)
-    deviations = 2.0 * np.where(differs, np.abs(alpha), 0.0).sum(axis=1)
+    alpha = states[program.query_levels, 0]
+    xq, yq = pair.take(program.query_labels, axis=1)
+    deviations = 2.0 * np.where(xq != yq, np.abs(alpha), 0.0).sum(axis=1)
     distance = float(np.linalg.norm(states[-1, 0] - states[-1, 1]))
     return HybridTrace(alpha=tuple(alpha), deviations=tuple(deviations.tolist()),
                        final_distance=distance)
@@ -128,12 +125,12 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
     members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k; a
     family that is not materialised is sampled with ``seed``."""
     family = hamming_family(program.n, k, delta, fixed)
-    members = family.members if family.materialized else family.sample(FAMILY_SAMPLE, seed)
+    rows = family.rows if family.materialized else family.anchored_sample(FAMILY_SAMPLE, seed)
     mode = "exhaustive" if family.materialized else "sampled"
     denom = (program.n - k) if family.side == "fix_yes" else k
     if denom <= 0:
         raise ValueError(f"degenerate case denominator for side {family.side}: {denom}")
-    finals = evolve(program, np.vstack([family.fixed, members]))
+    finals = evolve(program, rows)
     depth = program.query_depth
     empirical = float(np.linalg.norm(finals[1:] - finals[0], axis=1).mean())
     bound = 2.0 * (depth + 1) * delta * np.sqrt(program.width) / denom
@@ -142,7 +139,7 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
         empirical=empirical, bound=bound, slack=slack, passed=slack >= -SLACK_TOL,
         metadata={"family": "hamming", "n": program.n, "s": program.width, "L": depth,
                   "k": k, "delta": delta, "side": family.side, "family_size": family.size,
-                  "mode": mode, "compared": int(members.shape[0])})
+                  "mode": mode, "compared": rows.shape[0] - 1})
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,7 @@ def _promise_or_instance(n: int):
     program = circuit_to_rgqbp(grover_promise_or(n))
     family = hamming_family(n, 0, 1, zeros_input(n))
     expected = np.array([0] + [1] * n, dtype=np.uint8)
-    return program, np.vstack([family.fixed, family.members]), expected
+    return program, family.rows, expected
 
 
 def _parity_instance(n: int):

@@ -99,7 +99,7 @@ def _number_text(blocks: list[np.ndarray]) -> list:
 
 def _load(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_pack_blocks)
     except json.JSONDecodeError as e:
         raise FormatError("document", f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
     if not isinstance(doc, dict):
@@ -114,8 +114,8 @@ def _get(doc: dict, field: str, kind, where: str = ""):
     value = doc[field]
     if kind is int and isinstance(value, bool):
         raise FormatError(path, "expected an integer")
-    if not isinstance(value, kind):
-        raise FormatError(path, f"expected {kind.__name__}")
+    if not isinstance(value, kind) and not (kind is list and isinstance(value, np.ndarray)):
+        raise FormatError(path, f"expected {kind.__name__}")  # an array is lists packed on load
     return value
 
 
@@ -152,29 +152,47 @@ def _first_bad(value, path: str, axes: tuple, entry_ok, message: str) -> FormatE
     return None
 
 
+def _as_block(value) -> np.ndarray | None:
+    """``value`` as a float64 array when it is evenly nested lists of finite
+    JSON numbers (true, null and strings refused), else None: each depth is
+    flattened in one pass and the flat list converted in one call."""
+    shape, leaves = [], [value]
+    while set(map(type, leaves)) == {list} and len(set(map(len, leaves))) == 1:
+        shape.append(len(leaves[0]))
+        leaves = list(chain.from_iterable(leaves))
+    if not shape or not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        block = np.array(leaves, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return block.reshape(shape) if np.isfinite(block).all() else None
+
+
+def _pack_blocks(obj: dict) -> dict:
+    """Decoder hook: a level's blocks become arrays as soon as it is read, so
+    a program's [re, im] lists live one level at a time, not to the end of the
+    decode; a block that is not well formed stays lists for ``_parse_block``."""
+    for field in ("base", "thetas", "a0", "a1"):
+        block = _as_block(obj.get(field))
+        if block is not None:
+            obj[field] = block
+    return obj
+
+
 def _parse_block(value, path: str, axes: tuple, pairs: bool) -> np.ndarray:
     """Float64 array of finite JSON numbers shaped by ``axes`` ((length,
     noun) pairs), plus a trailing axis of 2 when ``pairs``.
 
-    The lists are flattened one axis at a time, each item checked to be a
-    list of the axis' length; the leaves' types are read once (true, null and
-    strings are refused) and the flat list converted in one call.  Only on
+    ``value`` is lists or the array ``_pack_blocks`` made of them.  Only on
     failure does ``_first_bad`` walk the lists to name the offending entry.
     """
     shape = tuple(length for length, _ in axes) + ((2,) if pairs else ())
-    leaves = [value]
-    for length in shape:
-        if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {length}:
-            break
-        leaves = list(chain.from_iterable(leaves))
-    else:
-        if set(map(type, leaves)) <= {int, float}:
-            try:
-                block = np.array(leaves, dtype=np.float64)
-                if np.isfinite(block).all():
-                    return block.reshape(shape)
-            except OverflowError:  # an integer beyond the float range
-                pass
+    block = value if isinstance(value, np.ndarray) else _as_block(value)
+    if block is not None and block.shape == shape:
+        return block
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if pairs:
         error = _first_bad(value, path, axes, _is_pair,
                            "amplitude must be a [re, im] pair of finite numbers")

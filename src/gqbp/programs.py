@@ -121,15 +121,15 @@ def random_rgqbp(s: int, length: int, n: int, seed: int) -> Program:
 
 
 def _member_rows(fixed: np.ndarray, side: str, delta: int, rows: int, picks) -> np.ndarray:
-    """The one row builder of both family modes: ``rows`` copies of ``fixed``
-    with the member bit written at the ``delta`` positions per row that
-    ``picks(flippable positions)`` yields, after ``check_alloc`` of their bytes."""
+    """The one row builder of both family modes: ``fixed``, then ``rows``
+    copies of it with the member bit written at the ``delta`` positions per
+    row that ``picks(flippable positions)`` yields, after ``check_alloc``."""
     n = fixed.size
     check_alloc(rows * (n + 8 * delta), f"{rows} family members of {n} bits")
     fill = int(side == "fix_yes")
     index = np.fromiter(picks((fixed != fill).nonzero()[0]), np.intp, rows * delta)
-    out = np.full((rows, n), fixed)
-    out[np.arange(rows)[:, np.newaxis], index.reshape(rows, delta)] = fill
+    out = np.full((rows + 1, n), fixed)
+    out[np.arange(1, rows + 1)[:, np.newaxis], index.reshape(rows, delta)] = fill
     return out
 
 
@@ -143,6 +143,7 @@ class HammingFamily:
     its 1s, so there are C(k+delta, delta) of them, all of weight k.
     A family is materialised when it has at most ``MATERIALIZE_LIMIT``
     members and their rows fit ``core.ALLOC_LIMIT``; otherwise it is sampled.
+    ``rows`` is ``fixed`` and then every member, the table a report evolves.
     """
 
     n: int
@@ -151,17 +152,24 @@ class HammingFamily:
     side: str
     fixed: np.ndarray
     size: int
-    members: np.ndarray | None
+    rows: np.ndarray | None
 
     @property
     def materialized(self) -> bool:
-        return self.members is not None
+        return self.rows is not None
 
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        """Seeded uniform member sample (with replacement) as (count, n) bits."""
+    @property
+    def members(self) -> np.ndarray | None:
+        return None if self.rows is None else self.rows[1:]
+
+    def anchored_sample(self, count: int, seed: int) -> np.ndarray:
+        """``fixed``, then ``count`` seeded uniform members (with replacement)."""
         rng = np.random.default_rng(seed)
         return _member_rows(self.fixed, self.side, self.delta, count, lambda positions: (
             i for _ in range(count) for i in rng.choice(positions, self.delta, replace=False)))
+
+    def sample(self, count: int, seed: int) -> np.ndarray:
+        return self.anchored_sample(count, seed)[1:]
 
 
 def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
@@ -186,10 +194,9 @@ def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
     else:
         raise ValueError(
             f"fixed string has weight {weight}; expected {k} (fix_yes) or {k + delta} (fix_no)")
-    members = None
+    rows = None
     if size <= MATERIALIZE_LIMIT and size * (n + 8 * delta) <= core.ALLOC_LIMIT:
-        members = _member_rows(fixed, side, delta, size, lambda positions: (
+        rows = _member_rows(fixed, side, delta, size, lambda positions: (
             itertools.chain.from_iterable(itertools.combinations(positions.tolist(), delta))))
-        members.setflags(write=False)
-    return HammingFamily(n=n, k=k, delta=delta, side=side, fixed=fixed,
-                         size=size, members=members)
+        rows.setflags(write=False)
+    return HammingFamily(n=n, k=k, delta=delta, side=side, fixed=fixed, size=size, rows=rows)

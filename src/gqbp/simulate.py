@@ -14,9 +14,9 @@ columns are its 0-transition columns times a phase (within
 ``core.PHASE_TOL``, as ``generalize`` makes them) takes the same restricted
 step with ``a0`` as its base, so the general form costs what its source
 costs too.  Any other general level applies ``a0`` to the nodes reading 0
-and ``a1`` to those reading 1.  The steps are built once per program
-(``Program.kernel_steps``); each gathers its bits contiguously and writes
-into buffers allocated once per call, and every result is the caller's.
+and ``a1`` to those reading 1.  The steps and their stacked tables are
+built once per program (``Program.kernel_steps``, ``kernel_tables``); a call
+gathers bits per block of levels and writes into buffers of its own.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import (Level, Program, RestrictedLevel, _one_row, accept_mass, as_bi
 ACCEPT = "accept"
 REJECT = "reject"
 INCONCLUSIVE = "inconclusive"
+LEVEL_BLOCK_BYTES = 1 << 18  # bit-1 factors per ``evolve`` block: one level from B*s = 16384
 
 
 def transition_matrix(level: Level, x) -> np.ndarray:
@@ -53,13 +54,15 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     Each row starts at ``start`` ((s,) or (B, s); the program's initial
     vector by default) and the (B, s) states after the last selected level
     are returned.  With ``record`` the result is the (k+1, B, s) stack of
-    the states before and after each of the k selected levels.
+    the states before and after each of the k selected levels, which
+    ``check_alloc`` refuses, with one factor block, before allocating.
 
-    A level's bits are one contiguous gather, ``inputs.take(labels, axis=1)``.
-    The steps write with ``out=`` into two (B, s) arrays in turn, or into
-    the recorded stack; only the phase product of a phase-and-mix step
-    allocates.  The result is the caller's: it shares no memory with
-    ``start`` or with any other call's result.
+    Each block of ``LEVEL_BLOCK_BYTES`` of factors, from the slice's first
+    level that reads bits, is one (levels, B, s) ``take`` of their bits and,
+    at its first phase step, one ``np.where``; a level's slice is contiguous,
+    so its arithmetic is that of a level-by-level gather.  The steps write
+    with ``out=`` into two (B, s) arrays in turn, or the recorded stack; the
+    result shares no memory with ``start`` or with another call's result.
     """
     inputs = as_bit_rows(inputs, program.n)
     nb, s = inputs.shape[0], program.width
@@ -67,23 +70,36 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     if start.shape not in ((s,), (nb, s)):
         raise ValueError(f"start must have shape ({s},) or ({nb}, {s}), got {start.shape}")
     steps = program.kernel_steps[levels]
+    labels, table, rows = program.kernel_tables
+    rows = rows[levels]
+    labels, table = labels[rows[rows >= 0]], table[rows[rows >= 0], np.newaxis]
+    per = max(1, LEVEL_BLOCK_BYTES // max(1, 16 * nb * s))
+    if record:
+        check_alloc(16 * nb * s * (len(steps) + 1 + min(per, len(labels))), "recorded states")
     # without record, two separate arrays: the result keeps no second buffer alive
     states = (np.empty((len(steps) + 1, nb, s), dtype=np.complex128) if record
               else [np.empty((nb, s), dtype=np.complex128) for _ in range(2)])
     v = states[0]
     v[...] = start
-    for i, (labels, phases, mix, mix1) in enumerate(steps, 1):
+    done = 0  # reading steps applied so far
+    for i, ((_, phases, mix, mix1), row) in enumerate(zip(steps, rows), 1):
         out = states[i if record else i % 2]
+        if row >= 0:
+            if done % per == 0:
+                block = slice(done, done + per)
+                bits = np.ascontiguousarray(inputs.take(labels[block], axis=1).swapaxes(0, 1))
+                factors = None
+            at, done = done % per, done + 1
         if mix1 is not None:
-            bits = inputs.take(labels, axis=1)
-            np.matmul((1 - bits) * v, mix, out=out)
-            out += (bits * v) @ mix1
+            np.matmul((1 - bits[at]) * v, mix, out=out)
+            out += (bits[at] * v) @ mix1
         elif phases is not None:
-            factors = np.where(inputs.take(labels, axis=1).view(bool), phases, 1)
+            if factors is None:  # at the block's first phase step: two-matmul steps read bits
+                factors = np.where(bits.view(bool), table[block], 1)
             if mix is None:
-                np.multiply(v, factors, out=out)
+                np.multiply(v, factors[at], out=out)
             else:
-                np.matmul(v * factors, mix, out=out)
+                np.matmul(v * factors[at], mix, out=out)
         elif mix is not None:
             np.matmul(v, mix, out=out)
         else:

@@ -215,3 +215,29 @@ def test_hybrid_exit_code_follows_bound_holds(parity_file, monkeypatch, capsys):
 
     monkeypatch.setattr(experiments, "hybrid_deviation", violated)
     assert main(["hybrid", parity_file, "--base", "0000", "--alt", "1100"]) == 1
+
+
+def test_one_process_runs_each_command_as_a_fresh_one(tmp_path, capsys):
+    # the parser is built once per process: no value of one call may reach
+    # the next, so --seed 5 must not stay set for the call without --seed
+    # (a family of C(60, 4) members is sampled, so the seed shows)
+    program = random_rgqbp(4, 5, 64, seed=2)
+    path = tmp_path / "p.json"
+    path.write_text(serialize_program(program))
+    base, alt = "01" * 32, "11" + "01" * 31
+    expect = ["expect", "hamming", str(path), "--k", "4", "--delta", "4",
+              "--fixed", "1" * 4 + "0" * 60]
+    calls = [["hybrid", str(path), "--base", base, "--alt", alt], expect + ["--seed", "5"], expect]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(gqbp.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    outs = []
+    for argv in calls:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        fresh = subprocess.run([sys.executable, "-m", "gqbp.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert fresh.returncode == 0 and fresh.stdout == outs[-1]
+    assert outs[1] != outs[2]
+    trace = gqbp.hybrid_deviation(program, base, alt)
+    printed = re.findall(r"l1=(\S+)", outs[0])
+    assert printed == [f"{l1:.12g}" for l1 in trace.level_l1] and len(printed) == 5

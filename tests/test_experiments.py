@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from gqbp import (
     generalize,
     grover_promise_or,
     hamming_expectation,
+    hamming_family,
     hybrid_deviation,
     hybrid_run,
     one_hot_input,
@@ -180,6 +182,31 @@ def test_family_mode_follows_the_alloc_limit(monkeypatch):
     monkeypatch.setattr(core, "ALLOC_LIMIT", 4 * 16 - 1)
     with pytest.raises(ValueError, match="refusing to allocate 64 bytes for 4 family members"):
         hamming_expectation(prog, 2, 1, fixed)
+
+
+def test_drift_report_evolves_the_family_rows_without_a_copy():
+    # the anchor is row 0 of the family's one table, so no second copy of
+    # the members is stacked; the rest is evolve's two (B, s) state buffers
+    prog = random_rgqbp(4, 4, 2000, seed=1)
+    family = hamming_family(prog.n, 0, 1, zeros_input(prog.n))
+    assert np.array_equal(family.rows[0], family.fixed)
+    assert np.shares_memory(family.members, family.rows)
+    states = 2 * family.rows.shape[0] * prog.width * 16
+    tracemalloc.start()
+    try:
+        promise_or_expectation(prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * family.rows.nbytes + states
+
+
+def test_sampled_family_rows_start_at_the_anchor():
+    fixed = "1" * 4 + "0" * 60
+    family = hamming_family(64, 4, 4, fixed)
+    rows = family.anchored_sample(30, seed=2)
+    assert rows.shape == (31, 64) and bits_to_str(rows[0]) == fixed
+    assert np.array_equal(rows[1:], family.sample(30, seed=2))
 
 
 def test_hamming_delta_zero_degenerate():

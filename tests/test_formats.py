@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,51 @@ def test_older_layout_parses_bit_identically():
         for a, b in zip(new_blocks, old_blocks):
             assert a.dtype == b.dtype and a.shape == b.shape and _bits(a) == _bits(b)
         assert serialize(parse(old)) == text
+
+
+def test_decoder_packs_each_level_as_it_reads_it():
+    # each level's blocks are arrays once the decoder has read the level, so
+    # a document's [re, im] lists are never all alive at once
+    from gqbp.formats import _load
+
+    for prog, fields in ((random_rgqbp(8, 64, 12, seed=4), ("base", "thetas")),
+                         (generalize(random_rgqbp(8, 64, 12, seed=4)), ("a0", "a1"))):
+        text = serialize_program(prog)
+        doc = _load(text)
+        assert isinstance(doc["initial"], list)
+        for level, entry in zip(prog.levels, doc["levels"]):
+            for field in fields:
+                want = getattr(level, field)
+                got = entry[field].view(np.complex128)[..., 0] if want.dtype.kind == "c" \
+                    else entry[field]
+                assert got.shape == want.shape and _bits(got) == _bits(want)
+        del doc
+        tracemalloc.start()
+        try:
+            json.loads(text)
+            whole = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _load(text)
+            packed = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert packed < whole / 3, (packed, whole)
+
+
+def test_decoder_leaves_a_malformed_block_as_lists():
+    from gqbp.formats import _load
+
+    junk, long = (json.loads(serialize_program(parity_program(2))) for _ in range(2))
+    junk["levels"][0]["base"][1][0][1] = True
+    long["levels"][0]["thetas"].append(0.5)   # well formed, so packed, but too long
+    for doc, packed, field, message in (
+            (junk, False, "levels[0].base[1][0]", "[re, im] pair of finite numbers"),
+            (long, True, "levels[0].thetas", "expected 2 angles in radians, got 3")):
+        entry = _load(json.dumps(doc))["levels"][0]
+        assert isinstance(entry["base" if not packed else "thetas"], np.ndarray) == packed
+        with pytest.raises(FormatError) as info:
+            parse_program(json.dumps(doc))
+        assert info.value.field == field and message in str(info.value)
 
 
 def test_integer_amplitudes_parse():

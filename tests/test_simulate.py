@@ -17,12 +17,15 @@ from gqbp import (
     final_state,
     final_states,
     generalize,
+    grover_promise_or,
+    hybrid_run,
     pad_width,
     parity_program,
     random_rgqbp,
     sample_measurement,
     split_layers,
 )
+from gqbp import core, simulate
 from gqbp.core import accept_mass
 from gqbp.simulate import all_inputs, transition_matrix
 
@@ -410,3 +413,147 @@ def test_evolve_matches_reference_on_a_wide_batch(form):
     want = _reference_batch(prog, xs)
     assert np.abs(evolve(prog, xs, record=True) - want).max() <= 1e-12
     assert np.abs(evolve(prog, xs) - want[-1]).max() <= 1e-12
+
+
+def _every_step_kind_program() -> Program:
+    """A general program whose steps cycle through every kind the kernel
+    has: phase and mix, phase only, mix only, identity, and the two-matmul
+    general step."""
+    rng = np.random.default_rng(11)
+    s, n = 4, 6
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s)))[0]
+
+    def phased(base, thetas):
+        return GeneralLevel(labels=rng.integers(0, n, s), a0=base,
+                            a1=base * np.exp(1j * thetas)[np.newaxis, :])
+
+    angles, zeros = (lambda: rng.uniform(0, 2 * np.pi, s)), np.zeros(s)
+    kinds = [lambda: phased(unitary(), angles()), lambda: phased(np.eye(s), angles()),
+             lambda: phased(unitary(), zeros), lambda: phased(np.eye(s), zeros),
+             lambda: GeneralLevel(labels=rng.integers(0, n, s), a0=unitary(), a1=unitary())]
+    levels = tuple(kinds[i]() for i in (0, 1, 4, 2, 0, 3, 4, 1, 2, 0, 3, 4))
+    initial = rng.normal(size=s) + 1j * rng.normal(size=s)
+    return Program(n=n, initial=initial / np.linalg.norm(initial), levels=levels,
+                   accept=frozenset({0, 3}))
+
+
+def _level_by_level(prog, xs, start=None, levels=slice(None)):
+    """The kernel's arithmetic one level at a time, each level gathering its
+    own bits and phase factors: the (k+1, B, s) stack of states, written
+    with ``out=`` as the kernel writes it."""
+    steps = prog.kernel_steps[levels]
+    states = np.empty((len(steps) + 1, len(xs), prog.width), dtype=complex)
+    states[0] = prog.initial if start is None else start
+    for (labels, phases, mix, mix1), v, out in zip(steps, states, states[1:]):
+        bits = xs.take(labels, axis=1)
+        if mix1 is not None:
+            np.matmul((1 - bits) * v, mix, out=out)
+            out += (bits * v) @ mix1
+        elif phases is not None:
+            factors = np.where(bits.view(bool), phases, 1)
+            if mix is None:
+                np.multiply(v, factors, out=out)
+            else:
+                np.matmul(v * factors, mix, out=out)
+        elif mix is not None:
+            np.matmul(v, mix, out=out)
+        else:
+            out[...] = v
+    return states
+
+
+def _kernel_forms():
+    prog = _every_step_kind_program()
+    restricted = random_rgqbp(4, 7, 6, seed=19)
+    return {"every step kind": prog, "plain": restricted, "split": split_layers(restricted),
+            "general split": generalize(split_layers(restricted))}
+
+
+def test_kernel_tables_stack_only_the_steps_that_read_bits():
+    prog = _every_step_kind_program()
+    labels, factors, rows = prog.kernel_tables
+    assert prog.kernel_tables is prog.kernel_tables  # built once per program
+    reads = [phases is not None or mix1 is not None for _, phases, _, mix1 in prog.kernel_steps]
+    assert reads == [True, True, True, False, True, False, True, True, False, True, False, True]
+    assert np.array_equal(rows, np.where(reads, np.cumsum(reads) - 1, -1))
+    for (step_labels, phases, _, _), row in zip(prog.kernel_steps, rows):
+        if row >= 0:
+            assert np.array_equal(labels[row], step_labels)
+            assert np.array_equal(factors[row], np.ones(4) if phases is None else phases)
+    assert split_layers(random_rgqbp(4, 7, 6, seed=19)).kernel_tables[0].shape == (7, 4)
+
+
+# one level's factors fill the budget at s=4 from this many rows on
+_FULL = simulate.LEVEL_BLOCK_BYTES // (16 * 4)
+
+
+@pytest.mark.parametrize("form", list(_kernel_forms()))
+@pytest.mark.parametrize("batch", [1, 2, _FULL // 2, _FULL // 2 + 1, _FULL - 1, _FULL, _FULL + 1])
+def test_evolve_blocks_match_level_by_level_exactly(form, batch):
+    prog = _kernel_forms()[form]
+    xs = np.random.default_rng(batch).integers(0, 2, size=(batch, prog.n), dtype=np.uint8)
+    want = _level_by_level(prog, xs)
+    assert np.array_equal(evolve(prog, xs, record=True), want)
+    assert np.array_equal(evolve(prog, xs), want[-1])
+
+
+@pytest.mark.parametrize("form", list(_kernel_forms()))
+def test_evolve_slices_across_blocks_match_level_by_level_exactly(form, monkeypatch):
+    # blocks of three levels at B=2, so slices start and end inside a block
+    monkeypatch.setattr(simulate, "LEVEL_BLOCK_BYTES", 3 * 16 * 2 * 4)
+    prog = _kernel_forms()[form]
+    rng = np.random.default_rng(3)
+    xs = rng.integers(0, 2, size=(2, prog.n), dtype=np.uint8)
+    start = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    for lo in range(prog.length + 1):
+        for hi in range(lo, prog.length + 1):
+            part = slice(lo, hi)
+            want = _level_by_level(prog, xs, start, part)
+            assert np.array_equal(evolve(prog, xs, start=start, levels=part, record=True), want)
+            assert np.array_equal(evolve(prog, xs, start=start, levels=part), want[-1])
+
+
+@pytest.mark.parametrize("form", list(_kernel_forms()))
+def test_every_hybrid_run_cut_matches_level_by_level_exactly(form):
+    prog = _kernel_forms()[form]
+    x, y = np.random.default_rng(8).integers(0, 2, size=(2, 1, prog.n), dtype=np.uint8)
+    for k in range(prog.query_depth + 1):
+        cut = prog.query_levels[prog.query_depth - k] if k else prog.length
+        prefix = _level_by_level(prog, x, levels=slice(0, cut))[-1]
+        want = _level_by_level(prog, y, prefix, slice(cut, None))[-1, 0]
+        assert np.array_equal(hybrid_run(prog, x[0], y[0], k), want)
+
+
+def test_evolve_record_is_refused_before_allocating(monkeypatch):
+    # the (k+1, B, s) stack and one block of (B, s) factors: 16 * 3 * 2 * (3 + 2) bytes
+    prog, xs = parity_program(4), np.zeros((3, 4), dtype=np.uint8)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 480)
+    assert evolve(prog, xs, record=True).shape == (3, 3, 2)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 479)
+    with pytest.raises(ValueError, match="refusing to allocate 480 bytes for recorded states"):
+        evolve(prog, xs, record=True)
+    assert evolve(prog, xs).shape == (3, 2)  # only the recorded stack is checked
+
+
+def test_factor_blocks_hold_as_many_levels_as_fit_the_budget(monkeypatch):
+    # the record guard counts the stack and one block: two levels of factors
+    # up to half the budget, one level beyond it
+    checked = []
+    monkeypatch.setattr(simulate, "check_alloc", lambda nbytes, what: checked.append(nbytes))
+    prog = random_rgqbp(4, 7, 6, seed=19)
+    batches = (1, _FULL // 2, _FULL // 2 + 1, _FULL, _FULL + 1)
+    for batch in batches:
+        evolve(prog, np.zeros((batch, prog.n), dtype=np.uint8), record=True)
+    blocks = (7, 2, 1, 1, 1)
+    assert checked == [16 * 4 * b * (8 + k) for b, k in zip(batches, blocks)]
+
+
+def test_accept_index_is_sorted_once_per_machine():
+    prog = random_rgqbp(5, 2, 3, seed=4)
+    circuit = grover_promise_or(4)
+    for machine in (prog, circuit):
+        assert machine.accept_index is machine.accept_index
+        assert machine.accept_index.tolist() == sorted(machine.accept)
+    assert accept_mass(replace(prog, accept=frozenset()), np.ones((2, 5))).tolist() == [0, 0]
