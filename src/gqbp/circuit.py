@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import (DEFAULT_TOL, ValidationReport, _freeze, _one_row, accept_mass, as_bit_rows,
                    check_alloc, unitarity_deviation)
 
@@ -214,7 +215,7 @@ def _oracle_reads(circuit: QueryCircuit, gate: PhaseOracle | BitOracle) -> np.nd
         k = np.zeros(circuit.dim, dtype=np.int64)
         for w in gate.index_wires:
             k = (k << 1) | _wire_bits(circuit, w)
-    return np.minimum(k, circuit.n)
+    return np.minimum(k, min(circuit.n, circuit.dim))  # every k < dim; n may exceed int64
 
 
 def _apply_local(matrix: np.ndarray, wires: tuple[int, ...], states: np.ndarray,
@@ -264,13 +265,17 @@ def _apply(circuit: QueryCircuit, gate: Gate, states: np.ndarray,
     return np.where(read.view(bool), states[flipped], states)
 
 
+def _run_bytes(circuit: QueryCircuit, nb: int) -> int:
+    # A gate step holds at most, per entry, the state, a gathered copy, the result and
+    # a uint8 read mask; four int64 index tables; the bits; two complex ufunc buffers.
+    return 49 * nb * circuit.dim + 32 * circuit.dim + (circuit.n + 1) * nb + 32 * np.getbufsize()
+
+
 def _run(circuit: QueryCircuit, inputs) -> np.ndarray:
     """(2^q, B) final states, one column per input."""
     inputs = as_bit_rows(inputs, circuit.n)
     nb, dim = inputs.shape[0], circuit.dim
-    # A gate step holds at most, per entry, the state, a gathered copy, the result and
-    # a uint8 read mask; four int64 index tables; the bits; two complex ufunc buffers.
-    check_alloc(49 * nb * dim + 32 * dim + (circuit.n + 1) * nb + 32 * np.getbufsize(),
+    check_alloc(_run_bytes(circuit, nb),
                 f"the {dim}x{nb} states of a {circuit.q}-wire circuit and their temporaries")
     bits = np.zeros((circuit.n + 1, nb), dtype=np.uint8)
     bits[: circuit.n] = inputs.T
@@ -298,7 +303,11 @@ def circuit_acceptance(circuit: QueryCircuit, x) -> float:
 
 
 def circuit_acceptances(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
-    return accept_mass(circuit, _run(circuit, inputs).T)
+    """Each input's acceptance, run in blocks of as many rows as ``check_alloc`` admits."""
+    inputs, fixed = as_bit_rows(inputs, circuit.n), _run_bytes(circuit, 0)
+    rows = max(1, (core.ALLOC_LIMIT - fixed) // (_run_bytes(circuit, 1) - fixed))
+    return np.concatenate([accept_mass(circuit, _run(circuit, inputs[i:i + rows]).T)
+                           for i in range(0, max(1, len(inputs)), rows)])
 
 
 def _deviation(gate: Unitary | Permutation | Diagonal) -> tuple[float, str]:

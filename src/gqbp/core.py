@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,21 +171,6 @@ class RestrictedLevel:
 Level = GeneralLevel | RestrictedLevel
 
 
-def reads_input(level: Level) -> bool:
-    """Whether ``level`` reads its input bit: whether some node's
-    1-transition column differs from its 0-transition column by more than
-    ``DEFAULT_TOL`` in norm.  That norm is ``||a1[:, j] - a0[:, j]||`` for a
-    general level and ``|exp(1j*theta_j) - 1| * ||base[:, j]||`` for a
-    restricted one, so a program and its ``generalize`` agree up to rounding.
-    The tolerance absorbs gaps of a few ulps, which rounding in a rewrite or
-    in another tool's document can leave on a level that reads nothing."""
-    if isinstance(level, RestrictedLevel):
-        gap = np.abs(np.exp(1j * level.thetas) - 1.0) * np.linalg.norm(level.base, axis=0)
-    else:
-        gap = np.linalg.norm(level.a1 - level.a0, axis=0)
-    return bool(gap.max(initial=0.0) > DEFAULT_TOL)
-
-
 # The kernel takes the restricted step for a general level whose columns are
 # phase-related within this max-entry residual.  It is a few ulps of a
 # unit-size entry, within the rounding of the general step's own products,
@@ -213,29 +199,31 @@ def _phase_relation(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndar
     return thetas, factors, residual
 
 
-def _step(level: Level) -> tuple:
-    """One level as ``simulate.evolve`` applies it to row states:
-    ``(labels, phases, mix, mix1)``.
+class Plan(NamedTuple):
+    """A program's levels as ``simulate.evolve`` applies them, built in one pass.
 
-    A restricted level, and a general level whose columns are phase-related
-    within ``PHASE_TOL``, give the restricted step: ``phases`` (the factors
-    for bit 1) is None when every angle is zero, ``mix`` is None when the
-    base is exactly the identity, and ``mix1`` is None.  Any other general
-    level gives ``(labels, None, a0.T, a1.T)``: ``a0`` for the nodes reading
-    0 and ``a1`` for those reading 1.  The matrices are transposed views,
-    not copies.
+    ``steps[t]`` is level t's ``(mix, mix1)`` as transposed views: ``(base.T,
+    None)`` for a restricted level or a general one phase-related within
+    ``PHASE_TOL`` (base ``a0``), ``mix`` None for the exact identity, else
+    ``(a0.T, a1.T)``.  ``labels`` and bit-1 ``factors`` (1 for two matmuls)
+    are (R, s) tables of the R levels the kernel reads; ``before[t]`` counts
+    those before level t, so levels lo:hi own rows ``before[lo]:before[hi]``.
+
+    * The kernel reads all but a restricted step with every angle exactly 0,
+      the one skip that keeps its arithmetic exact.
+    * A query level (one of the drift caps' ``L``) has a node whose column
+      gap, ``||a1[:, j] - a0[:, j]||`` or ``|exp(1j*theta_j) - 1| *
+      ||base[:, j]||``, exceeds ``DEFAULT_TOL``: a program and its
+      ``generalize`` agree, and the ulps a rewrite leaves read nothing.
+
+    Every query level is read: a skipped level's gap is 0, or at most
+    4*eps*sqrt(s) if general (over 1e-9 only past s ~ 1e12).
     """
-    if isinstance(level, RestrictedLevel):
-        base, thetas = level.base, level.thetas
-        factors = np.exp(1j * thetas)
-    else:
-        thetas, factors, residual = _phase_relation(level.a0, level.a1)
-        if residual.max() > PHASE_TOL:
-            return level.labels, None, level.a0.T, level.a1.T
-        base = level.a0
-    # s nonzero entries, all of them a diagonal 1: exactly the identity
-    identity = np.count_nonzero(base) == level.width and (base.diagonal() == 1).all()
-    return level.labels, factors if thetas.any() else None, None if identity else base.T, None
+
+    steps: tuple[tuple[np.ndarray | None, np.ndarray | None], ...]
+    labels: np.ndarray
+    factors: np.ndarray
+    before: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,35 +284,41 @@ class Program:
         return "restricted"
 
     @cached_property
+    def plan(self) -> Plan:
+        """The levels as the evolution kernel applies them, built once per program."""
+        steps, labels, factors, before = [], [], [], [0]
+        for level in self.levels:
+            if isinstance(level, RestrictedLevel):
+                base, thetas, phases, related = level.base, level.thetas, None, True
+            else:
+                thetas, phases, residual = _phase_relation(level.a0, level.a1)
+                base, related = level.a0, residual.max() <= PHASE_TOL
+            if related:
+                # s nonzero entries, all of them a diagonal 1: exactly the identity
+                identity = np.count_nonzero(base) == self.width and (base.diagonal() == 1).all()
+                steps.append((None if identity else base.T, None))
+            else:
+                steps.append((level.a0.T, level.a1.T))
+                phases = np.ones(self.width)
+            if not related or thetas.any():
+                labels.append(level.labels)
+                factors.append(np.exp(1j * thetas) if phases is None else phases)
+            before.append(len(labels))
+        return Plan(tuple(steps), _freeze(np.array(labels, dtype=np.intp).reshape(-1, self.width)),
+                    _freeze(np.array(factors, dtype=np.complex128).reshape(-1, self.width)),
+                    _freeze(np.array(before, dtype=np.intp)))
+
+    @cached_property
     def query_levels(self) -> np.ndarray:
-        """Indices of the levels that read their input bit (``reads_input``),
-        in order; computed once per program."""
-        reads = [i for i, lv in enumerate(self.levels) if reads_input(lv)]
+        """The query levels in order: ``Plan``'s drift rule on the levels the kernel reads."""
+        def gaps(lv) -> np.ndarray:  # each node's column gap
+            if isinstance(lv, RestrictedLevel):
+                return np.abs(np.exp(1j * lv.thetas) - 1.0) * np.linalg.norm(lv.base, axis=0)
+            return np.linalg.norm(lv.a1 - lv.a0, axis=0)
+
+        reads = [t for t in np.flatnonzero(np.diff(self.plan.before))
+                 if gaps(self.levels[t]).max() > DEFAULT_TOL]
         return _freeze(np.array(reads, dtype=np.intp))
-
-    @cached_property
-    def kernel_steps(self) -> tuple:
-        """The levels as the evolution kernel applies them (``_step``), built
-        once per program."""
-        return tuple(map(_step, self.levels))
-
-    @cached_property
-    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (R, s) labels and bit-1 factors (1 without phases) of the R kernel
-        steps that read bits, and each step's row in them (-1: reads none)."""
-        reads = np.array([p is not None or m1 is not None for _, p, _, m1 in self.kernel_steps],
-                         dtype=bool)
-        steps = [step for step, read in zip(self.kernel_steps, reads) if read]
-        labels = np.array([step[0] for step in steps], dtype=np.intp).reshape(-1, self.width)
-        factors = np.array([np.ones(self.width) if p is None else p for _, p, _, _ in steps],
-                           dtype=np.complex128).reshape(labels.shape)
-        return _freeze(labels), _freeze(factors), _freeze(np.where(reads, reads.cumsum() - 1, -1))
-
-    @cached_property
-    def query_labels(self) -> np.ndarray:
-        """The query levels' labels as one (L, s) table."""
-        return _freeze(np.array([self.levels[t].labels for t in self.query_levels],
-                                dtype=np.intp).reshape(-1, self.width))
 
     @property
     def query_depth(self) -> int:

@@ -106,7 +106,7 @@ def hybrid_deviation(program: Program, x, y) -> HybridTrace:
     pair = as_bit_rows([x, y], program.n)
     states = evolve(program, pair, record=True)
     alpha = states[program.query_levels, 0]
-    xq, yq = pair.take(program.query_labels, axis=1)
+    xq, yq = pair.take(program.plan.labels[program.plan.before[program.query_levels]], axis=1)
     deviations = 2.0 * np.where(xq != yq, np.abs(alpha), 0.0).sum(axis=1)
     distance = float(np.linalg.norm(states[-1, 0] - states[-1, 1]))
     return HybridTrace(alpha=tuple(alpha), deviations=tuple(deviations.tolist()),

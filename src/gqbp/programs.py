@@ -158,18 +158,11 @@ class HammingFamily:
     def materialized(self) -> bool:
         return self.rows is not None
 
-    @property
-    def members(self) -> np.ndarray | None:
-        return None if self.rows is None else self.rows[1:]
-
     def anchored_sample(self, count: int, seed: int) -> np.ndarray:
         """``fixed``, then ``count`` seeded uniform members (with replacement)."""
         rng = np.random.default_rng(seed)
         return _member_rows(self.fixed, self.side, self.delta, count, lambda positions: (
             i for _ in range(count) for i in rng.choice(positions, self.delta, replace=False)))
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        return self.anchored_sample(count, seed)[1:]
 
 
 def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:

@@ -14,9 +14,9 @@ columns are its 0-transition columns times a phase (within
 ``core.PHASE_TOL``, as ``generalize`` makes them) takes the same restricted
 step with ``a0`` as its base, so the general form costs what its source
 costs too.  Any other general level applies ``a0`` to the nodes reading 0
-and ``a1`` to those reading 1.  The steps and their stacked tables are
-built once per program (``Program.kernel_steps``, ``kernel_tables``); a call
-gathers bits per block of levels and writes into buffers of its own.
+and ``a1`` to those reading 1.  The steps and the tables of the levels
+they read are one ``Program.plan``, built once per program; a call slices
+them, gathers bits per block of levels and writes into buffers of its own.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     the states before and after each of the k selected levels, which
     ``check_alloc`` refuses, with one factor block, before allocating.
 
-    Each block of ``LEVEL_BLOCK_BYTES`` of factors, from the slice's first
-    level that reads bits, is one (levels, B, s) ``take`` of their bits and,
+    The levels ``lo:hi`` (step 1) own the rows ``before[lo]:before[hi]`` of
+    the ``Program.plan`` tables; each block of ``LEVEL_BLOCK_BYTES`` of their
+    factors is one (levels, B, s) ``take`` of their bits and,
     at its first phase step, one ``np.where``; a level's slice is contiguous,
     so its arithmetic is that of a level-by-level gather.  The steps write
     with ``out=`` into two (B, s) arrays in turn, or the recorded stack; the
@@ -69,10 +70,12 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     start = program.initial if start is None else np.asarray(start, dtype=np.complex128)
     if start.shape not in ((s,), (nb, s)):
         raise ValueError(f"start must have shape ({s},) or ({nb}, {s}), got {start.shape}")
-    steps = program.kernel_steps[levels]
-    labels, table, rows = program.kernel_tables
-    rows = rows[levels]
-    labels, table = labels[rows[rows >= 0]], table[rows[rows >= 0], np.newaxis]
+    steps, labels, table, before = program.plan
+    lo, hi, stride = levels.indices(program.length)
+    if stride != 1:
+        raise ValueError(f"levels must be a contiguous slice, got {levels}")
+    steps, reads = steps[lo:hi], np.diff(before[lo:hi + 1]).tolist()
+    labels, table = labels[before[lo]:before[hi]], table[before[lo]:before[hi], np.newaxis]
     per = max(1, LEVEL_BLOCK_BYTES // max(1, 16 * nb * s))
     if record:
         check_alloc(16 * nb * s * (len(steps) + 1 + min(per, len(labels))), "recorded states")
@@ -82,9 +85,9 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     v = states[0]
     v[...] = start
     done = 0  # reading steps applied so far
-    for i, ((_, phases, mix, mix1), row) in enumerate(zip(steps, rows), 1):
+    for i, ((mix, mix1), read) in enumerate(zip(steps, reads), 1):
         out = states[i if record else i % 2]
-        if row >= 0:
+        if read:
             if done % per == 0:
                 block = slice(done, done + per)
                 bits = np.ascontiguousarray(inputs.take(labels[block], axis=1).swapaxes(0, 1))
@@ -93,7 +96,7 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
         if mix1 is not None:
             np.matmul((1 - bits[at]) * v, mix, out=out)
             out += (bits[at] * v) @ mix1
-        elif phases is not None:
+        elif read:
             if factors is None:  # at the block's first phase step: two-matmul steps read bits
                 factors = np.where(bits.view(bool), table[block], 1)
             if mix is None:

@@ -16,9 +16,9 @@ from gqbp import (
     run_circuit,
     validate_circuit,
 )
-from gqbp import circuit
+from gqbp import circuit, core, random_rgqbp, rgqbp_to_circuit
 from gqbp.circuit import circuit_acceptances, run_circuit_batch
-from gqbp.core import unitarity_deviation
+from gqbp.core import accept_mass, unitarity_deviation
 from gqbp.simulate import all_inputs
 
 from helpers import HADAMARD, deutsch_circuit
@@ -331,3 +331,22 @@ def test_circuit_run_stays_within_its_checked_bytes(name, batch, monkeypatch):
         tracemalloc.stop()
     assert len(checked) == 1
     assert peak <= checked[0]
+
+
+def test_circuit_acceptances_run_in_blocks_that_check_alloc_admits(monkeypatch):
+    # the q=6 compiled circuits of the translate benchmark, on all 256 inputs
+    c = rgqbp_to_circuit(random_rgqbp(4, 4, 8, seed=3))
+    xs = all_inputs(8)
+    whole = circuit_acceptances(c, xs)
+    assert whole.tobytes() == accept_mass(c, circuit._run(c, xs).T).tobytes()  # one block
+    checked = []
+    check = circuit.check_alloc
+    monkeypatch.setattr(circuit, "check_alloc",
+                        lambda nbytes, what: (checked.append(nbytes), check(nbytes, what)))
+    for rows in (1, 7, 255):
+        monkeypatch.setattr(core, "ALLOC_LIMIT", circuit._run_bytes(c, rows))
+        with pytest.raises(ValueError, match="refusing to allocate"):
+            run_circuit_batch(c, xs)  # it returns every state, so it cannot block
+        checked.clear()
+        assert np.abs(circuit_acceptances(c, xs) - whole).max() <= 1e-15
+        assert len(checked) == -(-256 // rows) and max(checked) <= core.ALLOC_LIMIT

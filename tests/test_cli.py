@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import gqbp
-from gqbp import GeneralLevel, Program, RestrictedLevel, parity_program, random_rgqbp
+from gqbp import (GeneralLevel, Program, RestrictedLevel, circuit_to_rgqbp, grover_promise_or,
+                  parity_program, random_rgqbp, rgqbp_to_circuit)
 from gqbp.cli import main
-from gqbp.formats import serialize_program
+from gqbp.formats import parse_program, serialize_circuit, serialize_program
 
 
 @pytest.fixture
@@ -180,6 +181,71 @@ def test_oversized_request_is_refused_before_allocating(argv, doc, tmp_path, cap
     out = capsys.readouterr()
     assert out.out == ""
     assert re.fullmatch(r"error: refusing to allocate \d+ bytes for .+\n", out.err)
+
+
+def test_convert_to_bp_reads_a_compiled_circuit_whose_n_exceeds_int64(tmp_path, capsys):
+    # every oracle position is below 2^q, so n = 2^70 compiles as n = 4 does
+    compiled = serialize_circuit(rgqbp_to_circuit(random_rgqbp(3, 2, 4, seed=8)))
+    path = tmp_path / "c.json"
+    path.write_text(compiled.replace('"n": 4', f'"n": {2**70}'))
+    assert main(["convert", "--to", "bp", str(path)]) == 0
+    huge = parse_program(capsys.readouterr().out)
+    path.write_text(compiled)
+    assert main(["convert", "--to", "bp", str(path)]) == 0
+    small = parse_program(capsys.readouterr().out)
+    assert huge.n == 2**70
+    assert all(np.array_equal(a.labels, b.labels) and np.array_equal(a.thetas, b.thetas)
+               for a, b in zip(huge.levels, small.levels))
+
+
+_MUTATIONS = (-1, 2**70, 1e308, "x", None, [], "delete")
+_COMMANDS = (["validate"], ["simulate", "--input", "0101"], ["convert", "--to", "circuit"],
+             ["convert", "--to", "bp"], ["hybrid", "--base", "0000", "--alt", "1011"],
+             ["expect", "or"], ["expect", "hamming", "--k", "1", "--delta", "1", "--fixed", "1000"])
+
+
+def _fuzz_cases():
+    """(document, field path, value, command) for every mutation of every
+    top-level field and of each first level or first gate of a type, with
+    two seeded commands each, and the compiled circuit at n = 2^70."""
+    grover = grover_promise_or(4)
+    docs = {"parity": serialize_program(parity_program(4)),
+            "random": serialize_program(random_rgqbp(3, 2, 4, seed=8)),
+            "grover": serialize_circuit(grover),
+            "compiled grover": serialize_circuit(rgqbp_to_circuit(circuit_to_rgqbp(grover)))}
+    rng = np.random.default_rng(2024)
+    cases = [("compiled grover", ("n",), 2**70, ["convert", "--to", "bp"])]
+    for name, text in docs.items():
+        doc = json.loads(text)
+        firsts = {}
+        for key in ("levels", "gates"):
+            for i, item in enumerate(doc.get(key, ())):
+                firsts.setdefault(item.get("type"), [(key, i, field) for field in item])
+        for path in [(key,) for key in doc] + sum(firsts.values(), []):
+            for value in _MUTATIONS:
+                cases += [(name, path, value, _COMMANDS[c])
+                          for c in rng.choice(len(_COMMANDS), size=2, replace=False)]
+    return docs, cases
+
+
+def test_every_mutated_document_exits_0_1_or_2(tmp_path, capsys):
+    # the exit-code contract of cli.py: no traceback, whatever the document holds
+    docs, cases = _fuzz_cases()
+    assert len(cases) > 600
+    path = tmp_path / "doc.json"
+    for name, field_path, value, command in cases:
+        doc = json.loads(docs[name])
+        *parents, last = field_path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value == "delete":
+            del target[last]
+        else:
+            target[last] = value
+        path.write_text(json.dumps(doc))
+        assert main([*command, str(path)]) in (0, 1, 2), (name, field_path, value, command)
+        capsys.readouterr()
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

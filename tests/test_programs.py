@@ -104,7 +104,7 @@ def test_hamming_family_fix_yes_example():
     fam = hamming_family(4, 1, 1, "1000")
     assert fam.side == "fix_yes"
     assert fam.size == math.comb(3, 1) == 3
-    members = {"".join(map(str, m)) for m in fam.members}
+    members = {"".join(map(str, m)) for m in fam.rows[1:]}
     assert members == {"1100", "1010", "1001"}
 
 
@@ -112,14 +112,14 @@ def test_hamming_family_fix_no_example():
     fam = hamming_family(3, 2, 1, "111")
     assert fam.side == "fix_no"
     assert fam.size == math.comb(3, 2) == 3
-    members = {"".join(map(str, m)) for m in fam.members}
+    members = {"".join(map(str, m)) for m in fam.rows[1:]}
     assert members == {"011", "101", "110"}
 
 
 def test_hamming_family_delta_zero():
     fam = hamming_family(4, 2, 0, "1100")
     assert fam.size == 1
-    assert np.array_equal(fam.members[0], fam.fixed)
+    assert np.array_equal(fam.rows[1:][0], fam.fixed)
 
 
 def test_hamming_family_weight_mismatch():
@@ -169,7 +169,7 @@ def test_hamming_family_large_is_sampled():
     fam = hamming_family(n, k, d, "1" * k + "0" * (n - k))
     assert fam.size == math.comb(60, 4)
     assert not fam.materialized
-    sample = fam.sample(50, seed=3)
+    sample = fam.anchored_sample(50, seed=3)[1:]
     assert sample.shape == (50, n)
     assert np.all(sample.sum(axis=1) == k + d)
     assert np.all(sample[:, :k] == 1)  # the fixed 1s are kept

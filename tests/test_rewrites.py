@@ -33,7 +33,7 @@ from gqbp import (
     split_layers,
 )
 from gqbp.circuit import index_register_width
-from gqbp.core import DEFAULT_TOL
+from gqbp.core import DEFAULT_TOL, Plan
 from gqbp.formats import parse_circuit, parse_program, serialize_circuit, serialize_program
 
 from helpers import (
@@ -62,15 +62,18 @@ def _kept(p: Program, r: Program, kind=object) -> bool:
 
 def _two_matmuls(p: Program) -> list[bool]:
     """Which of ``p``'s kernel steps are the general step's two matmuls."""
-    return [mix1 is not None for *_, mix1 in p.kernel_steps]
+    return [mix1 is not None for _, mix1 in p.plan.steps]
 
 
 def _on_two_matmuls(p: Program) -> Program:
     """A copy of ``p`` whose kernel applies every level with the general
-    step's two matmuls, phase-related or not."""
+    step's two matmuls, phase-related or not: a two-matmul ``Plan`` in place
+    of the one ``Program.plan`` builds."""
     slow = replace(p)
-    slow.__dict__["kernel_steps"] = tuple((lv.labels, None, lv.a0.T, lv.a1.T)
-                                          for lv in p.levels)
+    slow.__dict__["plan"] = Plan(
+        steps=tuple((lv.a0.T, lv.a1.T) for lv in p.levels),
+        labels=np.array([lv.labels for lv in p.levels], dtype=np.intp).reshape(-1, p.width),
+        factors=np.ones((p.length, p.width), dtype=complex), before=np.arange(p.length + 1))
     return slow
 
 
@@ -237,6 +240,27 @@ def test_row_holds_on_seeded_programs(row, seed, data):
     # seeded random_rgqbp shapes, s, L, n <= 8, in each form the row takes
     form = data.draw(st.sampled_from(TAKES[ROWS[row][0]]), label="form")
     assert check_row(row, FORMS[form](seeded_program(seed))) <= ACCEPT_TOL
+
+
+def _drift_rule(p: Program) -> np.ndarray:
+    """The levels with a node whose two transition columns differ by more
+    than ``DEFAULT_TOL`` in norm, tested on every level."""
+    gaps = [np.abs(np.exp(1j * lv.thetas) - 1) * np.linalg.norm(lv.base, axis=0)
+            if isinstance(lv, RestrictedLevel) else np.linalg.norm(lv.a1 - lv.a0, axis=0)
+            for lv in p.levels]
+    return np.flatnonzero([gap.max() > DEFAULT_TOL for gap in gaps])
+
+
+def test_every_query_level_is_a_level_the_kernel_reads():
+    # query_levels tests the drift rule only on the levels the kernel reads
+    sources = [*PROGRAMS.values(), *(seeded_program(seed) for seed in range(40))]
+    for p in (FORMS[form](source) for source in sources for form in FORMS):
+        reads = np.flatnonzero(np.diff(p.plan.before))
+        assert np.array_equal(p.query_levels, _drift_rule(p))
+        assert np.isin(p.query_levels, reads).all()
+    # an angle of 1e-12 changes the kernel's arithmetic but is no query
+    tiny = _near_tol_program(1e-12, HH)
+    assert np.diff(tiny.plan.before).tolist() == [1, 1] and tiny.query_depth == 0
 
 
 @pytest.mark.parametrize("name", NEAR_TOL)

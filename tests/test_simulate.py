@@ -282,6 +282,9 @@ def test_evolve_rejects_bad_shapes_and_values():
             evolve(prog, bad)
     with pytest.raises(ValueError, match="start"):
         evolve(prog, np.zeros((2, 4), dtype=np.uint8), start=np.zeros(3))
+    for stepped in (slice(None, None, 2), slice(None, None, -1)):
+        with pytest.raises(ValueError, match="contiguous slice"):
+            evolve(prog, np.zeros((2, 4), dtype=np.uint8), levels=stepped)
 
 
 def test_evolve_reads_bits_of_any_dtype_alike():
@@ -326,19 +329,19 @@ def test_identity_and_zero_phase_levels_match_general_form():
                       - accept_mass(prog, want[-1])).max() <= 1e-12
 
 
-def test_kernel_steps_skip_and_share_matrices():
+def test_plan_steps_skip_and_share_matrices():
     prog = _skippable_program()
-    assert prog.kernel_steps is prog.kernel_steps  # built once per program
+    assert prog.plan is prog.plan  # built once per program
     general = generalize(prog)
     # a generalized level is phase-related, so it takes the restricted step
     # with a0 as its base and the same skips
     for form, bases in ((prog, [lv.base for lv in prog.levels]),
                         (general, [lv.a0 for lv in general.levels])):
-        steps = form.kernel_steps
-        assert [phases is None for _, phases, _, _ in steps] == [False, True, True, False]
-        assert [mix is None for _, _, mix, _ in steps] == [True, False, True, False]
-        assert all(mix1 is None for *_, mix1 in steps)
-        for base, (_, _, mix, _) in zip(bases, steps):
+        plan = form.plan
+        assert np.diff(plan.before).tolist() == [1, 0, 0, 1]  # zero angles read nothing
+        assert [mix is None for mix, _ in plan.steps] == [True, False, True, False]
+        assert all(mix1 is None for _, mix1 in plan.steps)
+        for base, (mix, _) in zip(bases, plan.steps):
             if mix is not None:
                 assert np.shares_memory(mix, base)
 
@@ -352,7 +355,7 @@ def test_only_the_exact_identity_skips_the_mix():
     signed_zeros = np.where(eye == 0, -0.0, eye)  # still the identity
     for base in (eye[[1, 0, 2]], off, ulp, flip, signed_zeros):
         level = RestrictedLevel(labels=np.zeros(3, dtype=int), base=base, thetas=np.zeros(3))
-        (_, _, mix, _), = Program(n=1, initial=eye[0], levels=(level,)).kernel_steps
+        (mix, _), = Program(n=1, initial=eye[0], levels=(level,)).plan.steps
         assert (mix is None) == (base is signed_zeros) == np.array_equal(base, eye)
 
 
@@ -376,10 +379,11 @@ def _off_phase_program(case: str) -> Program:
 @pytest.mark.parametrize("case", ["unrelated", "perturbed by 1e-13", "zero a0 column"])
 def test_general_levels_off_the_phase_relation_take_two_matmuls(case):
     prog = _off_phase_program(case)
-    steps = prog.kernel_steps
-    assert [mix1 is not None for *_, mix1 in steps] == [False, True, False]
-    _, phases, mix, mix1 = steps[1]
-    assert phases is None
+    plan = prog.plan
+    assert [mix1 is not None for _, mix1 in plan.steps] == [False, True, False]
+    mix, mix1 = plan.steps[1]
+    assert plan.before[2] - plan.before[1] == 1  # it reads its bits, with factor 1
+    assert np.array_equal(plan.factors[plan.before[1]], np.ones(4))
     assert np.shares_memory(mix, prog.levels[1].a0) and np.shares_memory(mix1, prog.levels[1].a1)
     xs = all_inputs(prog.n)
     assert np.abs(evolve(prog, xs, record=True) - _reference_batch(prog, xs)).max() <= 1e-12
@@ -443,16 +447,19 @@ def _level_by_level(prog, xs, start=None, levels=slice(None)):
     """The kernel's arithmetic one level at a time, each level gathering its
     own bits and phase factors: the (k+1, B, s) stack of states, written
     with ``out=`` as the kernel writes it."""
-    steps = prog.kernel_steps[levels]
-    states = np.empty((len(steps) + 1, len(xs), prog.width), dtype=complex)
+    plan = prog.plan
+    picked = range(prog.length)[levels]
+    states = np.empty((len(picked) + 1, len(xs), prog.width), dtype=complex)
     states[0] = prog.initial if start is None else start
-    for (labels, phases, mix, mix1), v, out in zip(steps, states, states[1:]):
-        bits = xs.take(labels, axis=1)
+    for t, v, out in zip(picked, states, states[1:]):
+        (mix, mix1), row = plan.steps[t], plan.before[t]
+        reads = plan.before[t + 1] > row
+        bits = xs.take(plan.labels[row], axis=1) if reads else None
         if mix1 is not None:
             np.matmul((1 - bits) * v, mix, out=out)
             out += (bits * v) @ mix1
-        elif phases is not None:
-            factors = np.where(bits.view(bool), phases, 1)
+        elif reads:
+            factors = np.where(bits.view(bool), plan.factors[row], 1)
             if mix is None:
                 np.multiply(v, factors, out=out)
             else:
@@ -471,18 +478,19 @@ def _kernel_forms():
             "general split": generalize(split_layers(restricted))}
 
 
-def test_kernel_tables_stack_only_the_steps_that_read_bits():
+def test_plan_tables_hold_only_the_levels_that_read_bits():
     prog = _every_step_kind_program()
-    labels, factors, rows = prog.kernel_tables
-    assert prog.kernel_tables is prog.kernel_tables  # built once per program
-    reads = [phases is not None or mix1 is not None for _, phases, _, mix1 in prog.kernel_steps]
-    assert reads == [True, True, True, False, True, False, True, True, False, True, False, True]
-    assert np.array_equal(rows, np.where(reads, np.cumsum(reads) - 1, -1))
-    for (step_labels, phases, _, _), row in zip(prog.kernel_steps, rows):
-        if row >= 0:
-            assert np.array_equal(labels[row], step_labels)
-            assert np.array_equal(factors[row], np.ones(4) if phases is None else phases)
-    assert split_layers(random_rgqbp(4, 7, 6, seed=19)).kernel_tables[0].shape == (7, 4)
+    plan = prog.plan
+    reads = [True, True, True, False, True, False, True, True, False, True, False, True]
+    assert plan.before.tolist() == [0, *np.cumsum(reads)]
+    assert plan.labels.shape == plan.factors.shape == (sum(reads), 4)
+    for t, (level, (_, mix1)) in enumerate(zip(prog.levels, plan.steps)):
+        if reads[t]:
+            row = plan.before[t]
+            phases = np.ones(4) if mix1 is not None else core._phase_relation(level.a0, level.a1)[1]
+            assert np.array_equal(plan.labels[row], level.labels)
+            assert np.array_equal(plan.factors[row], phases)
+    assert split_layers(random_rgqbp(4, 7, 6, seed=19)).plan.labels.shape == (7, 4)
 
 
 # one level's factors fill the budget at s=4 from this many rows on
