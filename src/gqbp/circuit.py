@@ -25,15 +25,22 @@ The other gates act on the amplitude vector without reading the input:
 
 Construction checks shapes and index ranges; unitarity (bijectivity of a
 permutation, unit modulus of a diagonal) is left to ``validate_circuit`` so
-that broken circuits can still be loaded and inspected.  The simulator
-applies every gate kind through one function: a permutation is an index
-gather, a diagonal an elementwise multiply and a local unitary a matmul on
-its wires, so no gate is expanded to its dense matrix.
+that broken circuits can still be loaded and inspected.
+
+The simulator applies every gate kind through one function, ``_step``: a
+permutation is an index gather, a diagonal an elementwise multiply, an
+oracle a masked copy or multiply and a local unitary a matmul on its
+wires, so no gate is expanded to its dense matrix.  The tables a step needs
+(a permutation's inverse, an oracle's read positions, a local unitary's
+axis order) are built once per circuit, in ``QueryCircuit.plan``.  A run
+writes each step with ``out=`` into two C-ordered (2^q, B) state buffers in
+turn, so it allocates no array per gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -194,6 +201,16 @@ class QueryCircuit:
     def dim(self) -> int:
         return 1 << self.q
 
+    @cached_property
+    def plan(self) -> tuple[tuple, ...]:
+        """Each gate as ``_step`` applies it, built once per circuit; equal
+        oracles share one read table."""
+        reads = {}
+        for gate in self.gates:
+            if isinstance(gate, (PhaseOracle, BitOracle)) and gate not in reads:
+                reads[gate] = _oracle_reads(self, gate)
+        return tuple(_gate_step(self, gate, reads.get(gate)) for gate in self.gates)
+
 
 def count_queries(circuit: QueryCircuit) -> int:
     """Number of oracle gates of either kind."""
@@ -218,57 +235,92 @@ def _oracle_reads(circuit: QueryCircuit, gate: PhaseOracle | BitOracle) -> np.nd
     return np.minimum(k, min(circuit.n, circuit.dim))  # every k < dim; n may exceed int64
 
 
-def _apply_local(matrix: np.ndarray, wires: tuple[int, ...], states: np.ndarray,
-                 q: int) -> np.ndarray:
-    """``matrix`` on ``wires`` (first wire most significant) of each column
-    of ``states``: the wires' axes move to the front, one matmul, and back."""
-    k = len(wires)
-    front = tuple(range(k))
-    t = np.moveaxis(states.reshape((2,) * q + states.shape[1:]), wires, front)
-    out = (matrix @ t.reshape(1 << k, -1)).reshape(t.shape)
-    return np.moveaxis(out, front, wires).reshape(states.shape)
-
-
-def _permute(perm: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Row j of ``states`` moved to row perm[j]: a gather by the inverse table.
-    A table with repeated targets (a broken circuit) sums the rows that
-    collide, as its dense matrix does."""
-    rows = np.arange(perm.size)
-    inverse = np.zeros_like(perm)
-    inverse[perm] = rows
-    if np.array_equal(perm[inverse], rows):
-        return states[inverse]
-    out = np.zeros_like(states)
-    np.add.at(out, perm, states)
-    return out
-
-
-def _apply(circuit: QueryCircuit, gate: Gate, states: np.ndarray,
-           bits: np.ndarray | None = None) -> np.ndarray:
-    """``gate`` applied to each column of ``states`` (2^q rows).  Oracles read
-    column b of ``bits``: the n input bits of column b and then one 0."""
+def _gate_step(circuit: QueryCircuit, gate: Gate, reads: np.ndarray | None = None) -> tuple:
+    """``gate`` as ``_step`` applies it: a kind and the tables it needs.
+    ``reads`` is an oracle's ``_oracle_reads`` table."""
     if isinstance(gate, Unitary):
         if gate.wires is None:
-            # Each state is multiplied as a row, so dense circuits keep the
-            # exact bits of their results; matrix @ states can differ in the
-            # last bit.
-            return (states.T @ gate.matrix.T).T
-        return _apply_local(gate.matrix, gate.wires, states, circuit.q)
+            return "dense", gate.matrix.T
+        rest = tuple(w for w in range(circuit.q) if w not in gate.wires)
+        axes = gate.wires + rest + (circuit.q,)  # the batch axis stays last
+        if axes == tuple(range(circuit.q + 1)):
+            return "local", gate.matrix, None, None
+        return "local", gate.matrix, axes, tuple(np.argsort(axes))
     if isinstance(gate, Permutation):
-        return _permute(gate.perm, states)
+        # Row j moves to row perm[j]: a gather by the inverse table.  A table
+        # with repeated targets (a broken circuit) sums the rows that collide,
+        # as its dense matrix does.
+        perm, rows = gate.perm, np.arange(circuit.dim)
+        inverse = np.zeros_like(perm)
+        inverse[perm] = rows
+        return ("gather", inverse) if np.array_equal(perm[inverse], rows) else ("scatter", perm)
     if isinstance(gate, Diagonal):
-        return states * gate.phases[:, np.newaxis]
-    read = bits[_oracle_reads(circuit, gate)]
+        return "diagonal", gate.phases[:, np.newaxis]
     if isinstance(gate, PhaseOracle):
-        return states * (1.0 - 2.0 * read)
-    flipped = np.arange(circuit.dim, dtype=np.int64) ^ (1 << (circuit.q - 1 - gate.target_wire))
-    return np.where(read.view(bool), states[flipped], states)
+        return "phase", reads
+    return "flip", reads, gate.target_wire
+
+
+def _step(step: tuple, states: np.ndarray, out: np.ndarray, bits: np.ndarray | None = None,
+          mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One gate applied to each column of the C-ordered ``states`` (2^q rows),
+    written with ``out=`` into ``out`` (or, for a full-width unitary, back
+    into ``states``); returns (the result, the spare buffer).  Oracles read
+    column b of the bool ``bits``: the n input bits of column b and then one
+    0, gathered into ``mask``, an array of the states' shape."""
+    kind, table, *extra = step
+    if kind == "dense":
+        # Each state is multiplied as a row, so dense circuits keep the exact
+        # bits of their results; matrix @ states can differ in the last bit.
+        # The rows land in out's memory and come back transposed.
+        rows = out.reshape(out.shape[::-1])
+        np.matmul(states.T, table, out=rows)
+        np.copyto(states, rows.T)
+        return states, out
+    if kind == "local":
+        # matrix on the wires (first wire most significant) of each column:
+        # their axes move to the front, one matmul, and back
+        axes, back = extra
+        size = table.shape[0]
+        if axes is None:  # the leading wires in order: no move
+            np.matmul(table, states.reshape(size, -1), out=out.reshape(size, -1))
+            return out, states
+        cube = (2,) * (len(axes) - 1) + states.shape[1:]
+        np.copyto(out.reshape(cube), states.reshape(cube).transpose(axes))
+        np.matmul(table, out.reshape(size, -1), out=states.reshape(size, -1))
+        np.copyto(out.reshape(cube), states.reshape(cube).transpose(back))
+        return out, states
+    if kind == "gather":
+        np.take(states, table, axis=0, out=out, mode="clip")  # "raise" would buffer out
+    elif kind == "scatter":
+        out.fill(0)
+        np.add.at(out, table, states)
+    elif kind == "diagonal":
+        np.multiply(states, table, out=out)
+    else:
+        np.take(bits, table, axis=0, out=mask, mode="clip")
+        if kind == "phase":
+            # the products with 1 and -1 that a real sign vector would give,
+            # signed zeros included
+            np.multiply(states, 1 + 0j, out=out)
+            np.multiply(states, -1 + 0j, out=out, where=mask)
+        else:
+            # x_k XORed into the target wire: rows whose read bit is 1 take
+            # the row with the target bit flipped
+            np.copyto(out, states)
+            pairs = (1 << extra[0], 2, -1)  # (wires above, target bit, the rest)
+            np.copyto(out.reshape(pairs), states.reshape(pairs)[:, ::-1], where=mask.reshape(pairs))
+    return out, states
 
 
 def _run_bytes(circuit: QueryCircuit, nb: int) -> int:
-    # A gate step holds at most, per entry, the state, a gathered copy, the result and
-    # a uint8 read mask; four int64 index tables; the bits; two complex ufunc buffers.
-    return 49 * nb * circuit.dim + 32 * circuit.dim + (circuit.n + 1) * nb + 32 * np.getbufsize()
+    # Per state entry: two complex buffers and the bool oracle mask.  At most
+    # one int64 table per gate in the plan, four more while it is built; the
+    # bits; two complex ufunc buffers (a diagonal's broadcast product is
+    # buffered).
+    dim = circuit.dim
+    return 33 * nb * dim + 8 * dim * (len(circuit.gates) + 4) + (circuit.n + 1) * nb \
+        + 32 * np.getbufsize()
 
 
 def _run(circuit: QueryCircuit, inputs) -> np.ndarray:
@@ -277,12 +329,13 @@ def _run(circuit: QueryCircuit, inputs) -> np.ndarray:
     nb, dim = inputs.shape[0], circuit.dim
     check_alloc(_run_bytes(circuit, nb),
                 f"the {dim}x{nb} states of a {circuit.q}-wire circuit and their temporaries")
-    bits = np.zeros((circuit.n + 1, nb), dtype=np.uint8)
+    bits = np.zeros((circuit.n + 1, nb), dtype=bool)
     bits[: circuit.n] = inputs.T
-    states = np.zeros((dim, nb), dtype=np.complex128)
+    states, spare = np.zeros((dim, nb), dtype=np.complex128), np.empty((dim, nb), np.complex128)
     states[0] = 1.0
-    for gate in circuit.gates:
-        states = _apply(circuit, gate, states, bits)
+    mask = np.empty((dim, nb), dtype=bool)
+    for step in circuit.plan:
+        states, spare = _step(step, states, spare, bits, mask)
     return states
 
 

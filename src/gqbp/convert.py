@@ -12,7 +12,7 @@ fused unitaries.  Width is 2^q and length equals the query count.
 The fused segments are dense 2^q x 2^q matrices, since they become the
 program's transition matrices; every gate, and the Hadamard before a bit
 oracle (a 1-wire ``Unitary``), is applied to them with the simulator's
-gate function.
+gate step, ``circuit._step``.
 
 Program -> circuit: three registers, namely node index (ceil(log2 w) wires),
 queried position (ceil(log2 n) wires), query value (1 wire).  Each level
@@ -40,8 +40,8 @@ from .circuit import (
     QueryCircuit,
     Unitary,
     _HADAMARD,
-    _apply,
-    _oracle_reads,
+    _gate_step,
+    _step,
     _wire_bits,
     circuit_acceptances,
     complete_unitary,
@@ -58,11 +58,10 @@ ROUNDTRIP_SAMPLE = 256
 ROUNDTRIP_SEED = 0
 
 
-def _oracle_level(circuit: QueryCircuit, gate: PhaseOracle | BitOracle):
+def _oracle_level(circuit: QueryCircuit, gate: PhaseOracle | BitOracle, reads: np.ndarray):
     """(thetas, labels) of the level an oracle becomes: phase pi where the
     oracle flips the sign (a bit oracle only where its target bit is 1,
     between the Hadamards), on nodes that read a live input position."""
-    reads = _oracle_reads(circuit, gate)
     live = reads < circuit.n
     flip = 1 if isinstance(gate, PhaseOracle) else _wire_bits(circuit, gate.target_wire)
     return np.where(live, np.pi * flip, 0.0), np.where(live, reads, 0)
@@ -71,34 +70,38 @@ def _oracle_level(circuit: QueryCircuit, gate: PhaseOracle | BitOracle):
 def circuit_to_rgqbp(circuit: QueryCircuit) -> Program:
     """Compile a query circuit into an equivalent restricted program of
     width 2^q and length equal to the circuit's query count."""
-    # one dense 2^q x 2^q segment before each query and one after the last
-    check_alloc(16 * (count_queries(circuit) + 1) << 2 * circuit.q,
+    # one dense 2^q x 2^q segment before each query and one after the last,
+    # and a spare buffer for the gate steps
+    check_alloc(16 * (count_queries(circuit) + 2) << 2 * circuit.q,
                 f"the {circuit.dim}x{circuit.dim} segments of a {circuit.q}-wire circuit")
-    eye = np.eye(circuit.dim, dtype=np.complex128)
-    segments = [eye]
-    queries = []
-    for gate in circuit.gates:
+    segment = np.eye(circuit.dim, dtype=np.complex128)
+    spare = np.empty_like(segment)
+    segments, queries = [], []
+    for gate, step in zip(circuit.gates, circuit.plan):
         if isinstance(gate, PhaseOracle):
-            queries.append(_oracle_level(circuit, gate))
-            segments.append(eye)
+            start = np.eye(circuit.dim, dtype=np.complex128)
         elif isinstance(gate, BitOracle):
             wire = gate.target_wire
-            segments[-1] = _apply(circuit, Unitary(_HADAMARD, wires=(wire,)), segments[-1])
-            queries.append(_oracle_level(circuit, gate))
+            hadamard = _gate_step(circuit, Unitary(_HADAMARD, wires=(wire,)))
+            segment, spare = _step(hadamard, segment, spare)
             # The next segment starts as the Hadamard's dense matrix.  A
             # Kronecker product forms each entry as one product, with no
             # sum, so zero entries keep their signs and the level's base
             # keeps its exact bits.
-            segments.append(np.kron(np.kron(np.eye(1 << wire), _HADAMARD),
-                                    np.eye(1 << (circuit.q - 1 - wire))))
+            start = np.kron(np.kron(np.eye(1 << wire), _HADAMARD),
+                            np.eye(1 << (circuit.q - 1 - wire)))
         else:
-            segments[-1] = _apply(circuit, gate, segments[-1])
-    initial = segments[0][:, 0]
+            segment, spare = _step(step, segment, spare)
+            continue
+        queries.append(_oracle_level(circuit, gate, step[1]))  # its read table
+        segments.append(segment)
+        segment = start
+    segments.append(segment)
     levels = tuple(
         RestrictedLevel(labels=labels, base=segments[i + 1], thetas=thetas)
         for i, (thetas, labels) in enumerate(queries)
     )
-    return Program(n=circuit.n, initial=initial, levels=levels, accept=circuit.accept)
+    return Program(n=circuit.n, initial=segments[0][:, 0], levels=levels, accept=circuit.accept)
 
 
 def rgqbp_to_circuit(program: Program) -> QueryCircuit:

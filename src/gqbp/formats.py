@@ -26,10 +26,18 @@ matrix entry (``levels[0].base[2][1]``, ``gates[3].perm[7]``).  Other
 numeric properties (normalisation, unitarity, a permutation's bijectivity)
 are left to the validators so that broken files can still be loaded and
 inspected.
+
+Decoding turns each level's and gate's number blocks into arrays as soon as
+they are read, and runs with Python's cyclic collector paused: the decoder
+builds no reference cycles, so a collection set off by its thousands of
+short-lived lists would free nothing.  The collector's prior state is
+restored afterwards.  A document nested deeper than the decoder's
+recursion limit is a ``FormatError`` on ``document``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from itertools import chain
@@ -98,10 +106,20 @@ def _number_text(blocks: list[np.ndarray]) -> list:
 
 
 def _load(text: str) -> dict:
+    # The decoder and its hook build no reference cycles, so the cyclic
+    # collector has nothing to free while they run; paused, it does not
+    # sweep the thousands of lists a compiled document holds mid-decode.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text, object_hook=_pack_blocks)
     except json.JSONDecodeError as e:
         raise FormatError("document", f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise FormatError("document", "nested too deeply to decode")
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(doc, dict):
         raise FormatError("document", "top level must be a JSON object")
     return doc
@@ -169,12 +187,17 @@ def _as_block(value) -> np.ndarray | None:
     return block.reshape(shape) if np.isfinite(block).all() else None
 
 
+# The fields that hold a program level's or a circuit gate's number blocks.
+_BLOCK_FIELDS = frozenset(("base", "thetas", "a0", "a1", "matrix", "phases"))
+
+
 def _pack_blocks(obj: dict) -> dict:
-    """Decoder hook: a level's blocks become arrays as soon as it is read, so
-    a program's [re, im] lists live one level at a time, not to the end of the
-    decode; a block that is not well formed stays lists for ``_parse_block``."""
-    for field in ("base", "thetas", "a0", "a1"):
-        block = _as_block(obj.get(field))
+    """Decoder hook: a level's or gate's blocks become arrays as soon as it is
+    read, so a document's [re, im] lists live one level or gate at a time,
+    not to the end of the decode; a block that is not well formed stays
+    lists for ``_parse_block``."""
+    for field in _BLOCK_FIELDS.intersection(obj):
+        block = _as_block(obj[field])
         if block is not None:
             obj[field] = block
     return obj

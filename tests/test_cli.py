@@ -199,6 +199,9 @@ def test_convert_to_bp_reads_a_compiled_circuit_whose_n_exceeds_int64(tmp_path, 
 
 
 _MUTATIONS = (-1, 2**70, 1e308, "x", None, [], "delete")
+# JSON text of a list nested deeper than the decoder's recursion limit; the
+# fuzz test writes it unquoted in place of its quoted form
+_DEEP = "[" * 5000 + "]" * 5000
 _COMMANDS = (["validate"], ["simulate", "--input", "0101"], ["convert", "--to", "circuit"],
              ["convert", "--to", "bp"], ["hybrid", "--base", "0000", "--alt", "1011"],
              ["expect", "or"], ["expect", "hamming", "--k", "1", "--delta", "1", "--fixed", "1000"])
@@ -207,7 +210,9 @@ _COMMANDS = (["validate"], ["simulate", "--input", "0101"], ["convert", "--to", 
 def _fuzz_cases():
     """(document, field path, value, command) for every mutation of every
     top-level field and of each first level or first gate of a type, with
-    two seeded commands each, and the compiled circuit at n = 2^70."""
+    two seeded commands each, the compiled circuit at n = 2^70, and a
+    too-deep list in place of a program's initial vector and a circuit's
+    gates under every command."""
     grover = grover_promise_or(4)
     docs = {"parity": serialize_program(parity_program(4)),
             "random": serialize_program(random_rgqbp(3, 2, 4, seed=8)),
@@ -225,6 +230,9 @@ def _fuzz_cases():
             for value in _MUTATIONS:
                 cases += [(name, path, value, _COMMANDS[c])
                           for c in rng.choice(len(_COMMANDS), size=2, replace=False)]
+    cases += [(name, (key,), _DEEP, command)
+              for name, key in (("parity", "initial"), ("compiled grover", "gates"))
+              for command in _COMMANDS]
     return docs, cases
 
 
@@ -243,9 +251,20 @@ def test_every_mutated_document_exits_0_1_or_2(tmp_path, capsys):
             del target[last]
         else:
             target[last] = value
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace(json.dumps(_DEEP), _DEEP))
         assert main([*command, str(path)]) in (0, 1, 2), (name, field_path, value, command)
         capsys.readouterr()
+
+
+def test_too_deeply_nested_document_exits_2(tmp_path, capsys):
+    doc = json.loads(serialize_program(parity_program(4)))
+    doc["initial"] = _DEEP
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace(json.dumps(_DEEP), _DEEP))
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: document: nested too deeply to decode\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

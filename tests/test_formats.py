@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -218,6 +219,9 @@ MATRIX_SITES = [
      parse_program, ("levels", 1, "a1"), "levels[1].a1"),
     ("circuit unitary", lambda: serialize_circuit(grover_promise_or(4)), parse_circuit,
      ("gates", 0, "matrix"), "gates[0].matrix"),
+    ("circuit unitary on wires",
+     lambda: serialize_circuit(rgqbp_to_circuit(random_rgqbp(3, 2, 4, seed=8))), parse_circuit,
+     ("gates", 6, "matrix"), "gates[6].matrix"),
 ]
 
 
@@ -408,6 +412,85 @@ def test_decoder_packs_each_level_as_it_reads_it():
         assert packed < whole / 3, (packed, whole)
 
 
+def test_decoder_packs_each_gate_as_it_reads_it():
+    # the circuit twin: each gate's matrix and phases are arrays once the
+    # decoder has read the gate
+    from gqbp.formats import _load
+
+    circuit = rgqbp_to_circuit(random_rgqbp(8, 16, 12, seed=4))
+    text = serialize_circuit(circuit)
+    doc = _load(text)
+    packed_fields = 0
+    for gate, entry in zip(circuit.gates, doc["gates"]):
+        for field in ("matrix", "phases"):
+            if hasattr(gate, field):
+                want = getattr(gate, field)
+                got = entry[field].view(np.complex128)[..., 0]
+                assert got.shape == want.shape and _bits(got) == _bits(want)
+                packed_fields += 1
+    assert packed_fields == 1 + 2 * 16  # the initial gate, each level's diagonal and mix
+    del doc
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        whole = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _load(text)
+        packed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed < whole / 3, (packed, whole)
+
+
+_DEEP_DOC = '{"initial": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_load_restores_the_collector_state(enabled):
+    from gqbp.formats import _load
+
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        _load(serialize_program(parity_program(2)))
+        assert gc.isenabled() == enabled
+        for text, message in (("{not json", "invalid JSON"),
+                              (_DEEP_DOC, "nested too deeply to decode")):
+            with pytest.raises(FormatError, match=message) as info:
+                _load(text)
+            assert info.value.field == "document"
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_decoding_a_compiled_document_runs_no_collection():
+    # the decoder runs with the collector paused, so the thousands of lists
+    # of a compiled document set off no collection
+    texts = ((parse_program, serialize_program(circuit_to_rgqbp(grover_promise_or(16)))),
+             (parse_circuit, serialize_circuit(rgqbp_to_circuit(random_rgqbp(4, 4, 8, seed=3)))))
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    threshold, enabled = gc.get_threshold(), gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        gc.enable()
+        gc.set_threshold(700, 10, 10)  # CPython's default
+        for parse_text, text in texts:
+            gc.collect()
+            runs.clear()
+            parse_text(text)
+            assert runs == []
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+        (gc.enable if enabled else gc.disable)()
+
+
 def test_decoder_leaves_a_malformed_block_as_lists():
     from gqbp.formats import _load
 
@@ -508,6 +591,18 @@ V2_JUNK = [
      lambda d: d["gates"][3]["phases"][5].append(d["gates"][3]["phases"][6].pop()),
      "gates[3].phases[5]"),
     ("phase nested too deep", _set("gates", 3, "phases", 5, [[1.0, 0.0]]), "gates[3].phases[5]"),
+    ("phase false", _set("gates", 3, "phases", 5, [False, 0.0]), "gates[3].phases[5]"),
+    ("phase huge int", _set("gates", 3, "phases", 5, [HUGE_INT, 0.0]), "gates[3].phases[5]"),
+    ("phase Infinity", _set("gates", 3, "phases", 5, [1.0, -math.inf]), "gates[3].phases[5]"),
+    ("phase 3-element pair", _set("gates", 3, "phases", 5, [1.0, 0.0, 0.0]),
+     "gates[3].phases[5]"),
+    ("phase 1-element pair", _set("gates", 3, "phases", 5, [1.0]), "gates[3].phases[5]"),
+    ("phase bare number", _set("gates", 3, "phases", 5, 1.0), "gates[3].phases[5]"),
+    ("phase object", _set("gates", 3, "phases", 5, {}), "gates[3].phases[5]"),
+    ("phase number nested too deep", _set("gates", 3, "phases", 5, [[1.0], 0.0]),
+     "gates[3].phases[5]"),
+    ("phases long", lambda d: d["gates"][3]["phases"].append([1.0, 0.0]), "gates[3].phases"),
+    ("phases empty", _set("gates", 3, "phases", []), "gates[3].phases"),
     ("phases merged, right total",
      lambda d: d["gates"][3]["phases"][5].extend(d["gates"][3]["phases"].pop(6)),
      "gates[3].phases"),
