@@ -29,12 +29,13 @@ that broken circuits can still be loaded and inspected.
 
 The simulator applies every gate kind through one function, ``_step``: a
 permutation is an index gather, a diagonal an elementwise multiply, an
-oracle a masked copy or multiply and a local unitary a matmul on its
-wires, so no gate is expanded to its dense matrix.  The tables a step needs
-(a permutation's inverse, an oracle's read positions, a local unitary's
-axis order) are built once per circuit, in ``QueryCircuit.plan``.  A run
-writes each step with ``out=`` into two C-ordered (2^q, B) state buffers in
-turn, so it allocates no array per gate.
+oracle a masked copy or multiply and a unitary a matmul on its wires (a
+full-width unitary is the local step on every wire), so no gate is
+expanded to its dense matrix.  The tables a step needs (a permutation's
+inverse, an oracle's read positions, a unitary's axis order) are built
+once per circuit, in ``QueryCircuit.plan``.  A run writes each step with
+``out=`` into two C-ordered (2^q, B) state buffers in turn, so it
+allocates no array per gate.
 """
 
 from __future__ import annotations
@@ -239,10 +240,9 @@ def _gate_step(circuit: QueryCircuit, gate: Gate, reads: np.ndarray | None = Non
     """``gate`` as ``_step`` applies it: a kind and the tables it needs.
     ``reads`` is an oracle's ``_oracle_reads`` table."""
     if isinstance(gate, Unitary):
-        if gate.wires is None:
-            return "dense", gate.matrix.T
-        rest = tuple(w for w in range(circuit.q) if w not in gate.wires)
-        axes = gate.wires + rest + (circuit.q,)  # the batch axis stays last
+        wires = tuple(range(circuit.q)) if gate.wires is None else gate.wires
+        rest = tuple(w for w in range(circuit.q) if w not in wires)
+        axes = wires + rest + (circuit.q,)  # the batch axis stays last
         if axes == tuple(range(circuit.q + 1)):
             return "local", gate.matrix, None, None
         return "local", gate.matrix, axes, tuple(np.argsort(axes))
@@ -264,33 +264,22 @@ def _gate_step(circuit: QueryCircuit, gate: Gate, reads: np.ndarray | None = Non
 def _step(step: tuple, states: np.ndarray, out: np.ndarray, bits: np.ndarray | None = None,
           mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One gate applied to each column of the C-ordered ``states`` (2^q rows),
-    written with ``out=`` into ``out`` (or, for a full-width unitary, back
-    into ``states``); returns (the result, the spare buffer).  Oracles read
+    written with ``out=`` into ``out``, with ``states`` as scratch; returns
+    (the result, the spare buffer), that is (out, states).  Oracles read
     column b of the bool ``bits``: the n input bits of column b and then one
     0, gathered into ``mask``, an array of the states' shape."""
     kind, table, *extra = step
-    if kind == "dense":
-        # Each state is multiplied as a row, so dense circuits keep the exact
-        # bits of their results; matrix @ states can differ in the last bit.
-        # The rows land in out's memory and come back transposed.
-        rows = out.reshape(out.shape[::-1])
-        np.matmul(states.T, table, out=rows)
-        np.copyto(states, rows.T)
-        return states, out
-    if kind == "local":
+    if kind == "local" and extra[0] is None:  # the leading wires in order: no move
+        np.matmul(table, states.reshape(len(table), -1), out=out.reshape(len(table), -1))
+    elif kind == "local":
         # matrix on the wires (first wire most significant) of each column:
         # their axes move to the front, one matmul, and back
         axes, back = extra
-        size = table.shape[0]
-        if axes is None:  # the leading wires in order: no move
-            np.matmul(table, states.reshape(size, -1), out=out.reshape(size, -1))
-            return out, states
         cube = (2,) * (len(axes) - 1) + states.shape[1:]
         np.copyto(out.reshape(cube), states.reshape(cube).transpose(axes))
-        np.matmul(table, out.reshape(size, -1), out=states.reshape(size, -1))
+        np.matmul(table, out.reshape(len(table), -1), out=states.reshape(len(table), -1))
         np.copyto(out.reshape(cube), states.reshape(cube).transpose(back))
-        return out, states
-    if kind == "gather":
+    elif kind == "gather":
         np.take(states, table, axis=0, out=out, mode="clip")  # "raise" would buffer out
     elif kind == "scatter":
         out.fill(0)

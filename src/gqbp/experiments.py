@@ -17,7 +17,7 @@ the reports here pair the measured expectation with its cap.
 The one drift report is ``hamming_expectation``; promise-OR is its k=0,
 delta=1 instance anchored at 0^n, whose members are the n one-hot inputs.
 A family is compared whole, or on ``FAMILY_SAMPLE`` seeded members, as
-``hamming_family`` decides; one too large for either is refused.
+``hamming_family`` and ``evolve``'s own check decide; one too large for either is refused.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import core
 from .convert import circuit_to_rgqbp
 from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str
 from .programs import grover_promise_or, hamming_family, parity_program, zeros_input
-from .simulate import acceptance_probabilities, all_inputs, evolve
+from .simulate import _blocks, acceptance_probabilities, all_inputs, evolve
 
 SLACK_TOL = 1e-9
 # Members compared when a weight family is too large to materialise.
@@ -123,10 +124,12 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
                         seed: int = 0) -> ExperimentReport:
     """Mean final-state drift between ``fixed`` and its weight-family
     members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k; a
-    family that is not materialised is sampled with ``seed``."""
+    family not materialised, or whose states ``evolve`` would refuse, is sampled with ``seed``."""
     family = hamming_family(program.n, k, delta, fixed)
-    rows = family.rows if family.materialized else family.anchored_sample(FAMILY_SAMPLE, seed)
-    mode = "exhaustive" if family.materialized else "sampled"
+    whole = family.materialized and _blocks(
+        family.size + 1, program.width, 2, len(program.plan.labels))[1] <= core.ALLOC_LIMIT
+    rows = family.rows if whole else family.anchored_sample(FAMILY_SAMPLE, seed)
+    mode = "exhaustive" if whole else "sampled"
     denom = (program.n - k) if family.side == "fix_yes" else k
     if denom <= 0:
         raise ValueError(f"degenerate case denominator for side {family.side}: {denom}")

@@ -47,6 +47,13 @@ def transition_matrix(level: Level, x) -> np.ndarray:
     return np.where(node_bits.astype(bool)[np.newaxis, :], level.a1, level.a0)
 
 
+def _blocks(nb: int, s: int, held: int, reads: int) -> tuple[int, int]:
+    """``evolve``'s reading levels per factor block, and the bytes it checks:
+    ``held`` (nb, s) state arrays and one block of ``reads`` levels' factors."""
+    per = max(1, LEVEL_BLOCK_BYTES // max(1, 16 * nb * s))
+    return per, 16 * nb * s * (held + min(per, reads))
+
+
 def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
            record: bool = False) -> np.ndarray:
     """Evolve a batch of inputs (see ``as_bit_rows``) through ``program.levels[levels]``.
@@ -54,8 +61,8 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     Each row starts at ``start`` ((s,) or (B, s); the program's initial
     vector by default) and the (B, s) states after the last selected level
     are returned.  With ``record`` the result is the (k+1, B, s) stack of
-    the states before and after each of the k selected levels, which
-    ``check_alloc`` refuses, with one factor block, before allocating.
+    the states before and after each of the k selected levels.  Either way,
+    ``check_alloc`` refuses its ``_blocks`` bytes before anything is allocated.
 
     The levels ``lo:hi`` (step 1) own the rows ``before[lo]:before[hi]`` of
     the ``Program.plan`` tables; each block of ``LEVEL_BLOCK_BYTES`` of their
@@ -76,9 +83,8 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
         raise ValueError(f"levels must be a contiguous slice, got {levels}")
     steps, reads = steps[lo:hi], np.diff(before[lo:hi + 1]).tolist()
     labels, table = labels[before[lo]:before[hi]], table[before[lo]:before[hi], np.newaxis]
-    per = max(1, LEVEL_BLOCK_BYTES // max(1, 16 * nb * s))
-    if record:
-        check_alloc(16 * nb * s * (len(steps) + 1 + min(per, len(labels))), "recorded states")
+    per, need = _blocks(nb, s, len(steps) + 1 if record else 2, len(labels))
+    check_alloc(need, "recorded states (or two state buffers) and one factor block")
     # without record, two separate arrays: the result keeps no second buffer alive
     states = (np.empty((len(steps) + 1, nb, s), dtype=np.complex128) if record
               else [np.empty((nb, s), dtype=np.complex128) for _ in range(2)])

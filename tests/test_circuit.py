@@ -16,9 +16,10 @@ from gqbp import (
     run_circuit,
     validate_circuit,
 )
-from gqbp import circuit, core, random_rgqbp, rgqbp_to_circuit
+from gqbp import circuit, circuit_to_rgqbp, core, random_rgqbp, rgqbp_to_circuit
 from gqbp.circuit import circuit_acceptances, run_circuit_batch
 from gqbp.core import accept_mass, unitarity_deviation
+from gqbp.formats import serialize_program
 from gqbp.simulate import all_inputs
 
 from helpers import HADAMARD, deutsch_circuit
@@ -312,6 +313,44 @@ def test_structured_gate_construction_checks():
         QueryCircuit(q=3, n=2, gates=(Permutation(np.arange(4)),))
     with pytest.raises(ValueError, match="phases is 2-dimensional"):
         QueryCircuit(q=3, n=2, gates=(Diagonal(np.ones(2)),))
+    with pytest.raises(ValueError, match="must be square"):
+        Unitary(np.ones((2, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        Unitary([[1.0, 0.0], [0.0, np.inf]])
+    with pytest.raises(ValueError, match="flat vector"):
+        Diagonal(np.eye(2))
+    with pytest.raises(ValueError, match="at least one wire"):
+        QueryCircuit(q=0, n=2, gates=())
+    with pytest.raises(ValueError, match="input length must be >= 1"):
+        QueryCircuit(q=1, n=0, gates=())
+    with pytest.raises(ValueError, match="gate 1: unknown gate type ndarray"):
+        QueryCircuit(q=1, n=2, gates=(PhaseOracle(), np.eye(2)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_full_width_unitary_is_the_unitary_on_every_wire(q):
+    # one gate, one answer: Unitary(m) and Unitary(m, wires=(0, ..., q-1))
+    # give the same bytes in every state, acceptance and compiled program
+    rng = np.random.default_rng(q)
+    dim = 1 << q
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+    mats = [unitary() for _ in range(3)]
+    every = tuple(range(q))
+    spellings = [QueryCircuit(q=q, n=dim, gates=(
+        Unitary(mats[0], wires), PhaseOracle(), Unitary(mats[1], wires),
+        BitOracle(index_wires=every[1:], target_wire=0), Unitary(mats[2], wires)),
+        accept=frozenset({1, dim - 1})) for wires in (None, every)]
+    for batch in (1, 2, 17, 64, 256):
+        xs = rng.integers(0, 2, size=(batch, dim), dtype=np.uint8)
+        dense, local = (run_circuit_batch(c, xs) for c in spellings)
+        assert dense.tobytes() == local.tobytes()
+        dense, local = (circuit_acceptances(c, xs) for c in spellings)
+        assert dense.tobytes() == local.tobytes()
+    dense, local = (serialize_program(circuit_to_rgqbp(c)) for c in spellings)
+    assert dense == local
 
 
 @pytest.mark.parametrize("batch", [1, 64, 1024])

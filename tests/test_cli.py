@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import gqbp
-from gqbp import (GeneralLevel, Program, RestrictedLevel, circuit_to_rgqbp, grover_promise_or,
-                  parity_program, random_rgqbp, rgqbp_to_circuit)
+from gqbp import (GeneralLevel, Program, RestrictedLevel, circuit_to_rgqbp, core, experiments,
+                  grover_promise_or, parity_program, random_rgqbp, rgqbp_to_circuit)
 from gqbp.cli import main
 from gqbp.formats import parse_program, serialize_circuit, serialize_program
 
@@ -112,6 +112,23 @@ def test_expect_hamming_requires_args(parity_file, capsys):
                  "--k", "2", "--delta", "1", "--fixed", "1100"]) == 0
 
 
+def test_expect_hamming_exits_2_when_its_states_pass_the_alloc_limit(parity_file, monkeypatch,
+                                                                     capsys):
+    # the anchor and its C(2, 1) members: 16 * 3 * 2 * (2 + 2) bytes of states and factors;
+    # a sample of 2 members, the fallback one byte under, needs as many
+    argv = ["expect", "hamming", parity_file, "--k", "2", "--delta", "1", "--fixed", "1100"]
+    monkeypatch.setattr(experiments, "FAMILY_SAMPLE", 2)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 384)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 383)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: refusing to allocate 384 bytes for recorded states (or two state "
+                       "buffers) and one factor block (limit 383 bytes)\n")
+
+
 def test_expect_csv_format(parity_file, capsys):
     assert main(["expect", "or", parity_file, "--format", "csv"]) == 0
     assert capsys.readouterr().out.startswith("field,value")
@@ -123,6 +140,8 @@ def test_scan_text_and_csv(capsys):
     assert "min_success" in text
     assert main(["scan", "grover-or", "--sizes", "4", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("4,8,2,")
+    assert main(["scan", "parity", "--sizes", ","]) == 2
+    assert capsys.readouterr().err == "error: --sizes must list at least one size\n"
 
 
 def test_validate_fail_exit_code(tmp_path, capsys):

@@ -36,7 +36,9 @@ from gqbp import (
     validate_restricted,
 )
 from gqbp.circuit import run_circuit_batch
+from gqbp.cli import main
 from gqbp.core import unitarity_deviation
+from gqbp.formats import serialize_program
 from gqbp.simulate import transition_matrix
 
 from helpers import seeded_program
@@ -397,6 +399,12 @@ def test_level_constructor_guards():
     with pytest.raises(ValueError, match="finite"):
         RestrictedLevel(labels=np.array([0]), base=np.eye(1),
                         thetas=np.array([np.inf]))
+    with pytest.raises(ValueError, match="base must be square"):
+        RestrictedLevel(labels=np.array([0, 1]), base=np.ones((2, 3)), thetas=np.zeros(2))
+    with pytest.raises(ValueError, match="transition amplitudes must be finite"):
+        GeneralLevel(labels=np.array([0]), a0=np.eye(1), a1=np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        RestrictedLevel(labels=np.array([-1]), base=np.eye(1), thetas=np.zeros(1))
 
 
 def test_program_constructor_guards():
@@ -411,8 +419,14 @@ def test_program_constructor_guards():
         Program(n=1, initial=np.array([1, 0], dtype=complex), levels=(level,))
 
 
-def test_validate_tol_must_be_positive():
+def test_validate_tol_must_be_positive(tmp_path, capsys):
     level = RestrictedLevel(labels=np.array([0]), base=np.eye(1), thetas=np.zeros(1))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        validate_program(parity_program(2), tol=0.0)
+    path = tmp_path / "parity2.json"
+    path.write_text(serialize_program(parity_program(2)))
+    assert main(["validate", "--tol", "0", str(path)]) == 2
+    assert capsys.readouterr().err == "error: tol must be positive\n"
     with pytest.raises(ValueError, match="tol"):
         validate_restricted(level, tol=0.0)
     with pytest.raises(ValueError, match="tol"):

@@ -170,15 +170,24 @@ def test_promise_or_is_the_hamming_k0_delta1_instance(name, prog):
 
 
 def test_family_mode_follows_the_alloc_limit(monkeypatch):
-    # C(6, 1) = 6 members of 8 bits, each with one int64 position: 6 * (8 + 8) bytes
+    # C(6, 1) = 6 members of 8 bits, each with one int64 position: 6 * (8 + 8) bytes.
+    # evolve then holds two (rows, s) state buffers and one block of the 3
+    # reading levels' factors: 16 * 7 * 4 * (2 + 3) bytes for the anchor and
+    # every member, 16 * 5 * 4 * (2 + 3) for the anchor and 4 sampled ones.
     prog, fixed = random_rgqbp(4, 3, 8, seed=9), "11000000"
     monkeypatch.setattr(experiments, "FAMILY_SAMPLE", 4)
+    for limit, whole in ((6 * 16, True), (6 * 16 - 1, False)):
+        monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
+        assert hamming_family(prog.n, 2, 1, fixed).materialized is whole
     modes = []
-    for limit in (6 * 16, 6 * 16 - 1, 4 * 16):
+    for limit in (2240, 2239, 1600):
         monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
         report = hamming_expectation(prog, 2, 1, fixed)
         modes.append((report.metadata["mode"], report.metadata["compared"]))
     assert modes == [("exhaustive", 6), ("sampled", 4), ("sampled", 4)]
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 1599)
+    with pytest.raises(ValueError, match="refusing to allocate 1600 bytes for recorded states"):
+        hamming_expectation(prog, 2, 1, fixed)
     monkeypatch.setattr(core, "ALLOC_LIMIT", 4 * 16 - 1)
     with pytest.raises(ValueError, match="refusing to allocate 64 bytes for 4 family members"):
         hamming_expectation(prog, 2, 1, fixed)

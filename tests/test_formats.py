@@ -130,6 +130,7 @@ REACHABLE_ERRORS = {  # document, field, message
         "phase oracle needs 2 index wires but circuit has 1"),
     "unknown format tag": (json.dumps({"format": "gqbp-v9"}), "format",
                            "unknown format 'gqbp-v9'"),
+    "top level not an object": ("[]", "document", "top level must be a JSON object"),
 }
 
 

@@ -134,6 +134,8 @@ def test_hamming_family_parameter_guards():
         hamming_family(4, 2, -1, "1100")
     with pytest.raises(ValueError, match="exceeds"):
         hamming_family(4, 3, 2, "1110")  # k + delta = 5 > n
+    with pytest.raises(ValueError, match=r"position 4 out of range \[0, 4\)"):
+        one_hot_input(4, 4)  # a promise-OR family member
 
 
 def test_random_rgqbp_parameter_guard():

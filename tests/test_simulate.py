@@ -542,7 +542,14 @@ def test_evolve_record_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(core, "ALLOC_LIMIT", 479)
     with pytest.raises(ValueError, match="refusing to allocate 480 bytes for recorded states"):
         evolve(prog, xs, record=True)
-    assert evolve(prog, xs).shape == (3, 2)  # only the recorded stack is checked
+    assert evolve(prog, xs).shape == (3, 2)  # two (B, s) buffers and the block: 384 bytes
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 384)
+    assert evolve(prog, xs).shape == (3, 2)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 383)
+    for call in (evolve, final_states, acceptance_probabilities):
+        with pytest.raises(ValueError, match="refusing to allocate 384 bytes for recorded "
+                                             "states \\(or two state buffers\\)"):
+            call(prog, xs)
 
 
 def test_factor_blocks_hold_as_many_levels_as_fit_the_budget(monkeypatch):
