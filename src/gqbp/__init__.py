@@ -15,7 +15,7 @@ from .circuit import (
     run_circuit,
     validate_circuit,
 )
-from .convert import RoundtripReport, circuit_to_rgqbp, rgqbp_to_circuit, roundtrip_check
+from .convert import circuit_to_rgqbp, rgqbp_to_circuit, roundtrip_check
 from .core import (
     GeneralLevel,
     Program,

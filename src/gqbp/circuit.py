@@ -376,22 +376,13 @@ def _deviation(gate: Unitary | Permutation | Diagonal) -> tuple[float, str]:
 def validate_circuit(circuit: QueryCircuit, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Numeric check: every Unitary, Permutation and Diagonal gate is unitary
     within ``tol``, one error line per gate that is not."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    worst = 0.0
-    errors = []
-    checked = 0
-    for g, gate in enumerate(circuit.gates):
-        if isinstance(gate, (PhaseOracle, BitOracle)):
-            continue
-        dev, problem = _deviation(gate)
-        worst = max(worst, dev)
-        checked += 1
-        if dev > tol:
-            errors.append(f"gate {g}: {problem}")
-    return ValidationReport(passed=not errors, max_deviation=worst,
-                            assignments_checked=checked, convention="gate-unitarity",
-                            errors=tuple(errors))
+    core._check_tol(tol)
+    found = [(g, *_deviation(gate)) for g, gate in enumerate(circuit.gates)
+             if not isinstance(gate, (PhaseOracle, BitOracle))]
+    errors = tuple(f"gate {g}: {problem}" for g, dev, problem in found if dev > tol)
+    worst = max([0.0] + [dev for _, dev, _ in found])
+    return ValidationReport(passed=not errors, max_deviation=worst, assignments_checked=len(found),
+                            convention="gate-unitarity", errors=errors)
 
 
 def complete_unitary(first_column: np.ndarray) -> np.ndarray:

@@ -24,11 +24,23 @@ emitted in structured form, so no 2^q x 2^q matrix is built: the label
 writer is a ``Permutation`` (its own inverse, used for both writes), the
 phase a ``Diagonal``, and the initial and mixing gates are ``Unitary``
 gates on the node wires.
+
+``roundtrip_check`` proves a circuit equal to a program by reading these
+blocks back, with no input enumerated.  Call home_v the basis state
+``v << (m+1)``: node v, position 0, query bit 0.  The block lemma: if the
+first write sends home_v to a state at_v of node v with query bit 0, both
+oracles target the query wire and read label_v at at_v and at_v | 1, the
+diagonal is 1 at at_v and exp(1j*theta_v) at at_v | 1, and the second write
+sends at_v back to home_v, then on every input x the five gates send home_v
+to exp(1j*theta_v*x[label_v]) home_v; a unitary on the node wires then sends
+home_v to sum_u base[u, v] home_u.  The gates are linear, so a state held on
+the home states stays there and each block applies exactly its level of the
+padded program.  The first gate's column 0 puts the padded ``initial`` on
+the home states, and the accept set is {v << (m+1)}, so circuit and program
+accept every input with the same probability, as ``pad_width`` keeps it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,19 +55,12 @@ from .circuit import (
     _gate_step,
     _step,
     _wire_bits,
-    circuit_acceptances,
     complete_unitary,
     count_queries,
     index_register_width,
 )
-from .core import DEFAULT_TOL, Program, RestrictedLevel, check_alloc
-from .simulate import acceptance_probabilities, all_inputs
+from .core import DEFAULT_TOL, Program, RestrictedLevel, ValidationReport, check_alloc
 from .transform import pad_width
-
-# roundtrip_check: every input up to this n, else ROUNDTRIP_SAMPLE seeded ones.
-EXHAUSTIVE_LIMIT = 16
-ROUNDTRIP_SAMPLE = 256
-ROUNDTRIP_SEED = 0
 
 
 def _oracle_level(circuit: QueryCircuit, gate: PhaseOracle | BitOracle, reads: np.ndarray):
@@ -104,15 +109,18 @@ def circuit_to_rgqbp(circuit: QueryCircuit) -> Program:
     return Program(n=circuit.n, initial=segments[0][:, 0], levels=levels, accept=circuit.accept)
 
 
+def _registers(program: Program) -> tuple[int, int]:
+    """Wires (a, m) of the compiled circuit's node and position registers."""
+    if program.kind != "restricted":
+        raise ValueError("only restricted programs can be compiled to circuits")
+    return index_register_width(program.width), index_register_width(program.n)
+
+
 def rgqbp_to_circuit(program: Program) -> QueryCircuit:
     """Compile a restricted program into a bit-oracle query circuit on
     ceil(log2 w) + ceil(log2 n) + 1 wires making exactly 2L queries."""
-    if program.kind != "restricted":
-        raise ValueError("only restricted programs can be compiled to circuits")
-    a = index_register_width(program.width)
-    padded = pad_width(program, 1 << a)
-    m = index_register_width(program.n)
-    q = a + m + 1
+    a, m = _registers(program)
+    padded, q = pad_width(program, 1 << a), a + m + 1
     # three int64 index tables, and one int64 and one complex table per level
     check_alloc(24 * (program.length + 1) << q, f"the gate tables of a {q}-wire circuit")
     j = np.arange(1 << q, dtype=np.int64)
@@ -131,28 +139,50 @@ def rgqbp_to_circuit(program: Program) -> QueryCircuit:
     return QueryCircuit(q=q, n=program.n, gates=tuple(gates), accept=accept)
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
-    max_deviation: float
-    inputs_checked: int
-    exhaustive: bool
-    passed: bool
-
-
-def roundtrip_check(program: Program) -> RoundtripReport:
-    """Compare program acceptance with its compiled circuit's acceptance,
-    exhaustively for n <= 16 and on seeded random inputs otherwise; the check
-    passes when they agree within ``DEFAULT_TOL``."""
-    circuit = rgqbp_to_circuit(program)
-    if program.n <= EXHAUSTIVE_LIMIT:
-        inputs = all_inputs(program.n)
-        exhaustive = True
-    else:
-        rng = np.random.default_rng(ROUNDTRIP_SEED)
-        inputs = rng.integers(0, 2, size=(ROUNDTRIP_SAMPLE, program.n)).astype(np.uint8)
-        exhaustive = False
-    dev = np.abs(acceptance_probabilities(program, inputs)
-                 - circuit_acceptances(circuit, inputs))
-    worst = float(dev.max())
-    return RoundtripReport(max_deviation=worst, inputs_checked=inputs.shape[0],
-                           exhaustive=exhaustive, passed=worst <= DEFAULT_TOL)
+def roundtrip_check(program: Program, circuit: QueryCircuit) -> ValidationReport:
+    """Certify that ``circuit`` accepts every input with ``program``'s
+    probability by reading its blocks back against ``pad_width(program,
+    2^a)`` (the lemma above), at O(L 2^q) cost whatever n is.  Index tables
+    must match exactly, amplitudes within ``DEFAULT_TOL``; ``max_deviation``
+    is the worst amplitude gap.  Each error line names the layout, the
+    initial vector, the accept set, or a level and its first failing node."""
+    a, m = _registers(program)
+    q, node_wires = a + m + 1, tuple(range(a))
+    padded, v = pad_width(program, 1 << a), np.arange(1 << a)
+    home = v << (m + 1)
+    # derived from the program alone, so that a compiler bug is not copied into the check
+    block = [Permutation, BitOracle, Diagonal, BitOracle, Permutation, Unitary]
+    if (circuit.q, circuit.n, [type(g) for g in circuit.gates]) != (
+            q, program.n, [Unitary] + block * program.length) or any(
+            g.wires != node_wires for g in circuit.gates[::6]):
+        return ValidationReport(passed=False, max_deviation=0.0, assignments_checked=0,
+                                convention="compiled-blocks", errors=(
+            f"layout: not q={q}, n={program.n} and {1 + 6 * program.length} gates in the "
+            f"compiler's order, each unitary on the node wires {node_wires}",))
+    worst = float(np.abs(circuit.gates[0].matrix[:, 0] - padded.initial).max())
+    errors = [] if worst <= DEFAULT_TOL else [f"initial vector: gate 0 is off by {worst:.3e}"]
+    accept = {int(home[u]) for u in program.accept}
+    if circuit.accept != accept:
+        errors.append(f"accept set: {sorted(circuit.accept)}, not {sorted(accept)}")
+    for t, lv in enumerate(padded.levels):
+        g = 1 + 6 * t
+        at, back = circuit.gates[g].perm[home], circuit.gates[g + 4].perm
+        (_, reads1, target1), (_, reads2, target2) = circuit.plan[g + 1], circuit.plan[g + 3]
+        reads = np.array([reads1[at], reads1[at | 1], reads2[at], reads2[at | 1]])
+        phase = np.abs(circuit.gates[g + 2].phases[[at, at | 1]]
+                       - np.exp(1j * np.outer([0, 1], lv.thetas))).max(axis=0)
+        mix = np.abs(circuit.gates[g + 5].matrix - lv.base).max(axis=0)
+        worst = max(worst, phase.max(), mix.max())
+        bad = [(at >> (m + 1) != v) | (at & 1 == 1),
+               (target1 != q - 1) | (target2 != q - 1) | (reads != lv.labels).any(axis=0),
+               phase > DEFAULT_TOL, back[at] != home, mix > DEFAULT_TOL]
+        for i in np.flatnonzero(np.any(bad, axis=0))[:1]:  # the first failing node
+            says = (f"gate {g} sends home state {home[i]} to {at[i]}",
+                    f"gates {g + 1}, {g + 3} read {reads[:, i]} into wires {target1}, {target2}",
+                    f"gate {g + 2} is off (1, exp(1j*theta)) by {phase[i]:.3e}",
+                    f"gate {g + 4} sends {at[i]} to {back[at[i]]}, not {home[i]}",
+                    f"column {i} of gate {g + 5} is off base by {mix[i]:.3e}")
+            errors.append(f"level {t} node {i}: {next(s for b, s in zip(bad, says) if b[i])}")
+    return ValidationReport(passed=not errors, max_deviation=float(worst),
+                            assignments_checked=len(circuit.gates), convention="compiled-blocks",
+                            errors=tuple(errors))

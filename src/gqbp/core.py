@@ -335,8 +335,12 @@ class ValidationReport:
     ``convention`` say what was covered: 1 for a restricted level ("base-unitarity":
     a unitary base settles every input), the 2**d bit assignments to a general
     level's d distinct labels ("all-assignments"), their sum over a program's
-    levels ("all-assignments" if any is general), or a circuit's input-free
-    gates ("gate-unitarity"; oracles are unitary by construction).
+    levels ("all-assignments" if any is general), a circuit's input-free
+    gates ("gate-unitarity"; oracles are unitary by construction), or the
+    1 + 6L gates of a compiled circuit read back against its program
+    ("compiled-blocks", from ``convert.roundtrip_check``; its
+    ``max_deviation`` is the worst amplitude gap, and 0 checked means the
+    layout was refused).
     """
 
     passed: bool
@@ -344,6 +348,11 @@ class ValidationReport:
     assignments_checked: int
     convention: str = "all-assignments"
     errors: tuple[str, ...] = ()
+
+
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # refuses NaN, which fails every comparison
+        raise ValueError("tol must be positive")
 
 
 def unitarity_deviation(m: np.ndarray) -> float:
@@ -359,8 +368,7 @@ def validate_restricted(level: RestrictedLevel, tol: float = DEFAULT_TOL) -> Val
     the diagonal factor is unitary for any bits, so base unitarity is
     sufficient for every input.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     dev = unitarity_deviation(level.base)
     errors = () if dev <= tol else (f"base deviates from unitary by {dev:.3e} (tol {tol:.1e})",)
     return ValidationReport(passed=dev <= tol, max_deviation=dev, assignments_checked=1,
@@ -377,8 +385,7 @@ def validate_general(level: GeneralLevel, tol: float = DEFAULT_TOL) -> Validatio
     these three blocks cover all 2**d assignments of the ``d`` distinct
     labels exactly, with the same ``max_deviation``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     labels, a0, a1 = level.labels, level.a0, level.a1
     eye = np.eye(level.width)
     cross = labels[:, np.newaxis] != labels[np.newaxis, :]
@@ -399,27 +406,17 @@ def validate_general(level: GeneralLevel, tol: float = DEFAULT_TOL) -> Validatio
 
 def validate_program(program: Program, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Aggregate numeric validation: initial norm and every level's report."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    errors = []
+    _check_tol(tol)
     norm_dev = abs(float(np.linalg.norm(program.initial)) - 1.0)
-    if norm_dev > tol:
-        errors.append(f"initial vector norm deviates from 1 by {norm_dev:.3e}")
-    worst = norm_dev
-    checked = 0
-    convention = "base-unitarity"
-    for i, lv in enumerate(program.levels):
-        if isinstance(lv, RestrictedLevel):
-            rep = validate_restricted(lv, tol)
-        else:
-            rep = validate_general(lv, tol)
-            convention = rep.convention
-        worst = max(worst, rep.max_deviation)
-        checked += rep.assignments_checked
-        errors.extend(f"level {i}: {e}" for e in rep.errors)
-    return ValidationReport(passed=not errors, max_deviation=worst,
-                            assignments_checked=checked, convention=convention,
-                            errors=tuple(errors))
+    errors = [f"initial vector norm deviates from 1 by {norm_dev:.3e}"] if norm_dev > tol else []
+    check = validate_general if program.kind == "general" else validate_restricted
+    reports = [check(lv, tol) for lv in program.levels]
+    errors += [f"level {i}: {e}" for i, rep in enumerate(reports) for e in rep.errors]
+    return ValidationReport(passed=not errors,
+                            max_deviation=max([norm_dev] + [r.max_deviation for r in reports]),
+                            assignments_checked=sum(r.assignments_checked for r in reports),
+                            convention="all-assignments" if program.kind == "general"
+                            else "base-unitarity", errors=tuple(errors))
 
 
 def restrict(program: Program) -> Program:

@@ -294,6 +294,17 @@ def test_validate_circuit_names_each_broken_structured_gate():
         QueryCircuit(q=3, n=4, gates=gates[:1]), x)).max() <= 1e-13
 
 
+def test_validate_circuit_checks_each_input_free_gate_against_tol():
+    phases = np.ones(8, dtype=complex)
+    phases[3] = np.sqrt(1 + 1.5e-9)  # |d|^2 - 1 = 1.5e-9
+    gates = (Unitary(np.eye(8)), PhaseOracle(), Diagonal(phases), BitOracle((0, 1), 2))
+    report = validate_circuit(QueryCircuit(q=3, n=4, gates=gates))
+    assert report.assignments_checked == 2
+    assert report.max_deviation == pytest.approx(1.5e-9, rel=1e-6)
+    assert report.errors == ("gate 2: diagonal entry 3 has |d|^2 - 1 = 1.500e-09",)
+    assert validate_circuit(QueryCircuit(q=3, n=4, gates=gates), tol=2e-9).passed
+
+
 def test_structured_gate_construction_checks():
     with pytest.raises(ValueError, match="distinct"):
         Unitary(np.eye(4), wires=(1, 1))

@@ -1,10 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gqbp import (
     BitOracle,
+    Diagonal,
+    Permutation,
+    Program,
+    QueryCircuit,
+    RestrictedLevel,
     Unitary,
     circuit_to_rgqbp,
+    complete_unitary,
     count_queries,
     generalize,
     grover_promise_or,
@@ -15,7 +23,7 @@ from gqbp import (
 )
 from gqbp.circuit import index_register_width
 
-from helpers import ACCEPT_TOL, rewrite_gap, seeded_program
+from helpers import ACCEPT_TOL, HADAMARD, rewrite_gap, seeded_program
 
 
 def test_grover4_to_program_decides_promise_inputs():
@@ -28,24 +36,21 @@ def test_grover4_to_program_decides_promise_inputs():
 
 def test_non_power_of_two_width_and_n():
     prog = random_rgqbp(3, 2, 5, seed=2)
-    rep = roundtrip_check(prog)
-    assert rep.exhaustive
-    assert rep.max_deviation <= ACCEPT_TOL
     c = rgqbp_to_circuit(prog)
+    rep = roundtrip_check(prog, c)
+    assert rep.max_deviation <= ACCEPT_TOL
     assert c.q == 2 + 3 + 1
 
 
 def test_width16_roundtrip_at_desk_scale():
     prog = random_rgqbp(16, 6, 8, seed=4)
-    rep = roundtrip_check(prog)
-    assert rep.exhaustive
+    rep = roundtrip_check(prog, rgqbp_to_circuit(prog))
     assert rep.max_deviation <= ACCEPT_TOL
 
 
 def test_length16_roundtrip_at_desk_scale():
     prog = random_rgqbp(4, 16, 4, seed=6)
-    rep = roundtrip_check(prog)
-    assert rep.exhaustive
+    rep = roundtrip_check(prog, rgqbp_to_circuit(prog))
     assert rep.max_deviation <= ACCEPT_TOL
     assert count_queries(rgqbp_to_circuit(prog)) == 32
 
@@ -82,29 +87,119 @@ def test_rgqbp_to_circuit_rejects_general():
 
 
 def test_roundtrip_parity4():
-    rep = roundtrip_check(parity_program(4))
-    assert rep.inputs_checked == 16
+    rep = roundtrip_check(parity_program(4), rgqbp_to_circuit(parity_program(4)))
     assert rep.max_deviation <= ACCEPT_TOL
 
 
 def test_roundtrip_random():
-    rep = roundtrip_check(random_rgqbp(4, 3, 4, seed=11))
+    prog = random_rgqbp(4, 3, 4, seed=11)
+    rep = roundtrip_check(prog, rgqbp_to_circuit(prog))
     assert rep.passed
     assert rep.max_deviation <= ACCEPT_TOL
 
 
-def test_roundtrip_sampled_above_exhaustive_limit():
-    prog = random_rgqbp(4, 3, 20, seed=1)
-    rep = roundtrip_check(prog)
-    assert not rep.exhaustive
-    assert rep.inputs_checked == 256
-    assert rep.passed
-    assert roundtrip_check(prog) == rep
+def test_roundtrip_certified_at_large_n():
+    # the certificate's cost does not depend on n: no input is enumerated
+    for s, length, n in ((16, 8, 16), (32, 4, 32)):
+        prog = random_rgqbp(s, length, n, seed=1)
+        rep = roundtrip_check(prog, rgqbp_to_circuit(prog))
+        assert rep.passed, rep.errors
+        assert rep.convention == "compiled-blocks"
+        assert rep.assignments_checked == 1 + 6 * length
+        assert rep.max_deviation <= ACCEPT_TOL
 
 
 def test_roundtrip_zero_length():
     from gqbp import Program
     prog = Program(n=2, initial=np.array([0, 1], dtype=complex), levels=(),
                    accept=frozenset({1}))
-    rep = roundtrip_check(prog)
+    rep = roundtrip_check(prog, rgqbp_to_circuit(prog))
     assert rep.max_deviation == 0.0
+
+
+def _certified_program() -> Program:
+    """Three levels on 4 nodes, n=5.  Level 1 has labels 0 on nodes 0 and 1,
+    angles only on nodes 2 and 3, and a base symmetric only on nodes 0 and 1,
+    so each break of level 1 below first shows at node 2."""
+    rng = np.random.default_rng(3)
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    base = np.kron(np.diag([1, 0]), HADAMARD) + np.kron(np.diag([0, 1]), rot)
+    middle = RestrictedLevel(labels=np.array([0, 0, 3, 1]), base=base,
+                             thetas=np.array([0.0, 0.0, 1.0, 2.0]))
+    outer = random_rgqbp(4, 2, 5, seed=3).levels
+    initial = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return Program(n=5, initial=initial / np.linalg.norm(initial),
+                   levels=(outer[0], middle, outer[1]), accept=frozenset({1, 2}))
+
+
+def _broken(circuit: QueryCircuit, gates: dict) -> QueryCircuit:
+    """``circuit`` with gate ``g`` replaced by ``gates[g]``."""
+    return replace(circuit, gates=tuple(gates.get(g, gate) for g, gate in enumerate(circuit.gates)))
+
+
+def _breaks() -> dict:
+    """Hand-broken copies of the compiled ``_certified_program`` and the start
+    of the one error line each must get.  The compiled circuit has q=6: node
+    wires 0-1, position wires 2-4 and query wire 5.  Level 1 is gates 7 (label
+    write), 8 (oracle), 9 (diagonal), 10 (oracle), 11 (uncompute), 12 (mix)."""
+    prog = _certified_program()
+    c = rgqbp_to_circuit(prog)
+    j = np.arange(c.dim)
+    node, query_bit = j >> 4, j & 1
+    middle = prog.levels[1]
+    write = middle.labels[node] << 1
+    wrong = Permutation(j ^ (np.array([0, 0, 4, 1])[node] << 1))
+    query_set, node_moved = Permutation(j ^ write ^ 1), Permutation(j ^ write ^ 16)
+    wrong_bit = Diagonal(np.exp(1j * middle.thetas[node] * (1 - query_bit)))
+    other_initial = complete_unitary(np.roll(prog.initial, 1))
+    return {
+        "wrong label": (_broken(c, {7: wrong, 11: wrong}),
+                        "level 1 node 2: gates 8, 10 read [4 4 4 4]"),
+        "second oracle reads another position": (
+            _broken(c, {10: BitOracle(index_wires=(3, 2, 4), target_wire=5)}),
+            "level 1 node 2: gates 8, 10 read [3 3 5 5]"),
+        "write sets the query bit": (_broken(c, {7: query_set, 11: query_set}),
+                                     "level 1 node 0: gate 7 sends home state 0 to 1"),
+        "write leaves the node": (_broken(c, {7: node_moved, 11: node_moved}),
+                                  "level 1 node 0: gate 7 sends home state 0 to 16"),
+        "dropped uncompute": (_broken(c, {11: Permutation(j)}), "level 1 node 2: gate 11 sends"),
+        "phase on the wrong query bit": (_broken(c, {9: wrong_bit}),
+                                         "level 1 node 2: gate 9 is off"),
+        "transposed base": (_broken(c, {12: Unitary(middle.base.T, wires=(0, 1))}),
+                            "level 1 node 2: column 2 of gate 12"),
+        "oracle targets a position wire": (
+            _broken(c, {8: BitOracle(index_wires=(3, 4), target_wire=2)}),
+            "level 1 node 0: gates 8, 10 read [0 0 0 0] into wires 2, 5"),
+        "second oracle targets a position wire": (
+            _broken(c, {10: BitOracle(index_wires=(3, 4), target_wire=2)}),
+            "level 1 node 0: gates 8, 10 read [0 0 0 0] into wires 5, 2"),
+        "unshifted accept set": (replace(c, accept=prog.accept),
+                                 "accept set: [1, 2], not [16, 32]"),
+        "wrong initial column": (_broken(c, {0: Unitary(other_initial, wires=(0, 1))}),
+                                 "initial vector: gate 0 is off by"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_breaks()))
+def test_roundtrip_rejects_broken_circuit(name):
+    prog = _certified_program()
+    assert roundtrip_check(prog, rgqbp_to_circuit(prog)).passed
+    broken, error = _breaks()[name]
+    rep = roundtrip_check(prog, broken)
+    assert not rep.passed
+    assert len(rep.errors) == 1 and rep.errors[0].startswith(error), rep.errors
+    # the numeric comparison rejects it too
+    assert rewrite_gap(prog, broken) > ACCEPT_TOL
+
+
+def test_roundtrip_refuses_general_program_and_wrong_layout():
+    prog = _certified_program()
+    with pytest.raises(ValueError, match="restricted"):
+        roundtrip_check(generalize(prog), rgqbp_to_circuit(prog))
+    c = rgqbp_to_circuit(prog)
+    swapped_mix = Unitary(c.gates[6].matrix, wires=(1, 0))
+    for broken in (replace(c, gates=c.gates[:-1]), replace(c, n=c.n + 8),
+                   _broken(c, {6: swapped_mix})):
+        rep = roundtrip_check(prog, broken)
+        assert not rep.passed and rep.errors[0].startswith("layout: "), rep.errors
+        assert broken.n != prog.n or rewrite_gap(prog, broken) > ACCEPT_TOL

@@ -29,8 +29,10 @@ from gqbp import (
     parity_program,
     random_rgqbp,
     restrict,
+    rgqbp_to_circuit,
     run_circuit,
     sample_measurement,
+    validate_circuit,
     validate_general,
     validate_program,
     validate_restricted,
@@ -295,6 +297,17 @@ def test_validate_program_reports_initial_norm():
     assert any("norm" in e for e in report.errors)
 
 
+def test_validate_program_aggregates_its_levels():
+    # the worst level sets max_deviation; errors and checked counts add up
+    good = RestrictedLevel(labels=np.array([0, 1]), base=np.eye(2), thetas=np.zeros(2))
+    off = RestrictedLevel(labels=np.array([0, 1]), base=np.eye(2) * (1 + 1e-6), thetas=np.zeros(2))
+    report = validate_program(Program(n=2, initial=np.array([1, 0], dtype=complex),
+                                      levels=(good, off, good)))
+    assert report.max_deviation == validate_restricted(off).max_deviation > 1e-6
+    assert report.errors == tuple(f"level 1: {e}" for e in validate_restricted(off).errors)
+    assert (report.assignments_checked, report.convention) == (3, "base-unitarity")
+
+
 def test_restrict_negated_columns_give_pi():
     a0 = np.eye(2, dtype=complex)
     level = GeneralLevel(labels=np.array([0, 1]), a0=a0, a1=-a0)
@@ -432,6 +445,15 @@ def test_validate_tol_must_be_positive(tmp_path, capsys):
     with pytest.raises(ValueError, match="tol"):
         validate_general(GeneralLevel(labels=np.array([0]), a0=np.eye(1), a1=np.eye(1)),
                          tol=-1.0)
+    # NaN fails every comparison, "tol <= 0" included, so it is refused explicitly
+    general = GeneralLevel(labels=np.array([0]), a0=np.eye(1), a1=np.eye(1))
+    for check, arg in ((validate_restricted, level), (validate_general, general),
+                       (validate_program, parity_program(4)),
+                       (validate_circuit, rgqbp_to_circuit(parity_program(4)))):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check(arg, tol=float("nan"))
+    assert main(["validate", "--tol", "nan", str(path)]) == 2
+    assert capsys.readouterr().err == "error: tol must be positive\n"
 
 
 def test_restrict_zero_column_pair():

@@ -150,7 +150,8 @@ def test_generators_refuse_more_than_the_alloc_limit(monkeypatch):
         lv.base.nbytes + lv.labels.nbytes + lv.thetas.nbytes for lv in prog.levels)
     gate_bytes = sum(g.matrix.nbytes for g in grover_promise_or(4).gates if hasattr(g, "matrix"))
     for build, nbytes in ((lambda: random_rgqbp(4, 2, 3, seed=0), program_bytes),
-                          (lambda: grover_promise_or(4), gate_bytes)):
+                          (lambda: grover_promise_or(4), gate_bytes),
+                          (lambda: zeros_input(4), 4), (lambda: one_hot_input(4, 1), 4)):
         monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes)
         build()
         monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes - 1)

@@ -30,6 +30,7 @@ from gqbp import (
     promise_or_expectation,
     restrict,
     rgqbp_to_circuit,
+    roundtrip_check,
     split_layers,
 )
 from gqbp.circuit import index_register_width
@@ -87,8 +88,10 @@ ROWS = {
     "generalize": ("restricted", generalize, lambda p, r: _kept(p, r, GeneralLevel)),
     "restrict(generalize)": ("program", lambda p: restrict(generalize(p)),
                              lambda p, r: _kept(p, r, RestrictedLevel)),
+    # the certificate reads the compiled blocks back; rewrite_gap cross-checks it
     "rgqbp_to_circuit": ("restricted", rgqbp_to_circuit,
-                         lambda p, c: count_queries(c) == 2 * p.length and c.q == _wires(p)),
+                         lambda p, c: count_queries(c) == 2 * p.length and c.q == _wires(p)
+                         and roundtrip_check(p, c).passed),
     "circuit_to_rgqbp(rgqbp_to_circuit)": (
         "restricted", lambda p: circuit_to_rgqbp(rgqbp_to_circuit(p)),
         lambda p, r: r.width == 2 ** _wires(p) and r.length == 2 * p.length),
