@@ -202,12 +202,14 @@ def _phase_relation(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndar
 class Plan(NamedTuple):
     """A program's levels as ``simulate.evolve`` applies them, built in one pass.
 
-    ``steps[t]`` is level t's ``(mix, mix1)`` as transposed views: ``(base.T,
+    ``steps[t]`` is level t's ``(mix, mix1)``, the level matrices themselves,
+    which the kernel applies as ``mix @ V`` to (s, B) state columns: ``(base,
     None)`` for a restricted level or a general one phase-related within
     ``PHASE_TOL`` (base ``a0``), ``mix`` None for the exact identity, else
-    ``(a0.T, a1.T)``.  ``labels`` and bit-1 ``factors`` (1 for two matmuls)
-    are (R, s) tables of the R levels the kernel reads; ``before[t]`` counts
-    those before level t, so levels lo:hi own rows ``before[lo]:before[hi]``.
+    ``(a0, a1)``.  ``labels`` and bit-1 ``factors`` (1 for two matmuls) are
+    (R, s) tables of the R levels the kernel reads; ``reads[t]`` says whether
+    level t is one and ``before[t]`` counts those before it, so levels lo:hi
+    own rows ``before[lo]:before[hi]``.
 
     * The kernel reads all but a restricted step with every angle exactly 0,
       the one skip that keeps its arithmetic exact.
@@ -224,6 +226,7 @@ class Plan(NamedTuple):
     labels: np.ndarray
     factors: np.ndarray
     before: np.ndarray
+    reads: tuple[bool, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,9 +299,9 @@ class Program:
             if related:
                 # s nonzero entries, all of them a diagonal 1: exactly the identity
                 identity = np.count_nonzero(base) == self.width and (base.diagonal() == 1).all()
-                steps.append((None if identity else base.T, None))
+                steps.append((None if identity else base, None))
             else:
-                steps.append((level.a0.T, level.a1.T))
+                steps.append((level.a0, level.a1))
                 phases = np.ones(self.width)
             if not related or thetas.any():
                 labels.append(level.labels)
@@ -306,7 +309,8 @@ class Program:
             before.append(len(labels))
         return Plan(tuple(steps), _freeze(np.array(labels, dtype=np.intp).reshape(-1, self.width)),
                     _freeze(np.array(factors, dtype=np.complex128).reshape(-1, self.width)),
-                    _freeze(np.array(before, dtype=np.intp)))
+                    _freeze(np.array(before, dtype=np.intp)),
+                    tuple(b > a for a, b in zip(before, before[1:])))
 
     @cached_property
     def query_levels(self) -> np.ndarray:
@@ -316,8 +320,8 @@ class Program:
                 return np.abs(np.exp(1j * lv.thetas) - 1.0) * np.linalg.norm(lv.base, axis=0)
             return np.linalg.norm(lv.a1 - lv.a0, axis=0)
 
-        reads = [t for t in np.flatnonzero(np.diff(self.plan.before))
-                 if gaps(self.levels[t]).max() > DEFAULT_TOL]
+        reads = [t for t, read in enumerate(self.plan.reads)
+                 if read and gaps(self.levels[t]).max() > DEFAULT_TOL]
         return _freeze(np.array(reads, dtype=np.intp))
 
     @property

@@ -126,8 +126,8 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
     members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k; a
     family not materialised, or whose states ``evolve`` would refuse, is sampled with ``seed``."""
     family = hamming_family(program.n, k, delta, fixed)
-    whole = family.materialized and _blocks(
-        family.size + 1, program.width, 2, len(program.plan.labels))[1] <= core.ALLOC_LIMIT
+    whole = family.materialized and _blocks(family.size + 1, program.width, program.length,
+                                            len(program.plan.labels), False)[1] <= core.ALLOC_LIMIT
     rows = family.rows if whole else family.anchored_sample(FAMILY_SAMPLE, seed)
     mode = "exhaustive" if whole else "sampled"
     denom = (program.n - k) if family.side == "fix_yes" else k

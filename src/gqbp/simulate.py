@@ -15,8 +15,11 @@ columns are its 0-transition columns times a phase (within
 step with ``a0`` as its base, so the general form costs what its source
 costs too.  Any other general level applies ``a0`` to the nodes reading 0
 and ``a1`` to those reading 1.  The steps and the tables of the levels
-they read are one ``Program.plan``, built once per program; a call slices
-them, gathers bits per block of levels and writes into buffers of its own.
+they read are one ``Program.plan``, built once per program.  A call slices
+them and keeps its states as (s, B) columns, one per input, so each level is
+one ``mix @ V`` over the whole batch; it reads the bits of a block of
+levels as rows of the transposed inputs and writes every step into buffers
+it allocates once.
 """
 
 from __future__ import annotations
@@ -47,11 +50,15 @@ def transition_matrix(level: Level, x) -> np.ndarray:
     return np.where(node_bits.astype(bool)[np.newaxis, :], level.a1, level.a0)
 
 
-def _blocks(nb: int, s: int, held: int, reads: int) -> tuple[int, int]:
-    """``evolve``'s reading levels per factor block, and the bytes it checks:
-    ``held`` (nb, s) state arrays and one block of ``reads`` levels' factors."""
+def _blocks(nb: int, s: int, steps: int, reads: int, record: bool) -> tuple[int, int]:
+    """``evolve``'s reading levels per factor block, and every byte it holds
+    at once for ``steps`` levels of which ``reads`` read bits: the
+    (steps+1, s, nb) record stack or two (s, nb) state buffers, one (s, nb)
+    scratch product, and one block of complex factors and of bool bits."""
     per = max(1, LEVEL_BLOCK_BYTES // max(1, 16 * nb * s))
-    return per, 16 * nb * s * (held + min(per, reads))
+    block = min(per, reads)
+    held = steps + 1 if record else 2
+    return per, nb * s * (16 * (held + 1 + block) + block)
 
 
 def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
@@ -64,12 +71,21 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     the states before and after each of the k selected levels.  Either way,
     ``check_alloc`` refuses its ``_blocks`` bytes before anything is allocated.
 
+    The states are (s, B) columns, one per input, and a level with a mix
+    is ``mix @ V``.  Each C-ordered (s, B) buffer is the transpose of a
+    Fortran-ordered (B, s) array, which is returned as it is: it owns its
+    memory and no transposed copy is made (with ``record``, the (k+1, B, s)
+    view of the C-ordered (k+1, s, B) stack).
+
     The levels ``lo:hi`` (step 1) own the rows ``before[lo]:before[hi]`` of
-    the ``Program.plan`` tables; each block of ``LEVEL_BLOCK_BYTES`` of their
-    factors is one (levels, B, s) ``take`` of their bits and,
-    at its first phase step, one ``np.where``; a level's slice is contiguous,
-    so its arithmetic is that of a level-by-level gather.  The steps write
-    with ``out=`` into two (B, s) arrays in turn, or the recorded stack; the
+    the ``Program.plan`` tables.  A block of reading levels, as many as
+    ``LEVEL_BLOCK_BYTES`` of their (s, B) factors allow, reads its (levels,
+    s, B) bits as rows of the (n, B) view ``inputs.T``, with no copy of the
+    inputs; at its first phase step it writes their factors along the
+    contiguous B-rows of one factor block.  A level's slice of a block is
+    contiguous, so its arithmetic is that of a level-by-level gather.  The
+    steps write with ``out=`` into two state buffers in turn, or the
+    recorded stack, through one scratch product, so no step allocates; the
     result shares no memory with ``start`` or with another call's result.
     """
     inputs = as_bit_rows(inputs, program.n)
@@ -77,44 +93,62 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     start = program.initial if start is None else np.asarray(start, dtype=np.complex128)
     if start.shape not in ((s,), (nb, s)):
         raise ValueError(f"start must have shape ({s},) or ({nb}, {s}), got {start.shape}")
-    steps, labels, table, before = program.plan
+    plan = program.plan
     lo, hi, stride = levels.indices(program.length)
     if stride != 1:
         raise ValueError(f"levels must be a contiguous slice, got {levels}")
-    steps, reads = steps[lo:hi], np.diff(before[lo:hi + 1]).tolist()
-    labels, table = labels[before[lo]:before[hi]], table[before[lo]:before[hi], np.newaxis]
-    per, need = _blocks(nb, s, len(steps) + 1 if record else 2, len(labels))
-    check_alloc(need, "recorded states (or two state buffers) and one factor block")
+    steps, reads = plan.steps[lo:hi], plan.reads[lo:hi]
+    rows = slice(plan.before[lo], plan.before[hi])
+    labels, table = plan.labels[rows], plan.factors[rows]
+    per, need = _blocks(nb, s, len(steps), len(labels), record)
+    check_alloc(need, "recorded states (or two state buffers), a scratch product "
+                      "and one block of factors and bits")
     # without record, two separate arrays: the result keeps no second buffer alive
-    states = (np.empty((len(steps) + 1, nb, s), dtype=np.complex128) if record
-              else [np.empty((nb, s), dtype=np.complex128) for _ in range(2)])
+    if record:
+        states = np.empty((len(steps) + 1, s, nb), dtype=np.complex128)
+    else:
+        results = [np.empty((nb, s), dtype=np.complex128, order="F") for _ in range(2)]
+        states = [r.T for r in results]
+    scratch = np.empty((s, nb), dtype=np.complex128)
+    factors = np.empty((min(per, len(labels)), s, nb), dtype=np.complex128)
+    columns = inputs.T.view(bool)  # (n, B): one row of bits per input position
     v = states[0]
-    v[...] = start
+    v.T[...] = start
     done = 0  # reading steps applied so far
     for i, ((mix, mix1), read) in enumerate(zip(steps, reads), 1):
         out = states[i if record else i % 2]
         if read:
             if done % per == 0:
                 block = slice(done, done + per)
-                bits = np.ascontiguousarray(inputs.take(labels[block], axis=1).swapaxes(0, 1))
-                factors = None
+                bits = None  # the last block's bits go before this block's are read
+                bits, built = columns[labels[block]], False
             at, done = done % per, done + 1
         if mix1 is not None:
-            np.matmul((1 - bits[at]) * v, mix, out=out)
-            out += (bits[at] * v) @ mix1
+            # a1 @ (V*bits) goes to this level's own factor slot, which its
+            # step never reads, then a0 @ (V*~bits) + that into out
+            scratch.fill(0)
+            np.copyto(scratch, v, where=bits[at])
+            np.matmul(mix1, scratch, out=factors[at])
+            np.subtract(v, scratch, out=scratch)
+            np.matmul(mix, scratch, out=out)
+            out += factors[at]
         elif read:
-            if factors is None:  # at the block's first phase step: two-matmul steps read bits
-                factors = np.where(bits.view(bool), table[block], 1)
+            if not built:  # at the block's first phase step: two-matmul steps read bits
+                f = factors[:len(bits)]
+                f.fill(1)
+                np.copyto(f, table[block, :, np.newaxis], where=bits)
+                built = True
             if mix is None:
                 np.multiply(v, factors[at], out=out)
             else:
-                np.matmul(v * factors[at], mix, out=out)
+                np.multiply(v, factors[at], out=scratch)
+                np.matmul(mix, scratch, out=out)
         elif mix is not None:
-            np.matmul(v, mix, out=out)
+            np.matmul(mix, v, out=out)
         else:
             out[...] = v
         v = out
-    return states if record else v
+    return states.transpose(0, 2, 1) if record else results[len(steps) % 2]
 
 
 def final_state(program: Program, x) -> np.ndarray:

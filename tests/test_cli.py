@@ -114,19 +114,21 @@ def test_expect_hamming_requires_args(parity_file, capsys):
 
 def test_expect_hamming_exits_2_when_its_states_pass_the_alloc_limit(parity_file, monkeypatch,
                                                                      capsys):
-    # the anchor and its C(2, 1) members: 16 * 3 * 2 * (2 + 2) bytes of states and factors;
+    # the anchor and its C(2, 1) members at s=2 through two reading levels:
+    # 3 * 2 * (16 * (2 + 1 + 2) + 2) bytes of states, scratch, factors and bits;
     # a sample of 2 members, the fallback one byte under, needs as many
     argv = ["expect", "hamming", parity_file, "--k", "2", "--delta", "1", "--fixed", "1100"]
     monkeypatch.setattr(experiments, "FAMILY_SAMPLE", 2)
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 384)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 492)
     assert main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 383)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 491)
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: refusing to allocate 384 bytes for recorded states (or two state "
-                       "buffers) and one factor block (limit 383 bytes)\n")
+    assert out.err == ("error: refusing to allocate 492 bytes for recorded states (or two state "
+                       "buffers), a scratch product and one block of factors and bits "
+                       "(limit 491 bytes)\n")
 
 
 def test_expect_csv_format(parity_file, capsys):

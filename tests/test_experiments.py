@@ -171,22 +171,23 @@ def test_promise_or_is_the_hamming_k0_delta1_instance(name, prog):
 
 def test_family_mode_follows_the_alloc_limit(monkeypatch):
     # C(6, 1) = 6 members of 8 bits, each with one int64 position: 6 * (8 + 8) bytes.
-    # evolve then holds two (rows, s) state buffers and one block of the 3
-    # reading levels' factors: 16 * 7 * 4 * (2 + 3) bytes for the anchor and
-    # every member, 16 * 5 * 4 * (2 + 3) for the anchor and 4 sampled ones.
+    # evolve then holds two (s, rows) state buffers, one scratch and one block
+    # of the 3 reading levels' complex factors and bool bits: 7 * 4 * (16 *
+    # (2 + 1 + 3) + 3) bytes for the anchor and every member, 5 * 4 * (16 *
+    # (2 + 1 + 3) + 3) for the anchor and 4 sampled ones.
     prog, fixed = random_rgqbp(4, 3, 8, seed=9), "11000000"
     monkeypatch.setattr(experiments, "FAMILY_SAMPLE", 4)
     for limit, whole in ((6 * 16, True), (6 * 16 - 1, False)):
         monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
         assert hamming_family(prog.n, 2, 1, fixed).materialized is whole
     modes = []
-    for limit in (2240, 2239, 1600):
+    for limit in (2772, 2771, 1980):
         monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
         report = hamming_expectation(prog, 2, 1, fixed)
         modes.append((report.metadata["mode"], report.metadata["compared"]))
     assert modes == [("exhaustive", 6), ("sampled", 4), ("sampled", 4)]
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 1599)
-    with pytest.raises(ValueError, match="refusing to allocate 1600 bytes for recorded states"):
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 1979)
+    with pytest.raises(ValueError, match="refusing to allocate 1980 bytes for recorded states"):
         hamming_expectation(prog, 2, 1, fixed)
     monkeypatch.setattr(core, "ALLOC_LIMIT", 4 * 16 - 1)
     with pytest.raises(ValueError, match="refusing to allocate 64 bytes for 4 family members"):
@@ -195,7 +196,8 @@ def test_family_mode_follows_the_alloc_limit(monkeypatch):
 
 def test_drift_report_evolves_the_family_rows_without_a_copy():
     # the anchor is row 0 of the family's one table, so no second copy of
-    # the members is stacked; the rest is evolve's two (B, s) state buffers
+    # the members is stacked; the rest is evolve's two (s, B) state buffers,
+    # its scratch and one block of factors and bits
     prog = random_rgqbp(4, 4, 2000, seed=1)
     family = hamming_family(prog.n, 0, 1, zeros_input(prog.n))
     assert np.array_equal(family.rows[0], family.fixed)

@@ -72,9 +72,10 @@ def _on_two_matmuls(p: Program) -> Program:
     of the one ``Program.plan`` builds."""
     slow = replace(p)
     slow.__dict__["plan"] = Plan(
-        steps=tuple((lv.a0.T, lv.a1.T) for lv in p.levels),
+        steps=tuple((lv.a0, lv.a1) for lv in p.levels),
         labels=np.array([lv.labels for lv in p.levels], dtype=np.intp).reshape(-1, p.width),
-        factors=np.ones((p.length, p.width), dtype=complex), before=np.arange(p.length + 1))
+        factors=np.ones((p.length, p.width), dtype=complex), before=np.arange(p.length + 1),
+        reads=(True,) * p.length)
     return slow
 
 

@@ -445,30 +445,30 @@ def _every_step_kind_program() -> Program:
 
 def _level_by_level(prog, xs, start=None, levels=slice(None)):
     """The kernel's arithmetic one level at a time, each level gathering its
-    own bits and phase factors: the (k+1, B, s) stack of states, written
-    with ``out=`` as the kernel writes it."""
+    own bits and phase factors: the states as (s, B) columns, written with
+    ``out=`` as the kernel writes them, returned as the (k+1, B, s) stack."""
     plan = prog.plan
     picked = range(prog.length)[levels]
-    states = np.empty((len(picked) + 1, len(xs), prog.width), dtype=complex)
-    states[0] = prog.initial if start is None else start
+    states = np.empty((len(picked) + 1, prog.width, len(xs)), dtype=complex)
+    states[0].T[...] = prog.initial if start is None else start
     for t, v, out in zip(picked, states, states[1:]):
         (mix, mix1), row = plan.steps[t], plan.before[t]
-        reads = plan.before[t + 1] > row
-        bits = xs.take(plan.labels[row], axis=1) if reads else None
+        bits = xs.T[plan.labels[row]] if plan.reads[t] else None  # (s, B)
         if mix1 is not None:
-            np.matmul((1 - bits) * v, mix, out=out)
-            out += (bits * v) @ mix1
-        elif reads:
-            factors = np.where(bits.view(bool), plan.factors[row], 1)
+            ones = v * bits
+            np.matmul(mix, v - ones, out=out)
+            out += mix1 @ ones
+        elif plan.reads[t]:
+            factors = np.where(bits.view(bool), plan.factors[row, :, np.newaxis], 1)
             if mix is None:
                 np.multiply(v, factors, out=out)
             else:
-                np.matmul(v * factors, mix, out=out)
+                np.matmul(mix, v * factors, out=out)
         elif mix is not None:
-            np.matmul(v, mix, out=out)
+            np.matmul(mix, v, out=out)
         else:
             out[...] = v
-    return states
+    return states.transpose(0, 2, 1)
 
 
 def _kernel_forms():
@@ -482,6 +482,7 @@ def test_plan_tables_hold_only_the_levels_that_read_bits():
     prog = _every_step_kind_program()
     plan = prog.plan
     reads = [True, True, True, False, True, False, True, True, False, True, False, True]
+    assert plan.reads == tuple(reads)
     assert plan.before.tolist() == [0, *np.cumsum(reads)]
     assert plan.labels.shape == plan.factors.shape == (sum(reads), 4)
     for t, (level, (_, mix1)) in enumerate(zip(prog.levels, plan.steps)):
@@ -535,26 +536,29 @@ def test_every_hybrid_run_cut_matches_level_by_level_exactly(form):
 
 
 def test_evolve_record_is_refused_before_allocating(monkeypatch):
-    # the (k+1, B, s) stack and one block of (B, s) factors: 16 * 3 * 2 * (3 + 2) bytes
+    # B=3 rows at s=2 through two reading levels: the (k+1, s, B) stack, one
+    # (s, B) scratch, and one block of two levels' complex factors and bool
+    # bits, 3 * 2 * (16 * (3 + 1 + 2) + 2) bytes
     prog, xs = parity_program(4), np.zeros((3, 4), dtype=np.uint8)
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 480)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 588)
     assert evolve(prog, xs, record=True).shape == (3, 3, 2)
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 479)
-    with pytest.raises(ValueError, match="refusing to allocate 480 bytes for recorded states"):
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 587)
+    with pytest.raises(ValueError, match="refusing to allocate 588 bytes for recorded states"):
         evolve(prog, xs, record=True)
-    assert evolve(prog, xs).shape == (3, 2)  # two (B, s) buffers and the block: 384 bytes
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 384)
+    # two (s, B) buffers in place of the stack: 3 * 2 * (16 * (2 + 1 + 2) + 2) bytes
     assert evolve(prog, xs).shape == (3, 2)
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 383)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 492)
+    assert evolve(prog, xs).shape == (3, 2)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 491)
     for call in (evolve, final_states, acceptance_probabilities):
-        with pytest.raises(ValueError, match="refusing to allocate 384 bytes for recorded "
+        with pytest.raises(ValueError, match="refusing to allocate 492 bytes for recorded "
                                              "states \\(or two state buffers\\)"):
             call(prog, xs)
 
 
 def test_factor_blocks_hold_as_many_levels_as_fit_the_budget(monkeypatch):
-    # the record guard counts the stack and one block: two levels of factors
-    # up to half the budget, one level beyond it
+    # the record guard counts the stack, the scratch and one block: two levels
+    # of factors up to half the budget, one level beyond it
     checked = []
     monkeypatch.setattr(simulate, "check_alloc", lambda nbytes, what: checked.append(nbytes))
     prog = random_rgqbp(4, 7, 6, seed=19)
@@ -562,7 +566,49 @@ def test_factor_blocks_hold_as_many_levels_as_fit_the_budget(monkeypatch):
     for batch in batches:
         evolve(prog, np.zeros((batch, prog.n), dtype=np.uint8), record=True)
     blocks = (7, 2, 1, 1, 1)
-    assert checked == [16 * 4 * b * (8 + k) for b, k in zip(batches, blocks)]
+    assert checked == [4 * b * (16 * (8 + 1 + k) + k) for b, k in zip(batches, blocks)]
+
+
+def _peak_and_checked_bytes(prog, xs, monkeypatch, **kwargs) -> tuple[int, int]:
+    """``evolve``'s tracemalloc peak, result included, and the bytes it checked.
+    Beyond those the tests allow 8 KiB whatever the batch: about 3.4 KiB of
+    it is numpy's own index handling in the bit gather."""
+    checked = []
+
+    def check(nbytes, what):
+        checked.append(nbytes)
+        core.check_alloc(nbytes, what)
+
+    monkeypatch.setattr(simulate, "check_alloc", check)
+    prog.plan  # built once per program, before the call
+    tracemalloc.start()
+    try:
+        evolve(prog, xs, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, checked[0]
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("form", ["plain", "split", "general", "two-matmul"])
+def test_evolve_peak_is_within_its_checked_bytes(form, record, monkeypatch):
+    prog = random_rgqbp(8, 6, 5, seed=41)
+    prog = {"plain": prog, "split": split_layers(prog), "general": generalize(prog),
+            "two-matmul": _off_phase_program("unrelated")}[form]
+    xs = np.random.default_rng(2).integers(0, 2, size=(1024, prog.n), dtype=np.uint8)
+    peak, checked = _peak_and_checked_bytes(prog, xs, monkeypatch, record=record)
+    assert peak <= checked + 8192
+
+
+def test_evolve_reads_wide_inputs_without_a_copy(monkeypatch):
+    # the (B, n) bits are 4 MB; a transposed copy of them would be as large
+    # as the whole 0.66 MB evolve checks, six times over
+    prog = random_rgqbp(4, 4, 2000, seed=1)
+    xs = np.random.default_rng(5).integers(0, 2, size=(2001, prog.n), dtype=np.uint8)
+    peak, checked = _peak_and_checked_bytes(prog, xs, monkeypatch)
+    assert checked < xs.nbytes / 6
+    assert peak <= checked + 8192
 
 
 def test_accept_index_is_sorted_once_per_machine():
