@@ -341,10 +341,10 @@ class ValidationReport:
     level's d distinct labels ("all-assignments"), their sum over a program's
     levels ("all-assignments" if any is general), a circuit's input-free
     gates ("gate-unitarity"; oracles are unitary by construction), or the
-    1 + 6L gates of a compiled circuit read back against its program
-    ("compiled-blocks", from ``convert.roundtrip_check``; its
-    ``max_deviation`` is the worst amplitude gap, and 0 checked means the
-    layout was refused).
+    1 + 6L gates of a compiled circuit, read back by ``convert.read_compiled``
+    and compared with its program ("compiled-blocks", from
+    ``convert.roundtrip_check``; its ``max_deviation`` is the worst
+    amplitude gap, and 0 checked means the layout was refused).
     """
 
     passed: bool

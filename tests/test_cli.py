@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import gqbp
-from gqbp import (GeneralLevel, Program, RestrictedLevel, circuit_to_rgqbp, core, experiments,
-                  grover_promise_or, parity_program, random_rgqbp, rgqbp_to_circuit)
+from gqbp import (GeneralLevel, Program, RestrictedLevel, acceptance_probabilities,
+                  circuit_to_rgqbp, core, experiments, grover_promise_or, parity_program,
+                  random_rgqbp, rgqbp_to_circuit)
+from gqbp.circuit import index_register_width
 from gqbp.cli import main
 from gqbp.formats import parse_program, serialize_circuit, serialize_program
+from gqbp.simulate import all_inputs
 
 
 @pytest.fixture
@@ -78,6 +81,23 @@ def test_convert_both_directions(tmp_path, capsys):
     circ_path.write_text(circuit_text)
     assert main(["convert", "--to", "bp", str(circ_path)]) == 0
     assert json.loads(capsys.readouterr().out)["format"] == "gqbp-v1"
+
+
+def test_convert_to_bp_gives_back_the_compiled_program(tmp_path, capsys):
+    # the source padded to 2^a nodes, not a program as wide as the circuit
+    path = tmp_path / "doc.json"
+    for source in (parity_program(8), random_rgqbp(3, 4, 6, seed=5)):
+        path.write_text(serialize_program(source))
+        assert main(["convert", "--to", "circuit", str(path)]) == 0
+        path.write_text(capsys.readouterr().out)
+        assert main(["convert", "--to", "bp", str(path)]) == 0
+        path.write_text(capsys.readouterr().out)
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        back, xs = parse_program(path.read_text()), all_inputs(source.n)
+        assert back.width == 1 << index_register_width(source.width)
+        gap = acceptance_probabilities(back, xs) - acceptance_probabilities(source, xs)
+        assert np.abs(gap).max() <= 1e-12
 
 
 def test_split_outputs_alternating_doc(parity_file, capsys):

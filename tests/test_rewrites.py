@@ -61,6 +61,15 @@ def _kept(p: Program, r: Program, kind=object) -> bool:
         isinstance(lv, kind) for lv in r.levels)
 
 
+def _read_back(p: Program, r: Program) -> bool:
+    """``r`` has the width 2^a (``a`` node wires) and length of ``p``'s
+    compiled circuit read back, and ``pad_width(p, 2^a)``'s labels and
+    accept set."""
+    padded = pad_width(p, 2 ** index_register_width(p.width))
+    return (r.width, r.length, r.accept) == (padded.width, p.length, p.accept) and all(
+        np.array_equal(got.labels, lv.labels) for got, lv in zip(r.levels, padded.levels))
+
+
 def _two_matmuls(p: Program) -> list[bool]:
     """Which of ``p``'s kernel steps are the general step's two matmuls."""
     return [mix1 is not None for _, mix1 in p.plan.steps]
@@ -93,11 +102,12 @@ ROWS = {
     "rgqbp_to_circuit": ("restricted", rgqbp_to_circuit,
                          lambda p, c: count_queries(c) == 2 * p.length and c.q == _wires(p)
                          and roundtrip_check(p, c).passed),
+    # a compiled circuit is read back block by block, any other fused
     "circuit_to_rgqbp(rgqbp_to_circuit)": (
-        "restricted", lambda p: circuit_to_rgqbp(rgqbp_to_circuit(p)),
-        lambda p, r: r.width == 2 ** _wires(p) and r.length == 2 * p.length),
+        "restricted", lambda p: circuit_to_rgqbp(rgqbp_to_circuit(p)), _read_back),
     "circuit_to_rgqbp": ("circuit", circuit_to_rgqbp,
-                         lambda c, r: r.width == c.dim and r.length == count_queries(c)),
+                         lambda c, r: _read_back(COMPILED[c], r) if c in COMPILED
+                         else r.width == c.dim and r.length == count_queries(c)),
     # not a rewrite of the program: the restricted step a generalized level
     # takes, against the two-matmul step it replaces
     "two-matmul step": ("general", _on_two_matmuls,
@@ -207,6 +217,7 @@ FORMS = {
     "general": generalize,
     "general split": lambda p: generalize(split_layers(p)),
 }
+SOURCES = {"parity n=4": parity_program(4), "split random": split_layers(seeded_program(8))}
 CIRCUITS = {
     "deutsch": deutsch_circuit(),
     **{f"grover n={n}": grover_promise_or(n) for n in (4, 8, 16)},
@@ -219,9 +230,10 @@ CIRCUITS = {
                                      accept=frozenset({0})),
     "queryless": QueryCircuit(q=2, n=2, gates=(Unitary(np.kron(HADAMARD, HADAMARD)),),
                               accept=frozenset({0})),
-    "qqc-v2 compiled parity n=4": rgqbp_to_circuit(parity_program(4)),
-    "qqc-v2 compiled split random": rgqbp_to_circuit(split_layers(seeded_program(8))),
+    **{f"qqc-v2 compiled {name}": rgqbp_to_circuit(p) for name, p in SOURCES.items()},
 }
+# each compiled circuit and the program it was compiled from
+COMPILED = {CIRCUITS[f"qqc-v2 compiled {name}"]: p for name, p in SOURCES.items()}
 # the program forms each row takes
 TAKES = {"restricted": ("plain", "split"), "general": ("general", "general split"),
          "program": tuple(FORMS), "circuit": ()}
