@@ -64,7 +64,6 @@ from .simulate import (
     evolve,
     final_state,
     final_states,
-    sample_measurement,
     transition_matrix,
 )
 from .transform import pad_width, split_layers

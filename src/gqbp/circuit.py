@@ -46,8 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .core import (DEFAULT_TOL, ValidationReport, _freeze, _one_row, accept_mass, as_bit_rows,
-                   check_alloc, unitarity_deviation)
+from .core import (DEFAULT_TOL, ValidationReport, _freeze, _one_row, _own, accept_mass,
+                   as_bit_rows, check_alloc, row_blocks, unitarity_deviation)
 
 
 _HADAMARD = _freeze(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
@@ -74,7 +74,7 @@ class Unitary:
     wires: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = _own(self, "matrix", np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"unitary gate matrix must be square, got shape {m.shape}")
         _check_size(m.shape[0])
@@ -86,7 +86,6 @@ class Unitary:
                 raise ValueError(f"matrix is {m.shape[0]}-dimensional, "
                                  f"{len(wires)} wires need {1 << len(wires)}")
             object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "matrix", _freeze(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +112,12 @@ class Diagonal:
     phases: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.phases, dtype=np.complex128)
+        d = _own(self, "phases", np.complex128)
         if d.ndim != 1:
             raise ValueError(f"diagonal must be a flat vector, got shape {d.shape}")
         _check_size(d.size)
         if not np.isfinite(d).all():
             raise ValueError("diagonal entries must be finite")
-        object.__setattr__(self, "phases", _freeze(d))
 
 
 @dataclass(frozen=True)
@@ -335,8 +333,14 @@ def run_circuit(circuit: QueryCircuit, x) -> np.ndarray:
 
 def run_circuit_batch(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
     """Vectorised simulation over a batch of inputs (anything ``as_bit_rows``
-    accepts) -> (B, 2^q) states."""
-    return np.ascontiguousarray(_run(circuit, inputs).T)
+    accepts) -> (B, 2^q) states, run in ``row_blocks`` with them in the fixed bytes."""
+    inputs, fixed = as_bit_rows(inputs, circuit.n), _run_bytes(circuit, 0)
+    per_row, fixed = _run_bytes(circuit, 1) - fixed, fixed + 16 * len(inputs) * circuit.dim
+    check_alloc(fixed + per_row, f"the states of {len(inputs)} inputs and one input's run")
+    states = np.empty((len(inputs), circuit.dim), dtype=np.complex128)
+    for rows in row_blocks(len(inputs), per_row, fixed):
+        states[rows] = _run(circuit, inputs[rows]).T
+    return states
 
 
 def circuit_acceptance(circuit: QueryCircuit, x) -> float:
@@ -345,11 +349,10 @@ def circuit_acceptance(circuit: QueryCircuit, x) -> float:
 
 
 def circuit_acceptances(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
-    """Each input's acceptance, run in blocks of as many rows as ``check_alloc`` admits."""
+    """Each input's acceptance, run in ``row_blocks``."""
     inputs, fixed = as_bit_rows(inputs, circuit.n), _run_bytes(circuit, 0)
-    rows = max(1, (core.ALLOC_LIMIT - fixed) // (_run_bytes(circuit, 1) - fixed))
-    return np.concatenate([accept_mass(circuit, _run(circuit, inputs[i:i + rows]).T)
-                           for i in range(0, max(1, len(inputs)), rows)])
+    blocks = row_blocks(len(inputs), _run_bytes(circuit, 1) - fixed, fixed)
+    return np.concatenate([accept_mass(circuit, _run(circuit, inputs[rows]).T) for rows in blocks])
 
 
 def _deviation(gate: Unitary | Permutation | Diagonal) -> tuple[float, str]:

@@ -40,9 +40,25 @@ def check_alloc(nbytes: int, what: str) -> None:
                          f"(limit {ALLOC_LIMIT} bytes)")
 
 
+def row_blocks(count: int, per_row: int, fixed: int = 0) -> list[slice]:
+    """The one rows-per-block rule: ``count`` rows in blocks of ``(ALLOC_LIMIT - fixed) //
+    per_row``, at least 1 (a row that does not fit is the caller's check to refuse)."""
+    rows = max(1, (ALLOC_LIMIT - fixed) // per_row)
+    return [slice(lo, lo + rows) for lo in range(0, max(1, count), rows)]
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _own(obj, name: str, dtype) -> np.ndarray:
+    """Set field ``name`` of ``obj`` to its value as a read-only ``dtype`` array and return
+    it; a writeable ndarray is copied, so the caller's stays writeable, a read-only one shared."""
+    value = getattr(obj, name)
+    a = np.asarray(value, dtype=dtype)
+    object.__setattr__(obj, name, _freeze(a.copy() if a is value and a.flags.writeable else a))
+    return getattr(obj, name)
 
 
 def as_bit_rows(inputs, n: int | None = None) -> np.ndarray:
@@ -119,9 +135,9 @@ class GeneralLevel:
     a1: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        a0 = np.asarray(self.a0, dtype=np.complex128)
-        a1 = np.asarray(self.a1, dtype=np.complex128)
+        labels = _own(self, "labels", np.int64)
+        a0 = _own(self, "a0", np.complex128)
+        a1 = _own(self, "a1", np.complex128)
         if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
             raise ValueError(f"a0 must be square, got shape {a0.shape}")
         if a1.shape != a0.shape:
@@ -129,9 +145,6 @@ class GeneralLevel:
         _check_labels(labels, a0.shape[0])
         if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
             raise ValueError("transition amplitudes must be finite")
-        object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "a0", _freeze(a0))
-        object.__setattr__(self, "a1", _freeze(a1))
 
     @property
     def width(self) -> int:
@@ -148,9 +161,9 @@ class RestrictedLevel:
     thetas: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        base = np.asarray(self.base, dtype=np.complex128)
-        thetas = np.asarray(self.thetas, dtype=np.float64)
+        labels = _own(self, "labels", np.int64)
+        base = _own(self, "base", np.complex128)
+        thetas = _own(self, "thetas", np.float64)
         if base.ndim != 2 or base.shape[0] != base.shape[1]:
             raise ValueError(f"base must be square, got shape {base.shape}")
         s = base.shape[0]
@@ -159,9 +172,6 @@ class RestrictedLevel:
             raise ValueError(f"thetas must have one angle per node ({s}), got shape {thetas.shape}")
         if not (np.isfinite(base).all() and np.isfinite(thetas).all()):
             raise ValueError("base entries and phase angles must be finite")
-        object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "base", _freeze(base))
-        object.__setattr__(self, "thetas", _freeze(thetas))
 
     @property
     def width(self) -> int:
@@ -248,7 +258,7 @@ class Program:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"input length must be >= 1, got {self.n}")
-        initial = np.asarray(self.initial, dtype=np.complex128)
+        initial = _own(self, "initial", np.complex128)
         if initial.ndim != 1 or initial.size < 1:
             raise ValueError("initial must be a non-empty amplitude vector")
         if not np.isfinite(initial).all():
@@ -267,7 +277,6 @@ class Program:
         for v in accept:
             if not 0 <= v < s:
                 raise ValueError(f"accept node {v} out of range [0, {s})")
-        object.__setattr__(self, "initial", _freeze(initial))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "accept", accept)
         object.__setattr__(self, "accept_index", _freeze(np.array(sorted(accept), dtype=np.intp)))

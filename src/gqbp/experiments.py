@@ -16,8 +16,8 @@ the reports here pair the measured expectation with its cap.
 
 The one drift report is ``hamming_expectation``; promise-OR is its k=0,
 delta=1 instance anchored at 0^n, whose members are the n one-hot inputs.
-A family is compared whole, or on ``FAMILY_SAMPLE`` seeded members, as
-``hamming_family`` and ``evolve``'s own check decide; one too large for either is refused.
+A family ``hamming_family`` materialises is compared whole, in row blocks, any other on
+``FAMILY_SAMPLE`` seeded members; only rows or one row's states past the limit are refused.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import core
 from .convert import circuit_to_rgqbp
 from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str
 from .programs import grover_promise_or, hamming_family, parity_program, zeros_input
-from .simulate import _blocks, acceptance_probabilities, all_inputs, evolve
+from .simulate import _block_results, acceptance_probabilities, all_inputs, evolve, final_states
 
 SLACK_TOL = 1e-9
 # Members compared when a weight family is too large to materialise.
@@ -124,18 +123,23 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
                         seed: int = 0) -> ExperimentReport:
     """Mean final-state drift between ``fixed`` and its weight-family
     members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k; a
-    family not materialised, or whose states ``evolve`` would refuse, is sampled with ``seed``."""
+    family not materialised is sampled with ``seed``.  The anchor is row 0 of the first block."""
     family = hamming_family(program.n, k, delta, fixed)
-    whole = family.materialized and _blocks(family.size + 1, program.width, program.length,
-                                            len(program.plan.labels), False)[1] <= core.ALLOC_LIMIT
-    rows = family.rows if whole else family.anchored_sample(FAMILY_SAMPLE, seed)
-    mode = "exhaustive" if whole else "sampled"
+    rows = family.rows if family.materialized else family.anchored_sample(FAMILY_SAMPLE, seed)
+    mode = "exhaustive" if family.materialized else "sampled"
     denom = (program.n - k) if family.side == "fix_yes" else k
     if denom <= 0:
         raise ValueError(f"degenerate case denominator for side {family.side}: {denom}")
-    finals = evolve(program, rows)
+    anchor = None
+
+    def drift(states: np.ndarray) -> np.ndarray:  # a block's sum, so no block outlives it
+        nonlocal anchor
+        if anchor is None:
+            anchor, states = states[0].copy(), states[1:]
+        return np.linalg.norm(states - anchor, axis=1).sum(keepdims=True)
+
     depth = program.query_depth
-    empirical = float(np.linalg.norm(finals[1:] - finals[0], axis=1).mean())
+    empirical = float(_block_results(program, rows, drift).sum() / (len(rows) - 1))
     bound = 2.0 * (depth + 1) * delta * np.sqrt(program.width) / denom
     slack = bound - empirical
     return ExperimentReport(
@@ -173,7 +177,7 @@ def distinguishability_check(program: Program, yes_inputs: Iterable,
     """
     yes = as_bit_rows(yes_inputs, program.n)
     no = as_bit_rows(no_inputs, program.n)
-    finals = evolve(program, np.vstack([yes, no]))
+    finals = final_states(program, np.vstack([yes, no]))
     probs = accept_mass(program, finals)
     final_yes, final_no = finals[:len(yes)], finals[len(yes):]
     prob_yes, prob_no = probs[:len(yes)], probs[len(yes):]

@@ -46,7 +46,7 @@ import numpy as np
 
 from .circuit import (BitOracle, Diagonal, Gate, Permutation, PhaseOracle, QueryCircuit,
                       Unitary)
-from .core import GeneralLevel, Program, RestrictedLevel
+from .core import GeneralLevel, Program, RestrictedLevel, _freeze
 
 PROGRAM_FORMAT = "gqbp-v1"
 CIRCUIT_FORMAT = "qqc-v1"
@@ -171,7 +171,7 @@ def _first_bad(value, path: str, axes: tuple, entry_ok, message: str) -> FormatE
 
 
 def _as_block(value) -> np.ndarray | None:
-    """``value`` as a float64 array when it is evenly nested lists of finite
+    """``value`` as a read-only float64 array when it is evenly nested lists of finite
     JSON numbers (true, null and strings refused), else None: each depth is
     flattened in one pass and the flat list converted in one call."""
     shape, leaves = [], [value]
@@ -184,7 +184,7 @@ def _as_block(value) -> np.ndarray | None:
         block = np.array(leaves, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         return None
-    return block.reshape(shape) if np.isfinite(block).all() else None
+    return _freeze(block.reshape(shape)) if np.isfinite(block).all() else None
 
 
 # The fields that hold a program level's or a circuit gate's number blocks.

@@ -121,12 +121,17 @@ def random_rgqbp(s: int, length: int, n: int, seed: int) -> Program:
     return Program(n=n, initial=initial, levels=tuple(levels), accept=accept)
 
 
+def _member_bytes(rows: int, n: int, delta: int) -> int:
+    """What ``_member_rows`` holds per call: n bits and delta int64 positions a member."""
+    return rows * (n + 8 * delta)
+
+
 def _member_rows(fixed: np.ndarray, side: str, delta: int, rows: int, picks) -> np.ndarray:
     """The one row builder of both family modes: ``fixed``, then ``rows``
     copies of it with the member bit written at the ``delta`` positions per
     row that ``picks(flippable positions)`` yields, after ``check_alloc``."""
     n = fixed.size
-    check_alloc(rows * (n + 8 * delta), f"{rows} family members of {n} bits")
+    check_alloc(_member_bytes(rows, n, delta), f"{rows} family members of {n} bits")
     fill = int(side == "fix_yes")
     index = np.fromiter(picks((fixed != fill).nonzero()[0]), np.intp, rows * delta)
     out = np.full((rows + 1, n), fixed)
@@ -142,9 +147,9 @@ class HammingFamily:
     delta more, so there are C(n-k, delta) of them, all of weight k+delta.
     ``fix_no``: the reference has weight k+delta; members zero out delta of
     its 1s, so there are C(k+delta, delta) of them, all of weight k.
-    A family is materialised when it has at most ``MATERIALIZE_LIMIT``
-    members and their rows fit ``core.ALLOC_LIMIT``; otherwise it is sampled.
-    ``rows`` is ``fixed`` and then every member, the table a report evolves.
+    A family of at most ``MATERIALIZE_LIMIT`` members whose rows fit ``core.ALLOC_LIMIT``
+    is materialised, and a drift report compares it whole (in row blocks), else samples
+    it.  ``rows`` is ``fixed`` and then every member, the table a report evolves.
     """
 
     n: int
@@ -189,7 +194,7 @@ def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
         raise ValueError(
             f"fixed string has weight {weight}; expected {k} (fix_yes) or {k + delta} (fix_no)")
     rows = None
-    if size <= MATERIALIZE_LIMIT and size * (n + 8 * delta) <= core.ALLOC_LIMIT:
+    if size <= MATERIALIZE_LIMIT and _member_bytes(size, n, delta) <= core.ALLOC_LIMIT:
         rows = _member_rows(fixed, side, delta, size, lambda positions: (
             itertools.chain.from_iterable(itertools.combinations(positions.tolist(), delta))))
         rows.setflags(write=False)

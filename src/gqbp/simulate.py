@@ -5,29 +5,18 @@ input-conditioned transition matrix per level; the acceptance probability
 is the squared mass of the final state on the accept set.  Oracle access is
 a direct bit lookup ``x[label]`` per node.
 
-Every result is read off ``evolve``, the one batch kernel.  A restricted
-level multiplies node ``j`` by ``exp(1j * thetas[j])`` where its queried bit
-is 1 and then applies ``base``; the phase step is skipped when all angles
-are zero and the mix when ``base`` is exactly the identity, so the split
-form costs what the plain form costs.  A general level whose 1-transition
-columns are its 0-transition columns times a phase (within
-``core.PHASE_TOL``, as ``generalize`` makes them) takes the same restricted
-step with ``a0`` as its base, so the general form costs what its source
-costs too.  Any other general level applies ``a0`` to the nodes reading 0
-and ``a1`` to those reading 1.  The steps and the tables of the levels
-they read are one ``Program.plan``, built once per program.  A call slices
-them and keeps its states as (s, B) columns, one per input, so each level is
-one ``mix @ V`` over the whole batch; it reads the bits of a block of
-levels as rows of the transposed inputs and writes every step into buffers
-it allocates once.
+Every result is read off ``evolve``, the one batch kernel, which applies
+the steps of ``Program.plan`` (``core.Plan``).  The batch calls run it in row
+blocks by ``core.row_blocks``, the rule the circuit calls use too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .core import (Level, Program, RestrictedLevel, _one_row, accept_mass, as_bit_rows, as_bits,
-                   check_alloc)
+                   check_alloc, row_blocks)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -172,34 +161,29 @@ def decide(program: Program, x, threshold: float = 2 / 3) -> str:
     return INCONCLUSIVE
 
 
-def sample_measurement(program: Program, x, seed: int, shots: int | None = None):
-    """Sample standard-basis measurement outcomes of the final state.
-
-    Uses numpy's default PCG64 generator seeded with ``seed``; sequences
-    are reproducible for a fixed seed within this implementation (other
-    implementations are expected to match in distribution only).  Returns a
-    single node index, or an array of ``shots`` indices when given.
-    """
-    v = final_state(program, x)
-    probs = np.abs(v) ** 2
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("final state has zero norm; nothing to sample")
-    probs = probs / total
-    rng = np.random.default_rng(seed)
-    if shots is None:
-        return int(rng.choice(probs.size, p=probs))
-    return rng.choice(probs.size, p=probs, size=shots)
+def _block_results(program: Program, inputs, reduce, keep: int = 0) -> np.ndarray:
+    """``reduce`` of each row block's (rows, s) final states, joined in order: one block,
+    its result as it is, if ``evolve`` takes the batch whole, else ``row_blocks`` at the
+    one-row ``_blocks`` bytes (the most a row takes) with ``keep`` bytes a row of results,
+    for every row, as fixed bytes.  No block's states outlive its ``reduce``."""
+    inputs = as_bit_rows(inputs, program.n)
+    count, shape = len(inputs), (program.width, program.length, len(program.plan.labels), False)
+    if _blocks(count, *shape)[1] <= core.ALLOC_LIMIT:
+        return reduce(evolve(program, inputs))
+    per_row, fixed = _blocks(1, *shape)[1], keep * count
+    check_alloc(fixed + per_row, f"one row's states and what is kept of all {count} rows")
+    return np.concatenate([reduce(evolve(program, inputs[rows]))
+                           for rows in row_blocks(count, per_row, fixed)])
 
 
-def final_states(program: Program, inputs: np.ndarray) -> np.ndarray:
-    """Batch-evolve a (B, n) array of inputs to their (B, s) final states."""
-    return evolve(program, inputs)
+def final_states(program: Program, inputs) -> np.ndarray:
+    """Batch final states, (B, s): 32*s bytes a row for the blocks and their join."""
+    return _block_results(program, inputs, lambda states: states, 32 * program.width)
 
 
-def acceptance_probabilities(program: Program, inputs: np.ndarray) -> np.ndarray:
+def acceptance_probabilities(program: Program, inputs) -> np.ndarray:
     """Batch acceptance probabilities for a (B, n) array of inputs."""
-    return accept_mass(program, evolve(program, inputs))
+    return _block_results(program, inputs, lambda states: accept_mass(program, states), 16)
 
 
 def all_inputs(n: int) -> np.ndarray:

@@ -393,10 +393,20 @@ def test_circuit_acceptances_run_in_blocks_that_check_alloc_admits(monkeypatch):
     check = circuit.check_alloc
     monkeypatch.setattr(circuit, "check_alloc",
                         lambda nbytes, what: (checked.append(nbytes), check(nbytes, what)))
+    states = run_circuit_batch(c, xs)
     for rows in (1, 7, 255):
         monkeypatch.setattr(core, "ALLOC_LIMIT", circuit._run_bytes(c, rows))
-        with pytest.raises(ValueError, match="refusing to allocate"):
-            run_circuit_batch(c, xs)  # it returns every state, so it cannot block
         checked.clear()
         assert np.abs(circuit_acceptances(c, xs) - whole).max() <= 1e-15
         assert len(checked) == -(-256 // rows) and max(checked) <= core.ALLOC_LIMIT
+        # it returns every state, so its (256, 64) result is counted in the
+        # blocks' fixed bytes: it runs in blocks only where that leaves a row
+        fits = 16 * 256 * c.dim + circuit._run_bytes(c, 1) <= core.ALLOC_LIMIT
+        assert fits is (rows == 255)
+        if fits:
+            checked.clear()
+            assert np.abs(run_circuit_batch(c, xs) - states).max() <= 1e-15
+            assert len(checked) == 1 + 2 and max(checked) <= core.ALLOC_LIMIT  # two blocks
+        else:
+            with pytest.raises(ValueError, match="refusing to allocate"):
+                run_circuit_batch(c, xs)

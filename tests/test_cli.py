@@ -10,7 +10,7 @@ import pytest
 
 import gqbp
 from gqbp import (GeneralLevel, Program, RestrictedLevel, acceptance_probabilities,
-                  circuit_to_rgqbp, core, experiments, grover_promise_or, parity_program,
+                  circuit_to_rgqbp, core, grover_promise_or, parity_program,
                   random_rgqbp, rgqbp_to_circuit)
 from gqbp.circuit import index_register_width
 from gqbp.cli import main
@@ -134,21 +134,22 @@ def test_expect_hamming_requires_args(parity_file, capsys):
 
 def test_expect_hamming_exits_2_when_its_states_pass_the_alloc_limit(parity_file, monkeypatch,
                                                                      capsys):
-    # the anchor and its C(2, 1) members at s=2 through two reading levels:
-    # 3 * 2 * (16 * (2 + 1 + 2) + 2) bytes of states, scratch, factors and bits;
-    # a sample of 2 members, the fallback one byte under, needs as many
+    # the anchor and its C(2, 1) members at s=2 through two reading levels run
+    # in blocks of rows down to one row: 2 * (16 * (2 + 1 + 2) + 2) bytes of
+    # states, scratch, factors and bits
     argv = ["expect", "hamming", parity_file, "--k", "2", "--delta", "1", "--fixed", "1100"]
-    monkeypatch.setattr(experiments, "FAMILY_SAMPLE", 2)
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 492)
-    assert main(argv) == 0
-    capsys.readouterr()
     monkeypatch.setattr(core, "ALLOC_LIMIT", 491)
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 164)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 163)
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: refusing to allocate 492 bytes for recorded states (or two state "
-                       "buffers), a scratch product and one block of factors and bits "
-                       "(limit 491 bytes)\n")
+    assert out.err == ("error: refusing to allocate 164 bytes for one row's states and what is "
+                       "kept of all 3 rows (limit 163 bytes)\n")
 
 
 def test_expect_csv_format(parity_file, capsys):

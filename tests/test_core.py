@@ -1,4 +1,6 @@
 import ast
+import functools
+import importlib.util
 import itertools
 from pathlib import Path
 
@@ -8,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gqbp
+from gqbp import core
 from gqbp import (
+    Diagonal,
     GeneralLevel,
     Program,
     RestrictedLevel,
+    Unitary,
     acceptance_probabilities,
     acceptance_probability,
     as_bits,
@@ -31,7 +36,6 @@ from gqbp import (
     restrict,
     rgqbp_to_circuit,
     run_circuit,
-    sample_measurement,
     validate_circuit,
     validate_general,
     validate_program,
@@ -69,7 +73,6 @@ SINGLE_INPUT_CALLS = {
     "final_state": lambda x: final_state(PARITY4, x),
     "acceptance_probability": lambda x: acceptance_probability(PARITY4, x),
     "decide": lambda x: decide(PARITY4, x),
-    "sample_measurement": lambda x: sample_measurement(PARITY4, x, seed=0),
     "run_circuit": lambda x: run_circuit(GROVER4, x),
     "circuit_acceptance": lambda x: circuit_acceptance(GROVER4, x),
     "hybrid_run": lambda x: hybrid_run(PARITY4, x, "0000", 1),
@@ -418,6 +421,63 @@ def test_level_constructor_guards():
         GeneralLevel(labels=np.array([0]), a0=np.eye(1), a1=np.array([[np.nan]]))
     with pytest.raises(ValueError, match="non-negative"):
         RestrictedLevel(labels=np.array([-1]), base=np.eye(1), thetas=np.zeros(1))
+
+
+# Each constructor that keeps caller arrays, and fresh work arrays of the
+# dtypes it keeps, so that no dtype conversion copies them anyway.
+OWNERS = {
+    "Unitary": (Unitary, lambda: {"matrix": np.eye(2, dtype=complex)}),
+    "Diagonal": (Diagonal, lambda: {"phases": np.ones(2, dtype=complex)}),
+    "RestrictedLevel": (RestrictedLevel, lambda: {
+        "labels": np.array([0, 1]), "base": np.eye(2, dtype=complex), "thetas": np.zeros(2)}),
+    "GeneralLevel": (GeneralLevel, lambda: {
+        "labels": np.array([0, 1]), "a0": np.eye(2, dtype=complex),
+        "a1": np.eye(2, dtype=complex)}),
+    "Program": (functools.partial(Program, n=1, levels=()),
+                lambda: {"initial": np.array([1, 0], dtype=complex)}),
+}
+
+
+@pytest.mark.parametrize("name", OWNERS)
+def test_constructors_own_their_arrays(name):
+    build, arrays = OWNERS[name]
+    work = arrays()
+    built = build(**work)
+    kept = {field: getattr(built, field).copy() for field in work}
+    for field, array in work.items():
+        array[...] = 1  # the caller's array stays writeable, and the built one unchanged
+        assert np.array_equal(getattr(built, field), kept[field])
+        assert not getattr(built, field).flags.writeable
+    frozen = arrays()
+    for array in frozen.values():
+        array.setflags(write=False)
+    shared = build(**frozen)
+    assert all(getattr(shared, field) is array for field, array in frozen.items())
+
+
+def test_row_blocks_is_the_one_rows_per_block_rule(monkeypatch):
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 100)
+    assert core.row_blocks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    assert core.row_blocks(7, 30, fixed=40) == [slice(lo, lo + 2) for lo in (0, 2, 4, 6)]
+    assert core.row_blocks(3, 30, fixed=40) == [slice(0, 2), slice(2, 4)]
+    # a row that does not fit is one row a block, for the caller's check to refuse
+    assert core.row_blocks(2, 101) == core.row_blocks(2, 30, fixed=90) == [slice(0, 1),
+                                                                           slice(1, 2)]
+    assert core.row_blocks(0, 30) == [slice(0, 3)]  # no rows: one empty block
+
+
+def test_the_benchmark_finds_every_name_it_calls():
+    # perfbench/workloads.load_api looks up every name of tracing.LAYER_OF in
+    # gqbp (``main`` in gqbp.cli), and perfbench/test_perfbench.py also calls
+    # final_states and hybrid_run, so dropping one fails every benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = set(tracing.LAYER_OF) - {"main"} | {"final_states", "hybrid_run"}
+    assert len(names) > 20
+    assert sorted(name for name in names if not callable(getattr(gqbp, name, None))) == []
+    assert tracing.LAYER_OF["main"] == "cli" and callable(main)
 
 
 def test_program_constructor_guards():

@@ -173,21 +173,23 @@ def test_family_mode_follows_the_alloc_limit(monkeypatch):
     # C(6, 1) = 6 members of 8 bits, each with one int64 position: 6 * (8 + 8) bytes.
     # evolve then holds two (s, rows) state buffers, one scratch and one block
     # of the 3 reading levels' complex factors and bool bits: 7 * 4 * (16 *
-    # (2 + 1 + 3) + 3) bytes for the anchor and every member, 5 * 4 * (16 *
-    # (2 + 1 + 3) + 3) for the anchor and 4 sampled ones.
+    # (2 + 1 + 3) + 3) bytes for the anchor and every member in one block,
+    # 4 * (16 * (2 + 1 + 3) + 3) = 396 for each row of a smaller block.
     prog, fixed = random_rgqbp(4, 3, 8, seed=9), "11000000"
     monkeypatch.setattr(experiments, "FAMILY_SAMPLE", 4)
     for limit, whole in ((6 * 16, True), (6 * 16 - 1, False)):
         monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
         assert hamming_family(prog.n, 2, 1, fixed).materialized is whole
-    modes = []
-    for limit in (2772, 2771, 1980):
+    reports = []
+    for limit in (2772, 2771, 396):
         monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
-        report = hamming_expectation(prog, 2, 1, fixed)
-        modes.append((report.metadata["mode"], report.metadata["compared"]))
-    assert modes == [("exhaustive", 6), ("sampled", 4), ("sampled", 4)]
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 1979)
-    with pytest.raises(ValueError, match="refusing to allocate 1980 bytes for recorded states"):
+        reports.append(hamming_expectation(prog, 2, 1, fixed))
+    assert [(r.metadata["mode"], r.metadata["compared"]) for r in reports] == [
+        ("exhaustive", 6)] * 3
+    # blocks of 6 rows and then 1 at 2771, of 1 row at 396: the same family
+    assert all(abs(r.empirical - reports[0].empirical) <= 1e-12 for r in reports)
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 395)
+    with pytest.raises(ValueError, match="refusing to allocate 396 bytes for one row's states"):
         hamming_expectation(prog, 2, 1, fixed)
     monkeypatch.setattr(core, "ALLOC_LIMIT", 4 * 16 - 1)
     with pytest.raises(ValueError, match="refusing to allocate 64 bytes for 4 family members"):
@@ -447,6 +449,21 @@ def test_distinguishability_matches_pairwise_loop(monkeypatch, block):
     assert not report.passed
     listed = distinguishability_check(prog, [bits_to_str(x) for x in yes], list(no))
     assert listed == report
+
+
+def test_distinguishability_runs_its_final_states_in_row_blocks(monkeypatch):
+    prog, xs = random_rgqbp(4, 3, 6, seed=8), all_inputs(6)
+    odd = xs.sum(axis=1) % 2 == 1
+    whole = distinguishability_check(prog, xs[odd], xs[~odd])
+    # 32*s bytes kept for each of the 64 rows, then 4 * (16 * (2 + 1 + 3) + 3)
+    # bytes for each of 10 rows a block: evolve would refuse the 64 in one
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 64 * 128 + 10 * 396)
+    blocked = distinguishability_check(prog, xs[odd], xs[~odd])
+    assert abs(blocked.min_distance - whole.min_distance) <= 1e-12
+    assert replace(blocked, min_distance=whole.min_distance) == whole
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 64 * 128 + 395)
+    with pytest.raises(ValueError, match="refusing to allocate 8588 bytes for one row's states"):
+        distinguishability_check(prog, xs[odd], xs[~odd])
 
 
 @pytest.mark.parametrize("row", [[0.5, 1.0], [256, 1]], ids=["fraction", "wraps to 0"])

@@ -22,7 +22,6 @@ from gqbp import (
     pad_width,
     parity_program,
     random_rgqbp,
-    sample_measurement,
     split_layers,
 )
 from gqbp import core, simulate
@@ -120,28 +119,6 @@ def test_decide_inconclusive_band():
     assert decide(prog, "00") == "inconclusive"
 
 
-def test_sample_measurement_deterministic_state():
-    prog = Program(n=1, initial=np.array([0, 1], dtype=complex), levels=(),
-                   accept=frozenset({1}))
-    for seed in (0, 1, 123):
-        assert sample_measurement(prog, "0", seed=seed) == 1
-
-
-def test_sample_measurement_frequencies():
-    prog = Program(n=1, initial=np.array([1, 1], dtype=complex) / np.sqrt(2), levels=())
-    shots = sample_measurement(prog, "0", seed=42, shots=100_000)
-    freq = np.mean(shots == 0)
-    assert freq == pytest.approx(0.5, abs=0.01)
-
-
-def test_sample_measurement_reproducible():
-    prog = replace(parity_program(2),
-                   initial=np.array([1, 1], dtype=complex) / np.sqrt(2))
-    a = sample_measurement(prog, "01", seed=7, shots=32)
-    b = sample_measurement(prog, "01", seed=7, shots=32)
-    assert np.array_equal(a, b)
-
-
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_norm_preserved_along_trace(seed):
@@ -205,12 +182,6 @@ def test_all_inputs_peak_is_at_most_twice_the_table():
 def test_final_states_rejects_wrong_row_width():
     with pytest.raises(ValueError, match="bits"):
         final_states(parity_program(4), np.zeros((3, 2), dtype=np.uint8))
-
-
-def test_sample_measurement_zero_norm_state():
-    prog = Program(n=1, initial=np.zeros(2, dtype=complex), levels=())
-    with pytest.raises(ValueError, match="zero norm"):
-        sample_measurement(prog, "0", seed=0)
 
 
 def _reference_states(prog, x):
@@ -539,7 +510,8 @@ def test_evolve_record_is_refused_before_allocating(monkeypatch):
     # B=3 rows at s=2 through two reading levels: the (k+1, s, B) stack, one
     # (s, B) scratch, and one block of two levels' complex factors and bool
     # bits, 3 * 2 * (16 * (3 + 1 + 2) + 2) bytes
-    prog, xs = parity_program(4), np.zeros((3, 4), dtype=np.uint8)
+    prog, xs = parity_program(4), np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 1, 0]], np.uint8)
+    whole = final_states(prog, xs), acceptance_probabilities(prog, xs)
     monkeypatch.setattr(core, "ALLOC_LIMIT", 588)
     assert evolve(prog, xs, record=True).shape == (3, 3, 2)
     monkeypatch.setattr(core, "ALLOC_LIMIT", 587)
@@ -550,10 +522,41 @@ def test_evolve_record_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(core, "ALLOC_LIMIT", 492)
     assert evolve(prog, xs).shape == (3, 2)
     monkeypatch.setattr(core, "ALLOC_LIMIT", 491)
-    for call in (evolve, final_states, acceptance_probabilities):
-        with pytest.raises(ValueError, match="refusing to allocate 492 bytes for recorded "
-                                             "states \\(or two state buffers\\)"):
-            call(prog, xs)
+    with pytest.raises(ValueError, match="refusing to allocate 492 bytes for recorded "
+                                         "states \\(or two state buffers\\)"):
+        evolve(prog, xs)
+    # the batch calls run in row blocks of 164 bytes a row, on top of what
+    # they keep for every row: 32*s bytes of states or 16 of probabilities
+    rows = []
+    monkeypatch.setattr(simulate, "evolve", lambda p, x: rows.append(len(x)) or evolve(p, x))
+    for limit, blocks in ((491, [1, 1, 1, 2, 1]), (3 * 64 + 164, [1, 1, 1, 1, 1, 1])):
+        monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
+        rows.clear()
+        blocked = final_states(prog, xs), acceptance_probabilities(prog, xs)
+        assert rows == blocks
+        for got, want in zip(blocked, whole):
+            assert np.abs(got - want).max() <= 1e-15
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 3 * 64 + 163)
+    with pytest.raises(ValueError, match="refusing to allocate 356 bytes for one row's states"):
+        final_states(prog, xs)
+
+
+def test_acceptance_of_a_batch_evolve_refuses_runs_in_row_blocks(monkeypatch):
+    # every input of an s=16 L=8 program, against 8 slices each run whole; at
+    # a limit a quarter of evolve's whole-batch bytes the blocks hold about
+    # a tenth of the rows, with the 16 bytes kept per row counted
+    prog, xs = random_rgqbp(16, 8, 12, seed=1), all_inputs(12)
+    whole = acceptance_probabilities(prog, xs)
+    sliced = np.concatenate([acceptance_probabilities(prog, part) for part in np.split(xs, 8)])
+    shape = prog.width, prog.length, len(prog.plan.labels), False
+    monkeypatch.setattr(core, "ALLOC_LIMIT", simulate._blocks(len(xs), *shape)[1] // 4)
+    with pytest.raises(ValueError, match="refusing to allocate"):
+        evolve(prog, xs)
+    rows = []
+    monkeypatch.setattr(simulate, "evolve", lambda p, x: rows.append(len(x)) or evolve(p, x))
+    blocked = acceptance_probabilities(prog, xs)
+    assert len(rows) > 8 and sum(rows) == len(xs)
+    assert np.abs(blocked - sliced).max() <= 1e-12 and np.abs(blocked - whole).max() <= 1e-12
 
 
 def test_factor_blocks_hold_as_many_levels_as_fit_the_budget(monkeypatch):
