@@ -51,7 +51,6 @@ from .programs import (
     HammingFamily,
     grover_promise_or,
     hamming_family,
-    one_hot_input,
     parity_program,
     random_rgqbp,
     zeros_input,
@@ -64,7 +63,6 @@ from .simulate import (
     evolve,
     final_state,
     final_states,
-    transition_matrix,
 )
 from .transform import pad_width, split_layers
 

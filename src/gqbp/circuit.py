@@ -310,9 +310,9 @@ def _run_bytes(circuit: QueryCircuit, nb: int) -> int:
         + 32 * np.getbufsize()
 
 
-def _run(circuit: QueryCircuit, inputs) -> np.ndarray:
-    """(2^q, B) final states, one column per input."""
-    inputs = as_bit_rows(inputs, circuit.n)
+def _run(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
+    """(2^q, B) final states, one column per row of ``inputs``, bits that
+    ``as_bit_rows`` has already checked."""
     nb, dim = inputs.shape[0], circuit.dim
     check_alloc(_run_bytes(circuit, nb),
                 f"the {dim}x{nb} states of a {circuit.q}-wire circuit and their temporaries")

@@ -61,15 +61,16 @@ def _own(obj, name: str, dtype) -> np.ndarray:
     return getattr(obj, name)
 
 
-def as_bit_rows(inputs, n: int | None = None) -> np.ndarray:
-    """The one input rule: turn inputs into a (B, n) uint8 array of bits.
+def as_bit_rows(inputs, n: int) -> np.ndarray:
+    """The one input rule: turn inputs into a (B, n) uint8 array of bits,
+    ``n`` being the program's or circuit's input length.
 
     A ``'0101'`` string or a flat sequence of bits is one row; a (B, n)
     array, or an iterable of such inputs (strings allowed), is one row per
     item.  Values are checked before the cast, so 0.5 or 256 is refused
     rather than read as 0, and so is a non-numeric dtype.  Raises ValueError
     with "0/1" for a value that is not a bit and "length mismatch" for rows
-    of unequal length or, when ``n`` is given, of a length other than ``n``.
+    of unequal length or of a length other than ``n``.
     """
     if isinstance(inputs, str):
         inputs = [inputs]
@@ -81,10 +82,10 @@ def as_bit_rows(inputs, n: int | None = None) -> np.ndarray:
     except ValueError:
         raise ValueError("input length mismatch: inputs differ in length") from None
     if rows.ndim == 1:
-        rows = rows[np.newaxis] if rows.size else rows.reshape(0, n or 0)
-    if rows.ndim != 2 or (n is not None and rows.shape[1] != n):
-        raise ValueError(f"input length mismatch: got shape {rows.shape}"
-                         + (f", expected rows of {n} bits" if n else ""))
+        rows = rows[np.newaxis] if rows.size else rows.reshape(0, n)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"input length mismatch: got shape {rows.shape}, "
+                         f"expected rows of {n} bits")
     if rows.dtype.kind not in "biufc":
         raise ValueError(f"inputs must be 0/1 bits, got dtype {rows.dtype}")
     if rows.dtype == np.uint8:
@@ -104,7 +105,7 @@ def _one_row(batch: np.ndarray) -> np.ndarray:
     return batch[0]
 
 
-def as_bits(x, n: int | None = None) -> np.ndarray:
+def as_bits(x, n: int) -> np.ndarray:
     """One input as a flat uint8 array: the one-row case of ``as_bit_rows``,
     with the same checks and errors."""
     return _one_row(as_bit_rows(x, n))

@@ -187,13 +187,14 @@ def _as_block(value) -> np.ndarray | None:
     return _freeze(block.reshape(shape)) if np.isfinite(block).all() else None
 
 
-# The fields that hold a program level's or a circuit gate's number blocks.
-_BLOCK_FIELDS = frozenset(("base", "thetas", "a0", "a1", "matrix", "phases"))
+# The fields that hold number blocks: a program's initial vector, its levels'
+# matrices and angles, and a circuit gate's matrix or phases.
+_BLOCK_FIELDS = frozenset(("initial", "base", "thetas", "a0", "a1", "matrix", "phases"))
 
 
 def _pack_blocks(obj: dict) -> dict:
-    """Decoder hook: a level's or gate's blocks become arrays as soon as it is
-    read, so a document's [re, im] lists live one level or gate at a time,
+    """Decoder hook: a program's, level's or gate's blocks become arrays as soon
+    as it is read, so a document's [re, im] lists live one level or gate at a time,
     not to the end of the decode; a block that is not well formed stays
     lists for ``_parse_block``."""
     for field in _BLOCK_FIELDS.intersection(obj):
@@ -207,14 +208,14 @@ def _parse_block(value, path: str, axes: tuple, pairs: bool) -> np.ndarray:
     """Float64 array of finite JSON numbers shaped by ``axes`` ((length,
     noun) pairs), plus a trailing axis of 2 when ``pairs``.
 
-    ``value`` is lists or the array ``_pack_blocks`` made of them.  Only on
-    failure does ``_first_bad`` walk the lists to name the offending entry.
+    ``value`` is the array ``_pack_blocks`` made of the lists, or the lists
+    it left as they were.  Only on failure does ``_first_bad`` walk the
+    lists to name the offending entry.
     """
     shape = tuple(length for length, _ in axes) + ((2,) if pairs else ())
-    block = value if isinstance(value, np.ndarray) else _as_block(value)
-    if block is not None and block.shape == shape:
-        return block
     if isinstance(value, np.ndarray):
+        if value.shape == shape:
+            return value
         value = value.tolist()
     if pairs:
         error = _first_bad(value, path, axes, _is_pair,

@@ -27,16 +27,6 @@ def zeros_input(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.uint8)
 
 
-def one_hot_input(n: int, p: int) -> np.ndarray:
-    """The all-zero string with a single 1 at position p, refused past
-    ``ALLOC_LIMIT`` as ``zeros_input`` is."""
-    if not 0 <= p < n:
-        raise ValueError(f"position {p} out of range [0, {n})")
-    x = zeros_input(n)
-    x[p] = 1
-    return x
-
-
 def parity_program(n: int) -> Program:
     """Width-2 length-n/2 restricted program deciding the parity of n bits.
 

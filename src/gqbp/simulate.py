@@ -15,28 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .core import (Level, Program, RestrictedLevel, _one_row, accept_mass, as_bit_rows, as_bits,
-                   check_alloc, row_blocks)
+from .core import Program, _one_row, accept_mass, as_bit_rows, check_alloc, row_blocks
 
 ACCEPT = "accept"
 REJECT = "reject"
 INCONCLUSIVE = "inconclusive"
 LEVEL_BLOCK_BYTES = 1 << 18  # bit-1 factors per ``evolve`` block: one level from B*s = 16384
-
-
-def transition_matrix(level: Level, x) -> np.ndarray:
-    """Assemble the transition matrix realised by input ``x`` at one level.
-
-    Column ``j`` is node ``j``'s outgoing amplitude vector for the value of
-    its queried bit.
-    """
-    bits = as_bits(x)
-    if bits.size <= level.labels.max(initial=-1):
-        raise ValueError(f"input length mismatch: level reads bit {level.labels.max()} of {x!r}")
-    node_bits = bits[level.labels]
-    if isinstance(level, RestrictedLevel):
-        return level.base * np.exp(1j * level.thetas * node_bits)[np.newaxis, :]
-    return np.where(node_bits.astype(bool)[np.newaxis, :], level.a1, level.a0)
 
 
 def _blocks(nb: int, s: int, steps: int, reads: int, record: bool) -> tuple[int, int]:
@@ -148,15 +132,14 @@ def acceptance_probability(program: Program, x) -> float:
     return float(accept_mass(program, final_state(program, x)))
 
 
-def decide(program: Program, x, threshold: float = 2 / 3) -> str:
-    """Bounded-error decision: accept above ``threshold``, reject below
-    ``1 - threshold``, inconclusive in between."""
-    if not 0.5 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (1/2, 1], got {threshold}")
+def decide(program: Program, x) -> str:
+    """Bounded-error decision: accept at probability ``2 / 3`` or more, reject
+    at ``1.0 - 2 / 3`` (one ulp above the float 1/3) or less, inconclusive in
+    between."""
     p = acceptance_probability(program, x)
-    if p >= threshold:
+    if p >= 2 / 3:
         return ACCEPT
-    if p <= 1.0 - threshold:
+    if p <= 1.0 - 2 / 3:
         return REJECT
     return INCONCLUSIVE
 

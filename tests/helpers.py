@@ -8,7 +8,7 @@ import numpy as np
 from gqbp import (Diagonal, Permutation, PhaseOracle, Program, QueryCircuit, RestrictedLevel,
                   Unitary, random_rgqbp)
 from gqbp.circuit import run_circuit_batch, validate_circuit
-from gqbp.core import accept_mass, validate_program
+from gqbp.core import accept_mass, as_bits, validate_program
 from gqbp.simulate import all_inputs, final_states
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -37,6 +37,19 @@ def rewrite_gap(before, after, inputs=None) -> float:
     if states[0].shape == states[1].shape:
         gap = max(gap, np.abs(states[0] - states[1]).max())
     return float(gap)
+
+
+def transition_matrix(level, x) -> np.ndarray:
+    """The dense transition matrix that input ``x`` realises at one level, the
+    per-level reference ``evolve`` is checked against: column ``j`` is node
+    ``j``'s outgoing amplitude vector for the value of its queried bit."""
+    bits = as_bits(x, len(x) if isinstance(x, str) else np.shape(x)[-1])
+    if bits.size <= level.labels.max(initial=-1):
+        raise ValueError(f"input length mismatch: level reads bit {level.labels.max()} of {x!r}")
+    node_bits = bits[level.labels]
+    if isinstance(level, RestrictedLevel):
+        return level.base * np.exp(1j * level.thetas * node_bits)[np.newaxis, :]
+    return np.where(node_bits.astype(bool)[np.newaxis, :], level.a1, level.a0)
 
 
 def deutsch_circuit() -> QueryCircuit:

@@ -14,7 +14,6 @@ from gqbp import (
     hamming_expectation,
     hamming_family,
     hybrid_deviation,
-    one_hot_input,
     parity_program,
     promise_or_expectation,
     random_rgqbp,
@@ -48,7 +47,7 @@ def test_split_equivalence_200_random_programs():
 
 def test_circuit_to_program_exactness():
     rng = np.random.default_rng(0)
-    promise = np.vstack([zeros_input(64)] + [one_hot_input(64, p) for p in range(64)])
+    promise = np.vstack([zeros_input(64), np.eye(64, dtype=np.uint8)])
     cases = {"deutsch q=1": (deutsch_circuit(), None),
              "grover n=4 exhaustive": (grover_promise_or(4), None),
              "grover n=16 exhaustive": (grover_promise_or(16), all_inputs(16)),
@@ -97,7 +96,7 @@ def test_promise_or_hybrid_bound_200_random_programs():
         report = promise_or_expectation(prog)
         worst_slack = min(worst_slack, report.slack)
         cap = math.sqrt(prog.width) + TOL
-        trace = hybrid_deviation(prog, zeros_input(prog.n), one_hot_input(prog.n, 0))
+        trace = hybrid_deviation(prog, zeros_input(prog.n), np.eye(prog.n, dtype=np.uint8)[0])
         if any(l1 > cap for l1 in trace.level_l1):
             cauchy_ok = False
     ok = worst_slack >= -TOL and cauchy_ok
@@ -166,7 +165,7 @@ def test_distinguishability_floor_on_builtins():
         min_distance = min(min_distance, report.min_distance)
     for n in (4, 16, 64):
         prog = circuit_to_rgqbp(grover_promise_or(n))
-        yes = [one_hot_input(n, p) for p in range(n)]
+        yes = np.eye(n, dtype=np.uint8)
         report = distinguishability_check(prog, yes, [zeros_input(n)])
         all_pass &= report.passed
         min_distance = min(min_distance, report.min_distance)

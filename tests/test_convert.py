@@ -34,10 +34,10 @@ from helpers import ACCEPT_TOL, HADAMARD, rewrite_gap, seeded_program
 
 def test_grover4_to_program_decides_promise_inputs():
     prog = circuit_to_rgqbp(grover_promise_or(4))
-    from gqbp import acceptance_probability, one_hot_input, zeros_input
+    from gqbp import acceptance_probability, zeros_input
     assert acceptance_probability(prog, zeros_input(4)) == pytest.approx(0.0, abs=1e-12)
     for p in range(4):
-        assert acceptance_probability(prog, one_hot_input(4, p)) == pytest.approx(1.0, abs=1e-12)
+        assert acceptance_probability(prog, np.eye(4, dtype=np.uint8)[p]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_non_power_of_two_width_and_n():

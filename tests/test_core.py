@@ -2,6 +2,8 @@ import ast
 import functools
 import importlib.util
 import itertools
+import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -45,18 +47,17 @@ from gqbp.circuit import run_circuit_batch
 from gqbp.cli import main
 from gqbp.core import unitarity_deviation
 from gqbp.formats import serialize_program
-from gqbp.simulate import transition_matrix
 
-from helpers import seeded_program
+from helpers import seeded_program, transition_matrix
 
 
 def test_as_bits_from_string():
-    assert as_bits("0101").tolist() == [0, 1, 0, 1]
+    assert as_bits("0101", 4).tolist() == [0, 1, 0, 1]
 
 
 def test_as_bits_rejects_bad_chars():
     with pytest.raises(ValueError):
-        as_bits("01x1")
+        as_bits("01x1", 4)
 
 
 def test_as_bits_length_mismatch():
@@ -399,7 +400,7 @@ def test_program_rejects_bad_accept():
 
 def test_as_bits_rejects_non_binary_sequence():
     with pytest.raises(ValueError, match="0/1"):
-        as_bits([0, 1, 2])
+        as_bits([0, 1, 2], 3)
 
 
 def test_level_constructor_guards():
@@ -478,6 +479,17 @@ def test_the_benchmark_finds_every_name_it_calls():
     assert len(names) > 20
     assert sorted(name for name in names if not callable(getattr(gqbp, name, None))) == []
     assert tracing.LAYER_OF["main"] == "cli" and callable(main)
+
+
+def test_the_readme_names_every_export():
+    # each public name of gqbp is named in backticks somewhere in README.md
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    exports = [name for name, value in vars(gqbp).items()
+               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert len(exports) > 40
+    assert sorted(set(exports) - named) == []
 
 
 def test_program_constructor_guards():

@@ -21,7 +21,6 @@ from gqbp import (
     hamming_family,
     hybrid_deviation,
     hybrid_run,
-    one_hot_input,
     parity_program,
     promise_or_expectation,
     random_rgqbp,
@@ -38,9 +37,10 @@ from gqbp.experiments import (
     PROBABILITY_GAP,
     SLACK_TOL,
 )
-from gqbp.simulate import all_inputs, transition_matrix
+from gqbp.simulate import all_inputs
 
-from helpers import HADAMARD, input_independent_program, seeded_program, width1_flip_program
+from helpers import (HADAMARD, input_independent_program, seeded_program, transition_matrix,
+                     width1_flip_program)
 
 
 def _random_pair(seed, n):
@@ -145,7 +145,7 @@ def test_promise_or_grover16():
 
 def test_promise_or_cauchy_schwarz_levels():
     prog = seeded_program(31)
-    trace = hybrid_deviation(prog, zeros_input(prog.n), one_hot_input(prog.n, 0))
+    trace = hybrid_deviation(prog, zeros_input(prog.n), np.eye(prog.n, dtype=np.uint8)[0])
     cap = np.sqrt(prog.width) + SLACK_TOL
     assert all(l1 <= cap for l1 in trace.level_l1)
 
@@ -313,9 +313,8 @@ def test_distinguishability_lists_a_gap_below_one_third():
 
 
 def test_distinguishability_grover_program():
-    from gqbp import one_hot_input, zeros_input
     prog = circuit_to_rgqbp(grover_promise_or(4))
-    yes = [one_hot_input(4, p) for p in range(4)]
+    yes = np.eye(4, dtype=np.uint8)
     report = distinguishability_check(prog, yes, [zeros_input(4)])
     assert report.passed
 

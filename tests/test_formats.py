@@ -393,7 +393,8 @@ def test_decoder_packs_each_level_as_it_reads_it():
                          (generalize(random_rgqbp(8, 64, 12, seed=4)), ("a0", "a1"))):
         text = serialize_program(prog)
         doc = _load(text)
-        assert isinstance(doc["initial"], list)
+        assert isinstance(doc["initial"], np.ndarray)
+        assert _bits(doc["initial"].view(np.complex128)[..., 0]) == _bits(prog.initial)
         for level, entry in zip(prog.levels, doc["levels"]):
             for field in fields:
                 want = getattr(level, field)

@@ -9,7 +9,6 @@ from gqbp import (
     circuit_acceptance,
     grover_promise_or,
     hamming_family,
-    one_hot_input,
     parity_program,
     random_rgqbp,
     validate_program,
@@ -51,7 +50,7 @@ def test_parity_rejects_odd_or_small():
 def test_grover_accepts_each_one_hot_at_n4():
     c = grover_promise_or(4)
     for p in range(4):
-        assert circuit_acceptance(c, one_hot_input(4, p)) == pytest.approx(1.0, abs=1e-12)
+        assert circuit_acceptance(c, np.eye(4, dtype=np.uint8)[p]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grover_rejects_all_zero():
@@ -67,7 +66,7 @@ def test_grover_n16_matches_rotation_formula():
     expected = math.sin((2 * t + 1) * math.asin(1 / math.sqrt(n))) ** 2
     assert expected >= 0.9
     for p in (0, 7, 15):
-        assert circuit_acceptance(c, one_hot_input(n, p)) == pytest.approx(expected, abs=1e-12)
+        assert circuit_acceptance(c, np.eye(n, dtype=np.uint8)[p]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_grover_rejects_non_power_of_two():
@@ -134,8 +133,6 @@ def test_hamming_family_parameter_guards():
         hamming_family(4, 2, -1, "1100")
     with pytest.raises(ValueError, match="exceeds"):
         hamming_family(4, 3, 2, "1110")  # k + delta = 5 > n
-    with pytest.raises(ValueError, match=r"position 4 out of range \[0, 4\)"):
-        one_hot_input(4, 4)  # a promise-OR family member
 
 
 def test_random_rgqbp_parameter_guard():
@@ -151,7 +148,7 @@ def test_generators_refuse_more_than_the_alloc_limit(monkeypatch):
     gate_bytes = sum(g.matrix.nbytes for g in grover_promise_or(4).gates if hasattr(g, "matrix"))
     for build, nbytes in ((lambda: random_rgqbp(4, 2, 3, seed=0), program_bytes),
                           (lambda: grover_promise_or(4), gate_bytes),
-                          (lambda: zeros_input(4), 4), (lambda: one_hot_input(4, 1), 4)):
+                          (lambda: zeros_input(4), 4)):
         monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes)
         build()
         monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes - 1)

@@ -26,9 +26,9 @@ from gqbp import (
 )
 from gqbp import core, simulate
 from gqbp.core import accept_mass
-from gqbp.simulate import all_inputs, transition_matrix
+from gqbp.simulate import all_inputs
 
-from helpers import seeded_program
+from helpers import seeded_program, transition_matrix
 
 
 def test_transition_matrix_zero_thetas_returns_base():
@@ -104,8 +104,16 @@ def test_decide_thresholds():
     prog = parity_program(2)
     assert decide(prog, "10") == "accept"   # probability 1
     assert decide(prog, "11") == "reject"   # probability 0
-    with pytest.raises(ValueError):
-        decide(prog, "10", threshold=0.5)
+
+
+@pytest.mark.parametrize("p, verdict", [
+    (2 / 3, "accept"), (np.nextafter(2 / 3, 0), "inconclusive"),
+    (1 - 2 / 3, "reject"), (np.nextafter(1 - 2 / 3, 1), "inconclusive")])
+def test_decide_boundaries(monkeypatch, p, verdict):
+    # bounded error is a fixed convention: accept at 2/3 and reject at 1 - 2/3,
+    # both inclusive, to the last bit
+    monkeypatch.setattr(simulate, "acceptance_probability", lambda program, x: float(p))
+    assert decide(parity_program(2), "10") == verdict
 
 
 def test_decide_inconclusive_band():

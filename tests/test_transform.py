@@ -34,7 +34,7 @@ def test_split_zero_thetas_gives_identity_query_levels():
     prog = Program(n=2, initial=np.array([1, 0], dtype=complex), levels=(level,))
     split = split_layers(prog)
     for x in all_inputs(2):
-        from gqbp.simulate import transition_matrix
+        from helpers import transition_matrix
         assert np.array_equal(transition_matrix(split.levels[0], x), np.eye(2))
 
 
