@@ -41,8 +41,9 @@ def check_alloc(nbytes: int, what: str) -> None:
 
 
 def row_blocks(count: int, per_row: int, fixed: int = 0) -> list[slice]:
-    """The one rows-per-block rule: ``count`` rows in blocks of ``(ALLOC_LIMIT - fixed) //
-    per_row``, at least 1 (a row that does not fit is the caller's check to refuse)."""
+    """The memory rule for rows per block: ``count`` rows in blocks of ``(ALLOC_LIMIT -
+    fixed) // per_row``, at least 1 (a row that does not fit is the caller's check to
+    refuse).  The program batch calls cap it further by cache size."""
     rows = max(1, (ALLOC_LIMIT - fixed) // per_row)
     return [slice(lo, lo + rows) for lo in range(0, max(1, count), rows)]
 

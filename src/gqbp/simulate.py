@@ -7,7 +7,8 @@ a direct bit lookup ``x[label]`` per node.
 
 Every result is read off ``evolve``, the one batch kernel, which applies
 the steps of ``Program.plan`` (``core.Plan``).  The batch calls run it in row
-blocks by ``core.row_blocks``, the rule the circuit calls use too.
+blocks of at most ``LEVEL_BLOCK_BYTES`` of state, capped by ``core.row_blocks``,
+the memory rule the circuit calls use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .core import Program, _one_row, accept_mass, as_bit_rows, check_alloc, row_
 ACCEPT = "accept"
 REJECT = "reject"
 INCONCLUSIVE = "inconclusive"
-LEVEL_BLOCK_BYTES = 1 << 18  # bit-1 factors per ``evolve`` block: one level from B*s = 16384
+# bit-1 factors per ``evolve`` factor block (one level from B*s = 16384 on), and
+# the (s, rows) state of a batch call's row block: rows*s <= 16384
+LEVEL_BLOCK_BYTES = 1 << 18
 
 
 def _blocks(nb: int, s: int, steps: int, reads: int, record: bool) -> tuple[int, int]:
@@ -145,18 +148,23 @@ def decide(program: Program, x) -> str:
 
 
 def _block_results(program: Program, inputs, reduce, keep: int = 0) -> np.ndarray:
-    """``reduce`` of each row block's (rows, s) final states, joined in order: one block,
-    its result as it is, if ``evolve`` takes the batch whole, else ``row_blocks`` at the
-    one-row ``_blocks`` bytes (the most a row takes) with ``keep`` bytes a row of results,
-    for every row, as fixed bytes.  No block's states outlive its ``reduce``."""
+    """``reduce`` of each row block's (rows, s) final states, joined in order.  A block
+    holds at most ``LEVEL_BLOCK_BYTES`` of (s, rows) complex state, so a wide batch
+    stays in cache.  A batch of at most that many rows that ``evolve`` takes whole is
+    one block, its result as it is; a larger one runs in blocks of at most what
+    ``row_blocks`` admits at the one-row ``_blocks`` bytes (the most a row takes) with
+    ``keep`` bytes a row of results, for every row, as fixed bytes.  No block's
+    states outlive its ``reduce``."""
     inputs = as_bit_rows(inputs, program.n)
     count, shape = len(inputs), (program.width, program.length, len(program.plan.labels), False)
-    if _blocks(count, *shape)[1] <= core.ALLOC_LIMIT:
+    most = max(1, LEVEL_BLOCK_BYTES // (16 * program.width))
+    if count <= most and _blocks(count, *shape)[1] <= core.ALLOC_LIMIT:
         return reduce(evolve(program, inputs))
     per_row, fixed = _blocks(1, *shape)[1], keep * count
     check_alloc(fixed + per_row, f"one row's states and what is kept of all {count} rows")
-    return np.concatenate([reduce(evolve(program, inputs[rows]))
-                           for rows in row_blocks(count, per_row, fixed)])
+    rows = min(most, row_blocks(count, per_row, fixed)[0].stop)
+    return np.concatenate([reduce(evolve(program, inputs[lo:lo + rows]))
+                           for lo in range(0, count, rows)])
 
 
 def final_states(program: Program, inputs) -> np.ndarray:

@@ -13,6 +13,7 @@ from gqbp import (
     acceptance_probability,
     circuit_to_rgqbp,
     distinguishability_check,
+    evolve,
     final_state,
     final_states,
     generalize,
@@ -28,7 +29,7 @@ from gqbp import (
     tradeoff_scan,
     zeros_input,
 )
-from gqbp import core, experiments
+from gqbp import core, experiments, simulate
 from gqbp.core import bits_to_str
 from gqbp.experiments import (
     DISTANCE_FLOOR,
@@ -463,6 +464,21 @@ def test_distinguishability_runs_its_final_states_in_row_blocks(monkeypatch):
     monkeypatch.setattr(core, "ALLOC_LIMIT", 64 * 128 + 395)
     with pytest.raises(ValueError, match="refusing to allocate 8588 bytes for one row's states"):
         distinguishability_check(prog, xs[odd], xs[~odd])
+
+
+def test_hamming_family_across_two_row_blocks_keeps_its_first_anchor(monkeypatch):
+    # 0^12 and its 495 weight-4 members at s=64: blocks of 256 and 240 rows at
+    # the default ALLOC_LIMIT; the second block's row 0 is a member, not an anchor
+    prog = random_rgqbp(64, 4, 12, seed=3)
+    rows = hamming_family(12, 0, 4, zeros_input(12)).rows
+    finals = evolve(prog, rows)
+    want = np.linalg.norm(finals[1:] - finals[0], axis=1).mean()
+    blocks = []
+    monkeypatch.setattr(simulate, "evolve", lambda p, x: blocks.append(len(x)) or evolve(p, x))
+    report = hamming_expectation(prog, 0, 4, zeros_input(12))
+    assert blocks == [256, 240]
+    assert report.metadata["compared"] == 495
+    assert abs(report.empirical - want) <= 1e-15
 
 
 @pytest.mark.parametrize("row", [[0.5, 1.0], [256, 1]], ids=["fraction", "wraps to 0"])

@@ -567,6 +567,46 @@ def test_acceptance_of_a_batch_evolve_refuses_runs_in_row_blocks(monkeypatch):
     assert np.abs(blocked - sliced).max() <= 1e-12 and np.abs(blocked - whole).max() <= 1e-12
 
 
+@pytest.mark.parametrize("form", ["plain", "split", "general"])
+@pytest.mark.parametrize("s", [16, 64])
+@pytest.mark.parametrize("batch", ["most-1", "most", "most+1", "4*most+3"])
+def test_batch_calls_run_in_cache_sized_row_blocks(s, form, batch, monkeypatch):
+    # a block holds at most LEVEL_BLOCK_BYTES of (s, rows) complex state
+    most = simulate.LEVEL_BLOCK_BYTES // (16 * s)
+    count = {"most-1": most - 1, "most": most, "most+1": most + 1, "4*most+3": 4 * most + 3}[batch]
+    prog = random_rgqbp(s, 4, 10, seed=s)
+    prog = {"plain": prog, "split": split_layers(prog), "general": generalize(prog)}[form]
+    xs = np.random.default_rng(count).integers(0, 2, size=(count, prog.n), dtype=np.uint8)
+    whole = evolve(prog, xs)
+    blocks = []
+    monkeypatch.setattr(simulate, "evolve", lambda p, x: blocks.append(x) or evolve(p, x))
+    states, probs = final_states(prog, xs), acceptance_probabilities(prog, xs)
+    per_call = len(blocks) // 2
+    assert per_call == -(-count // most)
+    assert all(len(rows) <= most for rows in blocks)
+    for call in (blocks[:per_call], blocks[per_call:]):
+        assert np.array_equal(np.concatenate(call), xs)  # every row once, in order
+    assert np.abs(states - whole).max() <= 1e-15
+    assert np.abs(probs - accept_mass(prog, whole)).max() <= 1e-15
+    if count <= most:  # one block: the whole evolve itself
+        assert np.array_equal(states, whole) and np.array_equal(probs, accept_mass(prog, whole))
+
+
+def test_batch_acceptance_peak_is_one_block_beyond_what_it_keeps():
+    # 2^14 inputs at s=16: blocks of 1024 rows; at one block for the whole
+    # batch the peak would be about 17 MB
+    prog, xs = random_rgqbp(16, 8, 14, seed=1), all_inputs(14)
+    most = simulate.LEVEL_BLOCK_BYTES // (16 * prog.width)
+    block = simulate._blocks(most, prog.width, prog.length, len(prog.plan.labels), False)[1]
+    tracemalloc.start()
+    try:
+        acceptance_probabilities(prog, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(xs) + block + 8192
+
+
 def test_factor_blocks_hold_as_many_levels_as_fit_the_budget(monkeypatch):
     # the record guard counts the stack, the scratch and one block: two levels
     # of factors up to half the budget, one level beyond it
