@@ -35,7 +35,8 @@ expanded to its dense matrix.  The tables a step needs (a permutation's
 inverse, an oracle's read positions, a unitary's axis order) are built
 once per circuit, in ``QueryCircuit.plan``.  A run writes each step with
 ``out=`` into two C-ordered (2^q, B) state buffers in turn, so it
-allocates no array per gate.
+allocates no array per gate.  The batch calls run it in the row blocks of
+``core.run_in_blocks``, the rule the program calls use too.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import core
 from .core import (DEFAULT_TOL, ValidationReport, _freeze, _one_row, _own, accept_mass,
-                   as_bit_rows, check_alloc, row_blocks, unitarity_deviation)
+                   as_bit_rows, check_alloc, run_in_blocks, unitarity_deviation)
 
 
 _HADAMARD = _freeze(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
@@ -326,6 +327,15 @@ def _run(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
     return states
 
 
+def _block_results(circuit: QueryCircuit, inputs, reduce, keep: int) -> np.ndarray:
+    """``reduce`` of the final states of ``inputs`` in ``core.run_in_blocks``' row blocks,
+    at ``_run``'s bytes a row, with its tables and ``keep`` bytes a row of results, for
+    every row, as fixed bytes."""
+    inputs, fixed = as_bit_rows(inputs, circuit.n), _run_bytes(circuit, 0)
+    return run_in_blocks(inputs, circuit.dim, lambda rows: _run(circuit, rows).T, reduce,
+                         _run_bytes(circuit, 1) - fixed, fixed + keep * len(inputs))
+
+
 def run_circuit(circuit: QueryCircuit, x) -> np.ndarray:
     """Apply the gate list to |0...0> under oracle input ``x``."""
     return _one_row(run_circuit_batch(circuit, x))
@@ -333,14 +343,8 @@ def run_circuit(circuit: QueryCircuit, x) -> np.ndarray:
 
 def run_circuit_batch(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
     """Vectorised simulation over a batch of inputs (anything ``as_bit_rows``
-    accepts) -> (B, 2^q) states, run in ``row_blocks`` with them in the fixed bytes."""
-    inputs, fixed = as_bit_rows(inputs, circuit.n), _run_bytes(circuit, 0)
-    per_row, fixed = _run_bytes(circuit, 1) - fixed, fixed + 16 * len(inputs) * circuit.dim
-    check_alloc(fixed + per_row, f"the states of {len(inputs)} inputs and one input's run")
-    states = np.empty((len(inputs), circuit.dim), dtype=np.complex128)
-    for rows in row_blocks(len(inputs), per_row, fixed):
-        states[rows] = _run(circuit, inputs[rows]).T
-    return states
+    accepts) -> (B, 2^q) states: 32*2^q bytes a row for the blocks and their join."""
+    return _block_results(circuit, inputs, lambda states: states, 32 * circuit.dim)
 
 
 def circuit_acceptance(circuit: QueryCircuit, x) -> float:
@@ -349,10 +353,8 @@ def circuit_acceptance(circuit: QueryCircuit, x) -> float:
 
 
 def circuit_acceptances(circuit: QueryCircuit, inputs: np.ndarray) -> np.ndarray:
-    """Each input's acceptance, run in ``row_blocks``."""
-    inputs, fixed = as_bit_rows(inputs, circuit.n), _run_bytes(circuit, 0)
-    blocks = row_blocks(len(inputs), _run_bytes(circuit, 1) - fixed, fixed)
-    return np.concatenate([accept_mass(circuit, _run(circuit, inputs[rows]).T) for rows in blocks])
+    """Each input's acceptance probability."""
+    return _block_results(circuit, inputs, lambda states: accept_mass(circuit, states), 16)
 
 
 def _deviation(gate: Unitary | Permutation | Diagonal) -> tuple[float, str]:

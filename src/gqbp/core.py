@@ -30,6 +30,9 @@ DEFAULT_TOL = 1e-9
 # Generators and compilers refuse to build more than this many bytes of
 # arrays; the CLI reports the refusal as a usage error (exit 2).
 ALLOC_LIMIT = 1 << 30
+# bit-1 factors per ``simulate.evolve`` factor block (one level from B*s = 16384
+# on), and the (width, rows) complex state of a batch call's row block
+LEVEL_BLOCK_BYTES = 1 << 18
 
 
 def check_alloc(nbytes: int, what: str) -> None:
@@ -40,12 +43,19 @@ def check_alloc(nbytes: int, what: str) -> None:
                          f"(limit {ALLOC_LIMIT} bytes)")
 
 
-def row_blocks(count: int, per_row: int, fixed: int = 0) -> list[slice]:
-    """The memory rule for rows per block: ``count`` rows in blocks of ``(ALLOC_LIMIT -
-    fixed) // per_row``, at least 1 (a row that does not fit is the caller's check to
-    refuse).  The program batch calls cap it further by cache size."""
-    rows = max(1, (ALLOC_LIMIT - fixed) // per_row)
-    return [slice(lo, lo + rows) for lo in range(0, max(1, count), rows)]
+def run_in_blocks(inputs: np.ndarray, width: int, run, reduce, per_row: int,
+                  fixed: int) -> np.ndarray:
+    """``reduce`` of ``run``'s (rows, width) final states for the rows of ``inputs``, in row
+    blocks of at most ``LEVEL_BLOCK_BYTES`` of state (so a wide batch stays in cache) and
+    ``(ALLOC_LIMIT - fixed) // per_row`` rows, at least 1.  A batch of at most that many
+    rows is one block, its result as it is, with no check here: ``run`` refuses a row that
+    does not fit.  A larger one checks ``fixed + per_row`` and joins its blocks in order."""
+    count = len(inputs)
+    rows = max(1, min(LEVEL_BLOCK_BYTES // (16 * width), (ALLOC_LIMIT - fixed) // per_row))
+    if count <= rows:
+        return reduce(run(inputs))
+    check_alloc(fixed + per_row, f"one row's states and what is kept of all {count} rows")
+    return np.concatenate([reduce(run(inputs[lo:lo + rows])) for lo in range(0, count, rows)])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -6,9 +6,8 @@ is the squared mass of the final state on the accept set.  Oracle access is
 a direct bit lookup ``x[label]`` per node.
 
 Every result is read off ``evolve``, the one batch kernel, which applies
-the steps of ``Program.plan`` (``core.Plan``).  The batch calls run it in row
-blocks of at most ``LEVEL_BLOCK_BYTES`` of state, capped by ``core.row_blocks``,
-the memory rule the circuit calls use.
+the steps of ``Program.plan`` (``core.Plan``).  The batch calls run it in the
+row blocks of ``core.run_in_blocks``, the rule the circuit calls use too.
 """
 
 from __future__ import annotations
@@ -16,14 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .core import Program, _one_row, accept_mass, as_bit_rows, check_alloc, row_blocks
+from .core import Program, _one_row, accept_mass, as_bit_rows, check_alloc, run_in_blocks
 
 ACCEPT = "accept"
 REJECT = "reject"
 INCONCLUSIVE = "inconclusive"
-# bit-1 factors per ``evolve`` factor block (one level from B*s = 16384 on), and
-# the (s, rows) state of a batch call's row block: rows*s <= 16384
-LEVEL_BLOCK_BYTES = 1 << 18
 
 
 def _blocks(nb: int, s: int, steps: int, reads: int, record: bool) -> tuple[int, int]:
@@ -31,7 +27,7 @@ def _blocks(nb: int, s: int, steps: int, reads: int, record: bool) -> tuple[int,
     at once for ``steps`` levels of which ``reads`` read bits: the
     (steps+1, s, nb) record stack or two (s, nb) state buffers, one (s, nb)
     scratch product, and one block of complex factors and of bool bits."""
-    per = max(1, LEVEL_BLOCK_BYTES // max(1, 16 * nb * s))
+    per = max(1, core.LEVEL_BLOCK_BYTES // max(1, 16 * nb * s))
     block = min(per, reads)
     held = steps + 1 if record else 2
     return per, nb * s * (16 * (held + 1 + block) + block)
@@ -55,7 +51,7 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
 
     The levels ``lo:hi`` (step 1) own the rows ``before[lo]:before[hi]`` of
     the ``Program.plan`` tables.  A block of reading levels, as many as
-    ``LEVEL_BLOCK_BYTES`` of their (s, B) factors allow, reads its (levels,
+    ``core.LEVEL_BLOCK_BYTES`` of their (s, B) factors allow, reads its (levels,
     s, B) bits as rows of the (n, B) view ``inputs.T``, with no copy of the
     inputs; at its first phase step it writes their factors along the
     contiguous B-rows of one factor block.  A level's slice of a block is
@@ -148,23 +144,13 @@ def decide(program: Program, x) -> str:
 
 
 def _block_results(program: Program, inputs, reduce, keep: int = 0) -> np.ndarray:
-    """``reduce`` of each row block's (rows, s) final states, joined in order.  A block
-    holds at most ``LEVEL_BLOCK_BYTES`` of (s, rows) complex state, so a wide batch
-    stays in cache.  A batch of at most that many rows that ``evolve`` takes whole is
-    one block, its result as it is; a larger one runs in blocks of at most what
-    ``row_blocks`` admits at the one-row ``_blocks`` bytes (the most a row takes) with
-    ``keep`` bytes a row of results, for every row, as fixed bytes.  No block's
-    states outlive its ``reduce``."""
+    """``reduce`` of the final states of ``inputs`` in ``core.run_in_blocks``' row blocks,
+    at ``evolve``'s one-row ``_blocks`` bytes (the most a row takes) with ``keep`` bytes a
+    row of results, for every row, as fixed bytes."""
     inputs = as_bit_rows(inputs, program.n)
-    count, shape = len(inputs), (program.width, program.length, len(program.plan.labels), False)
-    most = max(1, LEVEL_BLOCK_BYTES // (16 * program.width))
-    if count <= most and _blocks(count, *shape)[1] <= core.ALLOC_LIMIT:
-        return reduce(evolve(program, inputs))
-    per_row, fixed = _blocks(1, *shape)[1], keep * count
-    check_alloc(fixed + per_row, f"one row's states and what is kept of all {count} rows")
-    rows = min(most, row_blocks(count, per_row, fixed)[0].stop)
-    return np.concatenate([reduce(evolve(program, inputs[lo:lo + rows]))
-                           for lo in range(0, count, rows)])
+    per_row = _blocks(1, program.width, program.length, len(program.plan.labels), False)[1]
+    return run_in_blocks(inputs, program.width, lambda rows: evolve(program, rows), reduce,
+                         per_row, keep * len(inputs))
 
 
 def final_states(program: Program, inputs) -> np.ndarray:

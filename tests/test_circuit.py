@@ -364,14 +364,23 @@ def test_full_width_unitary_is_the_unitary_on_every_wire(q):
     assert dense == local
 
 
+def _spy_checks(monkeypatch) -> list[int]:
+    """The bytes of every check_alloc made by the block rule (``core``) or a run (``circuit``)."""
+    checked = []
+    for module in (core, circuit):
+        check = module.check_alloc
+        monkeypatch.setattr(module, "check_alloc", lambda nbytes, what, check=check:
+                            (checked.append(nbytes), check(nbytes, what)))
+    return checked
+
+
 @pytest.mark.parametrize("batch", [1, 64, 1024])
 @pytest.mark.parametrize("name", CIRCUITS)
 def test_circuit_run_stays_within_its_checked_bytes(name, batch, monkeypatch):
+    # one check for each block's run, and one for the rule when there are more
     c = CIRCUITS[name]
-    checked = []
-    check = circuit.check_alloc
-    monkeypatch.setattr(circuit, "check_alloc",
-                        lambda nbytes, what: (checked.append(nbytes), check(nbytes, what)))
+    blocks = -(-batch // (core.LEVEL_BLOCK_BYTES // (16 * c.dim)))
+    checked = _spy_checks(monkeypatch)
     inputs = np.random.default_rng(batch).integers(0, 2, size=(batch, c.n), dtype=np.uint8)
     tracemalloc.start()
     try:
@@ -379,34 +388,63 @@ def test_circuit_run_stays_within_its_checked_bytes(name, batch, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(checked) == 1
-    assert peak <= checked[0]
+    assert len(checked) == blocks + (blocks > 1)
+    assert peak <= max(checked)
+
+
+@pytest.mark.parametrize("s", [16, 64])
+@pytest.mark.parametrize("batch", ["most-1", "most", "most+1", "4*most+3"])
+def test_circuit_batch_calls_run_in_cache_sized_row_blocks(s, batch, monkeypatch):
+    # the program side's rule: a block holds at most LEVEL_BLOCK_BYTES of
+    # (2^q, rows) complex state, 32 rows at q=9 and 8 at q=11
+    c = rgqbp_to_circuit(random_rgqbp(s, 4, 10, seed=s))
+    most = core.LEVEL_BLOCK_BYTES // (16 * c.dim)
+    count = {"most-1": most - 1, "most": most, "most+1": most + 1, "4*most+3": 4 * most + 3}[batch]
+    xs = np.random.default_rng(count).integers(0, 2, size=(count, c.n), dtype=np.uint8)
+    whole = circuit._run(c, xs).T
+    blocks = []
+    run = circuit._run
+    monkeypatch.setattr(circuit, "_run", lambda c, x: blocks.append(x) or run(c, x))
+    states, probs = run_circuit_batch(c, xs), circuit_acceptances(c, xs)
+    per_call = len(blocks) // 2
+    assert per_call == -(-count // most)
+    assert all(len(rows) <= most for rows in blocks)
+    for call in (blocks[:per_call], blocks[per_call:]):
+        assert np.array_equal(np.concatenate(call), xs)  # every row once, in order
+    assert np.abs(states - whole).max() <= 1e-15
+    assert np.abs(probs - accept_mass(c, whole)).max() <= 1e-15
+    if count <= most:  # one block: the whole run itself
+        assert states.tobytes() == whole.tobytes()
+        assert probs.tobytes() == accept_mass(c, whole).tobytes()
 
 
 def test_circuit_acceptances_run_in_blocks_that_check_alloc_admits(monkeypatch):
-    # the q=6 compiled circuits of the translate benchmark, on all 256 inputs
+    # the q=6 compiled circuits of the translate benchmark, on all 256 inputs:
+    # 256 rows of 64 states fill LEVEL_BLOCK_BYTES, so they are one block
     c = rgqbp_to_circuit(random_rgqbp(4, 4, 8, seed=3))
     xs = all_inputs(8)
     whole = circuit_acceptances(c, xs)
     assert whole.tobytes() == accept_mass(c, circuit._run(c, xs).T).tobytes()  # one block
-    checked = []
-    check = circuit.check_alloc
-    monkeypatch.setattr(circuit, "check_alloc",
-                        lambda nbytes, what: (checked.append(nbytes), check(nbytes, what)))
     states = run_circuit_batch(c, xs)
+    assert states.tobytes() == circuit._run(c, xs).T.tobytes()
+    checked = _spy_checks(monkeypatch)
+    tables, per_row = circuit._run_bytes(c, 0), circuit._run_bytes(c, 1) - circuit._run_bytes(c, 0)
     for rows in (1, 7, 255):
-        monkeypatch.setattr(core, "ALLOC_LIMIT", circuit._run_bytes(c, rows))
+        # blocks of ``rows`` once the 16 bytes kept for each probability are counted
+        monkeypatch.setattr(core, "ALLOC_LIMIT", circuit._run_bytes(c, rows) + 16 * 256)
         checked.clear()
         assert np.abs(circuit_acceptances(c, xs) - whole).max() <= 1e-15
-        assert len(checked) == -(-256 // rows) and max(checked) <= core.ALLOC_LIMIT
-        # it returns every state, so its (256, 64) result is counted in the
-        # blocks' fixed bytes: it runs in blocks only where that leaves a row
-        fits = 16 * 256 * c.dim + circuit._run_bytes(c, 1) <= core.ALLOC_LIMIT
+        assert len(checked) == 1 + -(-256 // rows) and max(checked) <= core.ALLOC_LIMIT
+        # it returns every state, so 32 bytes an entry of its (256, 64) result,
+        # the blocks and their join, are in the blocks' fixed bytes: it runs in
+        # blocks only where that leaves a row
+        fits = 32 * 256 * c.dim + circuit._run_bytes(c, 1) <= core.ALLOC_LIMIT
         assert fits is (rows == 255)
         if fits:
             checked.clear()
             assert np.abs(run_circuit_batch(c, xs) - states).max() <= 1e-15
-            assert len(checked) == 1 + 2 and max(checked) <= core.ALLOC_LIMIT  # two blocks
+            block = (core.ALLOC_LIMIT - tables - 32 * 256 * c.dim) // per_row
+            assert len(checked) == 1 + -(-256 // block) and max(checked) <= core.ALLOC_LIMIT
         else:
             with pytest.raises(ValueError, match="refusing to allocate"):
                 run_circuit_batch(c, xs)

@@ -456,15 +456,49 @@ def test_constructors_own_their_arrays(name):
     assert all(getattr(shared, field) is array for field, array in frozen.items())
 
 
-def test_row_blocks_is_the_one_rows_per_block_rule(monkeypatch):
+def test_run_in_blocks_is_the_one_row_block_rule(monkeypatch):
+    # run gives each row's inputs back as its states, so the join is the batch
     monkeypatch.setattr(core, "ALLOC_LIMIT", 100)
-    assert core.row_blocks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 9)]
-    assert core.row_blocks(7, 30, fixed=40) == [slice(lo, lo + 2) for lo in (0, 2, 4, 6)]
-    assert core.row_blocks(3, 30, fixed=40) == [slice(0, 2), slice(2, 4)]
-    # a row that does not fit is one row a block, for the caller's check to refuse
-    assert core.row_blocks(2, 101) == core.row_blocks(2, 30, fixed=90) == [slice(0, 1),
-                                                                           slice(1, 2)]
-    assert core.row_blocks(0, 30) == [slice(0, 3)]  # no rows: one empty block
+    xs = np.arange(14, dtype=float).reshape(7, 2)
+    blocks = []
+
+    def run(rows):
+        blocks.append(len(rows))
+        return rows
+
+    def blocked(count, per_row, fixed=0, width=2):
+        blocks.clear()
+        got = core.run_in_blocks(xs[:count], width, run, lambda states: states, per_row, fixed)
+        assert np.array_equal(got, xs[:count])  # every row once, in order
+        return blocks
+
+    assert blocked(7, 30) == [3, 3, 1]
+    assert blocked(7, 30, fixed=40) == [2, 2, 2, 1]
+    assert blocked(3, 30, fixed=40) == [2, 1]
+    assert blocked(3, 33) == [3]  # one block, as it is
+    assert blocked(0, 30) == [0]  # no rows: one empty block
+    # the cache cap: at most LEVEL_BLOCK_BYTES of (width, rows) complex state
+    monkeypatch.setattr(core, "LEVEL_BLOCK_BYTES", 2 * 16 * 2)
+    assert blocked(7, 30) == [2, 2, 2, 1]
+    assert blocked(7, 30, width=1) == [3, 3, 1]
+    assert blocked(7, 30, width=3) == [1] * 7
+    # a row that does not fit is one row a block: run refuses a lone row, the
+    # rule a batch of more rows
+    assert blocked(1, 101) == blocked(1, 30, fixed=90) == [1]
+    with pytest.raises(ValueError, match="refusing to allocate 101 bytes for one row's states"):
+        blocked(2, 101)
+    with pytest.raises(ValueError, match="120 bytes for one row's states and what is kept of "
+                                         "all 2 rows \\(limit 100 bytes\\)"):
+        blocked(2, 30, fixed=90)
+
+
+def test_batch_calls_on_no_inputs_return_no_rows():
+    prog = random_rgqbp(4, 3, 5, seed=2)
+    c, none = rgqbp_to_circuit(prog), np.zeros((0, 5), dtype=np.uint8)
+    assert acceptance_probabilities(prog, none).shape == (0,)
+    assert final_states(prog, none).shape == (0, 4)
+    assert circuit_acceptances(c, none).shape == (0,)
+    assert run_circuit_batch(c, none).shape == (0, c.dim)
 
 
 def test_the_benchmark_finds_every_name_it_calls():

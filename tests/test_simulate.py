@@ -12,6 +12,7 @@ from gqbp import (
     RestrictedLevel,
     acceptance_probabilities,
     acceptance_probability,
+    circuit_acceptances,
     decide,
     evolve,
     final_state,
@@ -22,9 +23,10 @@ from gqbp import (
     pad_width,
     parity_program,
     random_rgqbp,
+    rgqbp_to_circuit,
     split_layers,
 )
-from gqbp import core, simulate
+from gqbp import circuit, core, simulate
 from gqbp.core import accept_mass
 from gqbp.simulate import all_inputs
 
@@ -474,7 +476,7 @@ def test_plan_tables_hold_only_the_levels_that_read_bits():
 
 
 # one level's factors fill the budget at s=4 from this many rows on
-_FULL = simulate.LEVEL_BLOCK_BYTES // (16 * 4)
+_FULL = core.LEVEL_BLOCK_BYTES // (16 * 4)
 
 
 @pytest.mark.parametrize("form", list(_kernel_forms()))
@@ -490,7 +492,7 @@ def test_evolve_blocks_match_level_by_level_exactly(form, batch):
 @pytest.mark.parametrize("form", list(_kernel_forms()))
 def test_evolve_slices_across_blocks_match_level_by_level_exactly(form, monkeypatch):
     # blocks of three levels at B=2, so slices start and end inside a block
-    monkeypatch.setattr(simulate, "LEVEL_BLOCK_BYTES", 3 * 16 * 2 * 4)
+    monkeypatch.setattr(core, "LEVEL_BLOCK_BYTES", 3 * 16 * 2 * 4)
     prog = _kernel_forms()[form]
     rng = np.random.default_rng(3)
     xs = rng.integers(0, 2, size=(2, prog.n), dtype=np.uint8)
@@ -572,7 +574,7 @@ def test_acceptance_of_a_batch_evolve_refuses_runs_in_row_blocks(monkeypatch):
 @pytest.mark.parametrize("batch", ["most-1", "most", "most+1", "4*most+3"])
 def test_batch_calls_run_in_cache_sized_row_blocks(s, form, batch, monkeypatch):
     # a block holds at most LEVEL_BLOCK_BYTES of (s, rows) complex state
-    most = simulate.LEVEL_BLOCK_BYTES // (16 * s)
+    most = core.LEVEL_BLOCK_BYTES // (16 * s)
     count = {"most-1": most - 1, "most": most, "most+1": most + 1, "4*most+3": 4 * most + 3}[batch]
     prog = random_rgqbp(s, 4, 10, seed=s)
     prog = {"plain": prog, "split": split_layers(prog), "general": generalize(prog)}[form]
@@ -594,17 +596,22 @@ def test_batch_calls_run_in_cache_sized_row_blocks(s, form, batch, monkeypatch):
 
 def test_batch_acceptance_peak_is_one_block_beyond_what_it_keeps():
     # 2^14 inputs at s=16: blocks of 1024 rows; at one block for the whole
-    # batch the peak would be about 17 MB
+    # batch the peak would be about 17 MB.  Its compiled circuit has q=9, so
+    # 2^12 inputs run in blocks of 32 rows, against about 69 MB whole.
     prog, xs = random_rgqbp(16, 8, 14, seed=1), all_inputs(14)
-    most = simulate.LEVEL_BLOCK_BYTES // (16 * prog.width)
+    most = core.LEVEL_BLOCK_BYTES // (16 * prog.width)
     block = simulate._blocks(most, prog.width, prog.length, len(prog.plan.labels), False)[1]
-    tracemalloc.start()
-    try:
-        acceptance_probabilities(prog, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * len(xs) + block + 8192
+    c, cxs = rgqbp_to_circuit(random_rgqbp(16, 8, 12, seed=1)), all_inputs(12)
+    cblock = circuit._run_bytes(c, core.LEVEL_BLOCK_BYTES // (16 * c.dim))
+    for run, count, held in ((lambda: acceptance_probabilities(prog, xs), len(xs), block),
+                             (lambda: circuit_acceptances(c, cxs), len(cxs), cblock)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * count + held + 8192
 
 
 def test_factor_blocks_hold_as_many_levels_as_fit_the_budget(monkeypatch):
