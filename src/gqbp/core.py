@@ -30,9 +30,13 @@ DEFAULT_TOL = 1e-9
 # Generators and compilers refuse to build more than this many bytes of
 # arrays; the CLI reports the refusal as a usage error (exit 2).
 ALLOC_LIMIT = 1 << 30
-# bit-1 factors per ``simulate.evolve`` factor block (one level from B*s = 16384
-# on), and the (width, rows) complex state of a batch call's row block
+# The one tile budget, through ``cache_rows``: row blocks, factor blocks and pair tiles.
 LEVEL_BLOCK_BYTES = 1 << 18
+
+
+def cache_rows(entries: int) -> int:
+    """Rows of ``entries`` complex entries each that fit in ``LEVEL_BLOCK_BYTES``, at least 1."""
+    return max(1, LEVEL_BLOCK_BYTES // (16 * max(1, entries)))
 
 
 def check_alloc(nbytes: int, what: str) -> None:
@@ -51,7 +55,7 @@ def run_in_blocks(inputs: np.ndarray, width: int, run, reduce, per_row: int,
     rows is one block, its result as it is, with no check here: ``run`` refuses a row that
     does not fit.  A larger one checks ``fixed + per_row`` and joins its blocks in order."""
     count = len(inputs)
-    rows = max(1, min(LEVEL_BLOCK_BYTES // (16 * width), (ALLOC_LIMIT - fixed) // per_row))
+    rows = max(1, min(cache_rows(width), (ALLOC_LIMIT - fixed) // per_row))
     if count <= rows:
         return reduce(run(inputs))
     check_alloc(fixed + per_row, f"one row's states and what is kept of all {count} rows")
@@ -474,6 +478,6 @@ def generalize(program: Program) -> Program:
         return program
     new_levels = []
     for lv in program.levels:
-        a1 = lv.base * np.exp(1j * lv.thetas)[np.newaxis, :]
+        a1 = _freeze(lv.base * np.exp(1j * lv.thetas)[np.newaxis, :])
         new_levels.append(GeneralLevel(labels=lv.labels, a0=lv.base, a1=a1))
     return replace(program, levels=tuple(new_levels))

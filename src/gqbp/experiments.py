@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .convert import circuit_to_rgqbp
-from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str
+from .core import Program, _one_row, accept_mass, as_bit_rows, bits_to_str, cache_rows
 from .programs import grover_promise_or, hamming_family, parity_program, zeros_input
 from .simulate import _block_results, acceptance_probabilities, all_inputs, evolve, final_states
 
@@ -161,11 +161,6 @@ class DistinguishabilityReport:
     note: str = FLOOR_NOTE
 
 
-# Pairwise differences are formed for blocks of yes-rows of about this many
-# complex entries, so memory stays bounded for large families.
-PAIR_BLOCK = 1 << 18
-
-
 def distinguishability_check(program: Program, yes_inputs: Iterable,
                              no_inputs: Iterable) -> DistinguishabilityReport:
     """Check that opposite-answer inputs with a >= 1/3 acceptance gap sit at
@@ -181,7 +176,7 @@ def distinguishability_check(program: Program, yes_inputs: Iterable,
     probs = accept_mass(program, finals)
     final_yes, final_no = finals[:len(yes)], finals[len(yes):]
     prob_yes, prob_no = probs[:len(yes)], probs[len(yes):]
-    rows = max(1, PAIR_BLOCK // max(1, final_no.size))
+    rows = cache_rows(final_no.size)  # yes-rows a tile, each against every no-row
     none = np.zeros((0, 2), dtype=np.intp)
     failures, violations = [none], [none]
     min_distance = np.inf

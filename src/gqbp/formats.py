@@ -174,11 +174,12 @@ def _as_block(value) -> np.ndarray | None:
     """``value`` as a read-only float64 array when it is evenly nested lists of finite
     JSON numbers (true, null and strings refused), else None: each depth is
     flattened in one pass and the flat list converted in one call."""
-    shape, leaves = [], [value]
-    while set(map(type, leaves)) == {list} and len(set(map(len, leaves))) == 1:
+    shape, leaves, kinds = [], [value], {type(value)}
+    while kinds == {list} and len(set(map(len, leaves))) == 1:
         shape.append(len(leaves[0]))
         leaves = list(chain.from_iterable(leaves))
-    if not shape or not set(map(type, leaves)) <= {int, float}:
+        kinds = set(map(type, leaves))
+    if not shape or not kinds <= {int, float}:
         return None
     try:
         block = np.array(leaves, dtype=np.float64)
@@ -303,9 +304,9 @@ def _read_program(doc: dict) -> Program:
         where = f"levels[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(where, "expected an object")
-        labels = np.array(_parse_index_list(_get(entry, "labels", list, where),
-                                            f"{where}.labels", n, "label"),
-                          dtype=np.int64)
+        labels = _freeze(np.array(_parse_index_list(_get(entry, "labels", list, where),
+                                                    f"{where}.labels", n, "label"),
+                                  dtype=np.int64))
         if labels.size != width:
             raise FormatError(f"{where}.labels", f"expected {width} labels, got {labels.size}")
         if kind == "restricted":

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import core
-from .core import Program, _one_row, accept_mass, as_bit_rows, check_alloc, run_in_blocks
+from .core import (Program, _one_row, accept_mass, as_bit_rows, cache_rows, check_alloc,
+                   run_in_blocks)
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -27,7 +27,7 @@ def _blocks(nb: int, s: int, steps: int, reads: int, record: bool) -> tuple[int,
     at once for ``steps`` levels of which ``reads`` read bits: the
     (steps+1, s, nb) record stack or two (s, nb) state buffers, one (s, nb)
     scratch product, and one block of complex factors and of bool bits."""
-    per = max(1, core.LEVEL_BLOCK_BYTES // max(1, 16 * nb * s))
+    per = cache_rows(nb * s)
     block = min(per, reads)
     held = steps + 1 if record else 2
     return per, nb * s * (16 * (held + 1 + block) + block)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import GeneralLevel, Program, RestrictedLevel
+from .core import GeneralLevel, Program, RestrictedLevel, _freeze
 
 
 def split_layers(program: Program) -> Program:
@@ -23,9 +23,9 @@ def split_layers(program: Program) -> Program:
     if program.kind != "restricted":
         raise ValueError("split_layers requires a restricted program")
     s = program.width
-    eye = np.eye(s, dtype=np.complex128)
-    zeros = np.zeros(s)
-    zero_labels = np.zeros(s, dtype=np.int64)
+    eye = _freeze(np.eye(s, dtype=np.complex128))
+    zeros = _freeze(np.zeros(s))
+    zero_labels = _freeze(np.zeros(s, dtype=np.int64))
     new_levels: list[RestrictedLevel] = []
     for lv in program.levels:
         new_levels.append(RestrictedLevel(labels=lv.labels, base=eye, thetas=lv.thetas))
@@ -46,18 +46,18 @@ def pad_width(program: Program, target: int) -> Program:
     if target == s:
         return program
     extra = target - s
-    initial = np.concatenate([program.initial, np.zeros(extra, dtype=np.complex128)])
+    initial = _freeze(np.concatenate([program.initial, np.zeros(extra, dtype=np.complex128)]))
 
     def extend_matrix(m: np.ndarray) -> np.ndarray:
         out = np.eye(target, dtype=np.complex128)
         out[:s, :s] = m
-        return out
+        return _freeze(out)
 
     new_levels = []
     for lv in program.levels:
-        labels = np.concatenate([lv.labels, np.zeros(extra, dtype=np.int64)])
+        labels = _freeze(np.concatenate([lv.labels, np.zeros(extra, dtype=np.int64)]))
         if isinstance(lv, RestrictedLevel):
-            thetas = np.concatenate([lv.thetas, np.zeros(extra)])
+            thetas = _freeze(np.concatenate([lv.thetas, np.zeros(extra)]))
             new_levels.append(RestrictedLevel(labels=labels, base=extend_matrix(lv.base),
                                               thetas=thetas))
         else:

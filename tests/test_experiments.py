@@ -424,10 +424,8 @@ def _pairwise_reference(prog, yes, no):
     return qualifying, min_distance, tuple(violations), tuple(failures)
 
 
-@pytest.mark.parametrize("block", [None, 1, 37])
-def test_distinguishability_matches_pairwise_loop(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(experiments, "PAIR_BLOCK", block)
+@pytest.mark.parametrize("tile", [None, 1, 3])
+def test_distinguishability_matches_pairwise_loop(monkeypatch, tile):
     # Small phases keep the final states close, and an initial vector of
     # norm 6 stretches their probability gaps, so some pairs with the gap
     # sit below the distance floor while others miss the gap.
@@ -438,6 +436,10 @@ def test_distinguishability_matches_pairwise_loop(monkeypatch, block):
     xs = all_inputs(6)
     odd = xs.sum(axis=1) % 2 == 1
     yes, no = xs[odd], xs[~odd]
+    if tile is not None:
+        # a tile of yes-rows, each against the 32 no-rows' (32, s) final states
+        monkeypatch.setattr(core, "LEVEL_BLOCK_BYTES", tile * 16 * len(no) * prog.width)
+        assert core.cache_rows(len(no) * prog.width) == tile
     qualifying, min_distance, violations, failures = _pairwise_reference(prog, yes, no)
     assert qualifying and violations and failures
     report = distinguishability_check(prog, yes, no)
@@ -449,6 +451,26 @@ def test_distinguishability_matches_pairwise_loop(monkeypatch, block):
     assert not report.passed
     listed = distinguishability_check(prog, [bits_to_str(x) for x in yes], list(no))
     assert listed == report
+
+
+def test_distinguishability_holds_one_tile_at_a_time():
+    # parity n=10: 512 yes-rows against 512 no-rows at s=2, in tiles of 16
+    # yes-rows.  The call keeps the stacked rows, their final states and
+    # their probabilities.  A tile is its (16, 512, 2) difference, which
+    # fills LEVEL_BLOCK_BYTES; numpy forms it, and squares it in norm, through
+    # a second array of that size, and the (16, 512) distances and flags take
+    # less than a third.  With one tile for all 512 yes-rows the peak was 11.7 MB.
+    prog, xs = parity_program(10), all_inputs(10)
+    odd = xs.sum(axis=1) % 2 == 1
+    yes, no = xs[odd], xs[~odd]
+    kept = xs.nbytes + len(xs) * (16 * prog.width + 8)
+    tracemalloc.start()
+    try:
+        distinguishability_check(prog, yes, no)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept + 3 * core.LEVEL_BLOCK_BYTES + 8192
 
 
 def test_distinguishability_runs_its_final_states_in_row_blocks(monkeypatch):
