@@ -30,6 +30,9 @@ DEFAULT_TOL = 1e-9
 # Generators and compilers refuse to build more than this many bytes of
 # arrays; the CLI reports the refusal as a usage error (exit 2).
 ALLOC_LIMIT = 1 << 30
+# What a generator's level holds besides its arrays' data, counted against ALLOC_LIMIT:
+# the level object and its array headers (tracemalloc peak, at any width).
+LEVEL_OBJECT_BYTES = 464
 # The one tile budget, through ``cache_rows``: row blocks, factor blocks and pair tiles.
 LEVEL_BLOCK_BYTES = 1 << 18
 

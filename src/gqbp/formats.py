@@ -21,11 +21,11 @@ line of 2^q [re, im] pairs) or a unitary that names its ``"wires"`` (a
 both tags; a "qqc-v1" document holding a structured gate is refused.
 
 Parsing validates schema, index ranges and that every amplitude and angle
-is a finite number, with diagnostics naming the offending field down to the
-matrix entry (``levels[0].base[2][1]``, ``gates[3].perm[7]``).  Other
-numeric properties (normalisation, unitarity, a permutation's bijectivity)
-are left to the validators so that broken files can still be loaded and
-inspected.
+is a finite number.  One walker names the first fault of a malformed list
+down to the entry (``levels[0].base[2][1]``, ``gates[3].perm[7]``), a list
+of the wrong length before any bad entry in it.  Other numeric properties
+(normalisation, unitarity, a permutation's bijectivity) are left to the
+validators so that broken files can still be loaded and inspected.
 
 Decoding turns each level's and gate's number blocks into arrays as soon as
 they are read, and runs with Python's cyclic collector paused: the decoder
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 from itertools import chain
 
 import numpy as np
@@ -137,36 +136,21 @@ def _get(doc: dict, field: str, kind, where: str = ""):
     return value
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number: not a bool, null, string or container."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _is_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-
-
-def _first_bad(value, path: str, axes: tuple, entry_ok, message: str) -> FormatError | None:
+def _first_bad(value, path: str, axes: tuple, problem) -> FormatError | None:
     """Error naming the first list of ``value`` whose length differs from
-    its axis in ``axes`` ((length, noun) pairs), or the first entry that
-    fails ``entry_ok``; None when there is neither."""
+    its axis in ``axes`` ((length, noun) pairs), or the first entry for which
+    ``problem`` returns a message; None when there is neither."""
+    if not axes:
+        message = problem(value)
+        return message and FormatError(path, message)
     (length, noun), inner = axes[0], axes[1:]
     if not isinstance(value, list) or len(value) != length:
         got = f", got {len(value)}" if isinstance(value, list) else ""
         return FormatError(path, f"expected {length} {noun}{got}")
     for i, item in enumerate(value):
-        where = f"{path}[{i}]"
-        if inner:
-            error = _first_bad(item, where, inner, entry_ok, message)
-            if error:
-                return error
-        elif not entry_ok(item):
-            return FormatError(where, message)
+        error = _first_bad(item, f"{path}[{i}]", inner, problem)
+        if error:
+            return error
     return None
 
 
@@ -210,20 +194,24 @@ def _parse_block(value, path: str, axes: tuple, pairs: bool) -> np.ndarray:
     noun) pairs), plus a trailing axis of 2 when ``pairs``.
 
     ``value`` is the array ``_pack_blocks`` made of the lists, or the lists
-    it left as they were.  Only on failure does ``_first_bad`` walk the
-    lists to name the offending entry.
+    it left as they were.  Only on failure does ``_first_bad`` walk the lists,
+    to name the list or entry at fault.  An entry is well formed exactly when
+    ``_as_block`` packs it: a [re, im] pair as shape (2,), a number as [number]
+    of shape (1,).
     """
     shape = tuple(length for length, _ in axes) + ((2,) if pairs else ())
     if isinstance(value, np.ndarray):
         if value.shape == shape:
             return value
         value = value.tolist()
-    if pairs:
-        error = _first_bad(value, path, axes, _is_pair,
-                           "amplitude must be a [re, im] pair of finite numbers")
-    else:
-        error = _first_bad(value, path, axes, _is_number, "expected a finite number")
-    raise error or FormatError(path, "expected a block of finite numbers")
+    message = ("amplitude must be a [re, im] pair of finite numbers" if pairs
+               else "expected a finite number")
+
+    def fault(item):
+        block = _as_block(item if pairs else [item])
+        return None if block is not None and block.shape == (2 if pairs else 1,) else message
+
+    raise _first_bad(value, path, axes, fault)
 
 
 def _parse_vector(value, path: str, size: int) -> np.ndarray:
@@ -242,18 +230,19 @@ _INDEX_END = 1 << 63
 MAX_QUBITS = 62
 
 
-def _parse_index_list(value, path: str, upper: int, what: str) -> list[int]:
-    if not isinstance(value, list):
-        raise FormatError(path, "expected a list of integers")
-    if not (set(map(type, value)) <= {int}
+def _parse_index_list(value: list, path: str, upper: int, what: str,
+                      size: int | None = None) -> list[int]:
+    """``value`` if it is ``size`` (when given) integers in [0, ``upper``) that fit in int64."""
+    if not ((size is None or len(value) == size) and set(map(type, value)) <= {int}
             and 0 <= min(value, default=0) and max(value, default=0) < min(upper, _INDEX_END)):
-        for i, v in enumerate(value):
+        def fault(v):
             if type(v) is not int:
-                raise FormatError(f"{path}[{i}]", "expected an integer")
+                return "expected an integer"
             if not 0 <= v < upper:
-                raise FormatError(f"{path}[{i}]", f"{what} {v} out of range [0, {upper})")
-            if v >= _INDEX_END:
-                raise FormatError(f"{path}[{i}]", f"{what} {v} does not fit in int64")
+                return f"{what} {v} out of range [0, {upper})"
+            return f"{what} {v} does not fit in int64" if v >= _INDEX_END else None
+
+        raise _first_bad(value, path, ((len(value) if size is None else size, f"{what}s"),), fault)
     return value
 
 
@@ -305,10 +294,8 @@ def _read_program(doc: dict) -> Program:
         if not isinstance(entry, dict):
             raise FormatError(where, "expected an object")
         labels = _freeze(np.array(_parse_index_list(_get(entry, "labels", list, where),
-                                                    f"{where}.labels", n, "label"),
+                                                    f"{where}.labels", n, "label", width),
                                   dtype=np.int64))
-        if labels.size != width:
-            raise FormatError(f"{where}.labels", f"expected {width} labels, got {labels.size}")
         if kind == "restricted":
             base = _parse_matrix(_get(entry, "base", list, where), f"{where}.base", width)
             thetas = _parse_block(_get(entry, "thetas", list, where), f"{where}.thetas",
@@ -376,10 +363,8 @@ def _parse_gate(entry: dict, where: str, q: int) -> Gate:
         matrix = _parse_matrix(_get(entry, "matrix", list, where), f"{where}.matrix", size)
         return Unitary(matrix=matrix, wires=wires)
     if kind == "permutation":
-        perm = _get(entry, "perm", list, where)
-        if len(perm) != dim:
-            raise FormatError(f"{where}.perm", f"expected {dim} targets, got {len(perm)}")
-        return Permutation(np.array(_parse_index_list(perm, f"{where}.perm", dim, "target"),
+        return Permutation(np.array(_parse_index_list(_get(entry, "perm", list, where),
+                                                      f"{where}.perm", dim, "target", dim),
                                     dtype=np.int64))
     if kind == "diagonal":
         return Diagonal(_parse_vector(_get(entry, "phases", list, where), f"{where}.phases", dim))

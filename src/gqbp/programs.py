@@ -16,7 +16,7 @@ import numpy as np
 
 from . import core
 from .circuit import _HADAMARD, BitOracle, PhaseOracle, QueryCircuit, Unitary
-from .core import Program, RestrictedLevel, as_bits, check_alloc
+from .core import LEVEL_OBJECT_BYTES, Program, RestrictedLevel, _freeze, as_bits, check_alloc
 
 MATERIALIZE_LIMIT = 100_000
 
@@ -37,8 +37,10 @@ def parity_program(n: int) -> Program:
     """
     if n < 2 or n % 2:
         raise ValueError(f"parity program needs a positive even input length, got {n}")
-    eye = np.eye(2, dtype=np.complex128)
-    flips = np.array([np.pi, np.pi])
+    # a level owns its two int64 labels; base and angles are read-only, so levels share them
+    check_alloc(n // 2 * (16 + LEVEL_OBJECT_BYTES), f"the {n // 2} levels of parity n={n}")
+    eye = _freeze(np.eye(2, dtype=np.complex128))
+    flips = _freeze(np.array([np.pi, np.pi]))
     levels = []
     for i in range(n // 2):
         base = _HADAMARD if i == n // 2 - 1 else eye
@@ -95,7 +97,7 @@ def random_rgqbp(s: int, length: int, n: int, seed: int) -> Program:
     the nodes (rounded up)."""
     if min(s, length, n) < 1:
         raise ValueError("s, length and n must all be >= 1")
-    check_alloc(16 * s * (length * (s + 1) + 1),
+    check_alloc(16 * s * (length * (s + 1) + 1) + length * LEVEL_OBJECT_BYTES,
                 f"a random program of width {s} and length {length}")
     rng = np.random.default_rng(seed)
     levels = []

@@ -201,6 +201,9 @@ def _one_oracle_circuit(qubits: int) -> str:
 @pytest.mark.parametrize("argv, doc", [
     (["gen", "random", "--n", "4", "--s", "30000", "--len", "1"], None),
     (["gen", "grover-or", "--n", "1048576"], None),
+    (["gen", "random", "--n", "1", "--s", "1", "--len", "30000000"], None),
+    (["gen", "parity", "--n", "1000000000"], None),
+    (["scan", "parity", "--sizes", "1000000000"], None),
     (["convert", "--to", "circuit"], _huge_n_program(2**40)),
     (["convert", "--to", "circuit"], _huge_n_program(2**70)),
     (["convert", "--to", "bp"], _one_oracle_circuit(20)),
@@ -211,7 +214,8 @@ def _one_oracle_circuit(qubits: int) -> str:
     (["expect", "or"], _huge_n_program(150_000)),
     (["expect", "hamming", "--k", "1", "--delta", "1", "--fixed", "1" + "0" * 149_999],
      _huge_n_program(150_000)),
-], ids=["gen random s=30000", "gen grover-or n=2^20", "convert n=2^40", "convert n=2^70",
+], ids=["gen random s=30000", "gen grover-or n=2^20", "gen random s=1 len=3e7",
+        "gen parity n=1e9", "scan parity n=1e9", "convert n=2^40", "convert n=2^70",
         "convert q=20 to bp", "convert q=40 to bp", "simulate q=40", "expect or n=2^40",
         "expect or n=2^70", "expect or n=150000", "expect hamming n=150000"])
 def test_oversized_request_is_refused_before_allocating(argv, doc, tmp_path, capsys):

@@ -628,6 +628,157 @@ def test_v2_junk_names_entry(junk):
     assert info.value.field == field
 
 
+def _huge_n_labels(d):
+    d["n"] = 2**64
+    d["levels"][0]["labels"] = [0, 2**63]
+
+
+_GENERAL = serialize_program(generalize(random_rgqbp(3, 2, 4, seed=8)))
+_COMPILED = json.dumps(_compiled_doc())
+_PAIR = "amplitude must be a [re, im] pair of finite numbers"
+_NUMBER = "expected a finite number"
+ONE_FAULT_ERRORS = {  # document with one fault: field, message
+    # index lists
+    "label not an integer": (
+        _edited(_PARITY2, _set("levels", 0, "labels", 1, 1.0)), "levels[0].labels[1]",
+        "expected an integer"),
+    "label bool": (
+        _edited(_PARITY2, _set("levels", 0, "labels", 0, True)), "levels[0].labels[0]",
+        "expected an integer"),
+    "label out of range": (
+        _edited(_PARITY2, _set("levels", 0, "labels", 1, 2)), "levels[0].labels[1]",
+        "label 2 out of range [0, 2)"),
+    "label negative": (
+        _edited(_PARITY2, _set("levels", 0, "labels", 0, -1)), "levels[0].labels[0]",
+        "label -1 out of range [0, 2)"),
+    "label at least 2^63": (
+        _edited(_PARITY2, _huge_n_labels), "levels[0].labels[1]",
+        "label 9223372036854775808 does not fit in int64"),
+    "labels short": (
+        _edited(_PARITY2, _set("levels", 0, "labels", [0])), "levels[0].labels",
+        "expected 2 labels, got 1"),
+    "labels long": (
+        _edited(_PARITY2, _set("levels", 0, "labels", [0, 1, 1])), "levels[0].labels",
+        "expected 2 labels, got 3"),
+    "labels not a list": (
+        _edited(_PARITY2, _set("levels", 0, "labels", 0)), "levels[0].labels",
+        "expected list"),
+    "program accept not an integer": (
+        _edited(_PARITY2, _set("accept", [True])), "accept[0]", "expected an integer"),
+    "program accept out of range": (
+        _edited(_PARITY2, _set("accept", [0, 2])), "accept[1]",
+        "accept node 2 out of range [0, 2)"),
+    "perm not an integer": (
+        _edited(_COMPILED, _set("gates", 1, "perm", 7, 7.0)), "gates[1].perm[7]",
+        "expected an integer"),
+    "perm out of range": (
+        _edited(_COMPILED, _set("gates", 1, "perm", 7, 32)), "gates[1].perm[7]",
+        "target 32 out of range [0, 32)"),
+    "perm huge int": (
+        _edited(_COMPILED, _set("gates", 1, "perm", 7, HUGE_INT)), "gates[1].perm[7]",
+        f"target {HUGE_INT} out of range [0, 32)"),
+    "perm short": (
+        _edited(_COMPILED, lambda d: d["gates"][1]["perm"].pop()), "gates[1].perm",
+        "expected 32 targets, got 31"),
+    "perm long": (
+        _edited(_COMPILED, lambda d: d["gates"][1]["perm"].append(0)), "gates[1].perm",
+        "expected 32 targets, got 33"),
+    "wire repeated": (
+        _edited(_COMPILED, _set("gates", 0, "wires", [1, 1])), "gates[0].wires",
+        "wires must be distinct"),
+    "wire out of range": (
+        _edited(_COMPILED, _set("gates", 0, "wires", [0, 5])), "gates[0].wires[1]",
+        "wire 5 out of range [0, 5)"),
+    "wire not an integer": (
+        _edited(_COMPILED, _set("gates", 0, "wires", [0, 1.0])), "gates[0].wires[1]",
+        "expected an integer"),
+    "index wire out of range": (
+        _edited(_COMPILED, _set("gates", 2, "index_wires", [2, 7])), "gates[2].index_wires[1]",
+        "wire 7 out of range [0, 5)"),
+    "index wire not an integer": (
+        _edited(_COMPILED, _set("gates", 2, "index_wires", [None, 3])), "gates[2].index_wires[0]",
+        "expected an integer"),
+    "circuit accept out of range": (
+        _edited(_COMPILED, _set("accept", [0, 32])), "accept[1]",
+        "accept state 32 out of range [0, 32)"),
+    # number blocks
+    "amplitude true": (_edited(_PARITY2, _set("initial", 1, 0, True)), "initial[1]", _PAIR),
+    "amplitude false": (_edited(_PARITY2, _set("initial", 1, 1, False)), "initial[1]", _PAIR),
+    "amplitude null": (_edited(_PARITY2, _set("initial", 0, 1, None)), "initial[0]", _PAIR),
+    "amplitude string": (_edited(_PARITY2, _set("initial", 1, 0, "0.5")), "initial[1]", _PAIR),
+    "amplitude NaN": (_edited(_PARITY2, _set("initial", 1, 1, math.nan)), "initial[1]", _PAIR),
+    "amplitude Infinity": (
+        _edited(_PARITY2, _set("initial", 0, 0, math.inf)), "initial[0]", _PAIR),
+    "amplitude huge int": (
+        _edited(_PARITY2, _set("initial", 1, 0, HUGE_INT)), "initial[1]", _PAIR),
+    "amplitude object": (_edited(_PARITY2, _set("initial", 1, {})), "initial[1]", _PAIR),
+    "amplitude bare number": (_edited(_PARITY2, _set("initial", 0, 0.5)), "initial[0]", _PAIR),
+    "pair nested too deep": (
+        _edited(_PARITY2, _set("initial", 1, [[0.5, 0.0]])), "initial[1]", _PAIR),
+    "number nested too deep": (
+        _edited(_PARITY2, _set("levels", 0, "base", 1, 0, 0, [0.5])), "levels[0].base[1][0]",
+        _PAIR),
+    "3-element pair": (
+        _edited(_PARITY2, _set("levels", 0, "base", 1, 1, [0.5, 0.0, 0.0])),
+        "levels[0].base[1][1]", _PAIR),
+    "1-element pair": (
+        _edited(_GENERAL, _set("levels", 1, "a0", 2, 0, [0.5])), "levels[1].a0[2][0]", _PAIR),
+    "phase pair of the wrong length": (
+        _edited(_COMPILED, _set("gates", 3, "phases", 5, [1.0])), "gates[3].phases[5]", _PAIR),
+    "phase null": (
+        _edited(_COMPILED, _set("gates", 3, "phases", 5, [None, 0.0])), "gates[3].phases[5]",
+        _PAIR),
+    "unitary entry bool": (
+        _edited(_COMPILED, _set("gates", 0, "matrix", 3, 2, [0.0, True])), "gates[0].matrix[3][2]",
+        _PAIR),
+    "angle bool": (_edited(_PARITY2, _set("levels", 0, "thetas", 1, True)),
+                   "levels[0].thetas[1]", _NUMBER),
+    "angle null": (_edited(_PARITY2, _set("levels", 0, "thetas", 0, None)),
+                   "levels[0].thetas[0]", _NUMBER),
+    "angle string": (_edited(_PARITY2, _set("levels", 0, "thetas", 1, "0.5")),
+                     "levels[0].thetas[1]", _NUMBER),
+    "angle NaN": (_edited(_PARITY2, _set("levels", 0, "thetas", 1, math.nan)),
+                  "levels[0].thetas[1]", _NUMBER),
+    "angle huge int": (_edited(_PARITY2, _set("levels", 0, "thetas", 0, HUGE_INT)),
+                       "levels[0].thetas[0]", _NUMBER),
+    "angle nested too deep": (_edited(_PARITY2, _set("levels", 0, "thetas", 1, [0.5])),
+                              "levels[0].thetas[1]", _NUMBER),
+    "initial short": (
+        _edited(_PARITY2, lambda d: d["initial"].pop()), "initial", "expected 2 amplitudes, got 1"),
+    "initial not a list": (_edited(_PARITY2, _set("initial", 1.0)), "initial", "expected list"),
+    "matrix row short": (
+        _edited(_PARITY2, lambda d: d["levels"][0]["base"][1].pop()), "levels[0].base[1]",
+        "expected 2 amplitudes, got 1"),
+    "matrix row not a list": (
+        _edited(_PARITY2, _set("levels", 0, "base", 0, 0.5)), "levels[0].base[0]",
+        "expected 2 amplitudes"),
+    "matrix with a row too many": (
+        _edited(_GENERAL, lambda d: d["levels"][0]["a1"].append(d["levels"][0]["a1"][0])),
+        "levels[0].a1", "expected 3 matrix rows, got 4"),
+    "phases long": (
+        _edited(_COMPILED, lambda d: d["gates"][3]["phases"].append([1.0, 0.0])), "gates[3].phases",
+        "expected 32 amplitudes, got 33"),
+    "angles in one entry": (
+        _edited(_PARITY2, lambda d: d["levels"][0].update(thetas=[d["levels"][0]["thetas"]])),
+        "levels[0].thetas", "expected 2 angles in radians, got 1"),
+}
+
+
+@pytest.mark.parametrize("text,field,message", ONE_FAULT_ERRORS.values(), ids=ONE_FAULT_ERRORS)
+def test_one_fault_document_names_field_and_message(text, field, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert (info.value.field, str(info.value)) == (field, f"{field}: {message}")
+
+
+def test_a_short_index_list_reports_its_length_before_its_entries():
+    # number blocks and index lists alike name a wrong length before a bad entry
+    text = _edited(_PARITY2, _set("levels", 0, "labels", [1.0]))
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == "levels[0].labels: expected 2 labels, got 1"
+
+
 def test_v2_broken_numerics_still_load():
     doc = _compiled_doc()
     doc["gates"][1]["perm"][7] = doc["gates"][1]["perm"][6]

@@ -141,12 +141,20 @@ def test_random_rgqbp_parameter_guard():
 
 
 def test_generators_refuse_more_than_the_alloc_limit(monkeypatch):
-    # the checked count is the bytes of the arrays each generator returns
+    # the checked count is the bytes of the arrays each generator returns, plus
+    # core.LEVEL_OBJECT_BYTES a level for the level and its array headers
     prog = random_rgqbp(4, 2, 3, seed=0)
     program_bytes = prog.initial.nbytes + sum(
         lv.base.nbytes + lv.labels.nbytes + lv.thetas.nbytes for lv in prog.levels)
+    program_bytes += len(prog.levels) * core.LEVEL_OBJECT_BYTES
+    parity = parity_program(6)
+    # parity's levels share one frozen identity base and one phase vector
+    assert all(lv.base is parity.levels[0].base for lv in parity.levels[:-1])
+    assert all(lv.thetas is parity.levels[0].thetas for lv in parity.levels)
+    parity_bytes = sum(lv.labels.nbytes + core.LEVEL_OBJECT_BYTES for lv in parity.levels)
     gate_bytes = sum(g.matrix.nbytes for g in grover_promise_or(4).gates if hasattr(g, "matrix"))
     for build, nbytes in ((lambda: random_rgqbp(4, 2, 3, seed=0), program_bytes),
+                          (lambda: parity_program(6), parity_bytes),
                           (lambda: grover_promise_or(4), gate_bytes),
                           (lambda: zeros_input(4), 4)):
         monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes)
