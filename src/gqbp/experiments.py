@@ -16,8 +16,8 @@ the reports here pair the measured expectation with its cap.
 
 The one drift report is ``hamming_expectation``; promise-OR is its k=0,
 delta=1 instance anchored at 0^n, whose members are the n one-hot inputs.
-A family ``hamming_family`` materialises is compared whole, in row blocks, any other on
-``FAMILY_SAMPLE`` seeded members; only rows or one row's states past the limit are refused.
+It evolves ``HammingFamily.rows``, the anchor and then every member or a seeded sample
+(``HammingFamily.mode``); only rows or one row's states past the limit are refused.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .programs import grover_promise_or, hamming_family, parity_program, zeros_i
 from .simulate import _block_results, acceptance_probabilities, all_inputs, evolve, final_states
 
 SLACK_TOL = 1e-9
-# Members compared when a weight family is too large to materialise.
-FAMILY_SAMPLE = 10_000
 
 # |P(x)-P(y)| <= 2*||final(x)-final(y)||, so a 1/3 probability gap forces a
 # final-state distance of at least 1/6.  The constant is ours, not a given.
@@ -122,11 +120,10 @@ def promise_or_expectation(program: Program) -> ExperimentReport:
 def hamming_expectation(program: Program, k: int, delta: int, fixed,
                         seed: int = 0) -> ExperimentReport:
     """Mean final-state drift between ``fixed`` and its weight-family
-    members, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k) or / k; a
-    family not materialised is sampled with ``seed``.  The anchor is row 0 of the first block."""
+    members in ``family.rows(seed)``, against the case cap 2*(L+1)*delta*sqrt(s) / (n-k)
+    or / k.  The anchor is row 0 of the first block."""
     family = hamming_family(program.n, k, delta, fixed)
-    rows = family.rows if family.materialized else family.anchored_sample(FAMILY_SAMPLE, seed)
-    mode = "exhaustive" if family.materialized else "sampled"
+    rows = family.rows(seed)
     denom = (program.n - k) if family.side == "fix_yes" else k
     if denom <= 0:
         raise ValueError(f"degenerate case denominator for side {family.side}: {denom}")
@@ -146,7 +143,7 @@ def hamming_expectation(program: Program, k: int, delta: int, fixed,
         empirical=empirical, bound=bound, slack=slack, passed=slack >= -SLACK_TOL,
         metadata={"family": "hamming", "n": program.n, "s": program.width, "L": depth,
                   "k": k, "delta": delta, "side": family.side, "family_size": family.size,
-                  "mode": mode, "compared": rows.shape[0] - 1})
+                  "mode": family.mode, "compared": rows.shape[0] - 1})
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,7 @@ def _promise_or_instance(n: int):
     program = circuit_to_rgqbp(grover_promise_or(n))
     family = hamming_family(n, 0, 1, zeros_input(n))
     expected = np.array([0] + [1] * n, dtype=np.uint8)
-    return program, family.rows, expected
+    return program, family.rows(), expected
 
 
 def _parity_instance(n: int):

@@ -306,10 +306,7 @@ def _read_program(doc: dict) -> Program:
             a1 = _parse_matrix(_get(entry, "a1", list, where), f"{where}.a1", width)
             levels.append(GeneralLevel(labels=labels, a0=a0, a1=a1))
     accept = _parse_index_list(_get(doc, "accept", list), "accept", width, "accept node")
-    try:
-        return Program(n=n, initial=initial, levels=tuple(levels), accept=frozenset(accept))
-    except ValueError as e:
-        raise FormatError("document", str(e))
+    return Program(n=n, initial=initial, levels=tuple(levels), accept=frozenset(accept))
 
 
 def _needs_v2(gate: Gate) -> bool:

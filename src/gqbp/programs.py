@@ -19,6 +19,8 @@ from .circuit import _HADAMARD, BitOracle, PhaseOracle, QueryCircuit, Unitary
 from .core import LEVEL_OBJECT_BYTES, Program, RestrictedLevel, _freeze, as_bits, check_alloc
 
 MATERIALIZE_LIMIT = 100_000
+# Members a drift report compares when a weight family is not compared whole.
+FAMILY_SAMPLE = 10_000
 
 
 def zeros_input(n: int) -> np.ndarray:
@@ -113,24 +115,6 @@ def random_rgqbp(s: int, length: int, n: int, seed: int) -> Program:
     return Program(n=n, initial=initial, levels=tuple(levels), accept=accept)
 
 
-def _member_bytes(rows: int, n: int, delta: int) -> int:
-    """What ``_member_rows`` holds per call: n bits and delta int64 positions a member."""
-    return rows * (n + 8 * delta)
-
-
-def _member_rows(fixed: np.ndarray, side: str, delta: int, rows: int, picks) -> np.ndarray:
-    """The one row builder of both family modes: ``fixed``, then ``rows``
-    copies of it with the member bit written at the ``delta`` positions per
-    row that ``picks(flippable positions)`` yields, after ``check_alloc``."""
-    n = fixed.size
-    check_alloc(_member_bytes(rows, n, delta), f"{rows} family members of {n} bits")
-    fill = int(side == "fix_yes")
-    index = np.fromiter(picks((fixed != fill).nonzero()[0]), np.intp, rows * delta)
-    out = np.full((rows + 1, n), fixed)
-    out[np.arange(1, rows + 1)[:, np.newaxis], index.reshape(rows, delta)] = fill
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class HammingFamily:
     """A fixed reference string plus the set of strings it is compared to.
@@ -139,9 +123,9 @@ class HammingFamily:
     delta more, so there are C(n-k, delta) of them, all of weight k+delta.
     ``fix_no``: the reference has weight k+delta; members zero out delta of
     its 1s, so there are C(k+delta, delta) of them, all of weight k.
-    A family of at most ``MATERIALIZE_LIMIT`` members whose rows fit ``core.ALLOC_LIMIT``
-    is materialised, and a drift report compares it whole (in row blocks), else samples
-    it.  ``rows`` is ``fixed`` and then every member, the table a report evolves.
+    ``mode`` is "exhaustive" for a family of at most ``MATERIALIZE_LIMIT`` members
+    whose rows fit ``core.ALLOC_LIMIT``, else "sampled"; ``rows`` builds the one
+    table a drift report evolves.
     """
 
     n: int
@@ -150,22 +134,45 @@ class HammingFamily:
     side: str
     fixed: np.ndarray
     size: int
-    rows: np.ndarray | None
 
     @property
-    def materialized(self) -> bool:
-        return self.rows is not None
+    def mode(self) -> str:
+        whole = self.size * (self.n + 8 * self.delta) <= core.ALLOC_LIMIT
+        return "exhaustive" if self.size <= MATERIALIZE_LIMIT and whole else "sampled"
 
-    def anchored_sample(self, count: int, seed: int) -> np.ndarray:
-        """``fixed``, then ``count`` seeded uniform members (with replacement)."""
-        rng = np.random.default_rng(seed)
-        return _member_rows(self.fixed, self.side, self.delta, count, lambda positions: (
-            i for _ in range(count) for i in rng.choice(positions, self.delta, replace=False)))
+    def rows(self, seed: int = 0) -> np.ndarray:
+        """``fixed`` in row 0, then every member in combination order or, when sampled,
+        ``FAMILY_SAMPLE`` members drawn with replacement with ``seed``: a Floyd draw of
+        delta of the m flippable positions (Bentley and Floyd, CACM 30(9), 1987) for all
+        members at once, whose pass i draws a column in [0, top], top = m - delta + i,
+        and takes ``top`` where a draw repeats an earlier pick of its member."""
+        exhaustive = self.mode == "exhaustive"
+        count = self.size if exhaustive else FAMILY_SAMPLE
+        # n bits and delta int64 positions a member; a sample adds a draw column and its
+        # gather (16 bytes) and the repeat test (delta bytes) a member, and fixed's row
+        draw = 0 if exhaustive else count * (16 + self.delta) + self.n
+        check_alloc(count * (self.n + 8 * self.delta) + draw,
+                    f"{count} family members of {self.n} bits")
+        fill = int(self.side == "fix_yes")
+        positions = (self.fixed != fill).nonzero()[0]
+        if exhaustive:
+            combos = itertools.combinations(positions.tolist(), self.delta)
+            picks = np.fromiter(itertools.chain.from_iterable(combos), np.intp, count * self.delta)
+            picks = picks.reshape(count, self.delta).T
+        else:
+            rng = np.random.default_rng(seed)
+            picks = np.empty((self.delta, count), dtype=np.intp)
+            for i, top in enumerate(range(positions.size - self.delta, positions.size)):
+                picks[i] = positions[rng.integers(0, top + 1, count)]
+                np.copyto(picks[i], positions[top], where=(picks[:i] == picks[i]).any(axis=0))
+        out = np.full((count + 1, self.n), self.fixed)
+        out[np.arange(1, count + 1), picks] = fill  # picks[i, j]: member j's i-th position
+        return out
 
 
 def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
-    """Enumerate the comparison set for one side of a (k, k+delta) weight
-    decision, anchored at ``fixed``.
+    """The comparison set for one side of a (k, k+delta) weight decision,
+    anchored at ``fixed``.
 
     ``fixed`` of weight k selects the fix_yes side, weight k+delta the
     fix_no side; any other weight is rejected.
@@ -185,9 +192,4 @@ def hamming_family(n: int, k: int, delta: int, fixed) -> HammingFamily:
     else:
         raise ValueError(
             f"fixed string has weight {weight}; expected {k} (fix_yes) or {k + delta} (fix_no)")
-    rows = None
-    if size <= MATERIALIZE_LIMIT and _member_bytes(size, n, delta) <= core.ALLOC_LIMIT:
-        rows = _member_rows(fixed, side, delta, size, lambda positions: (
-            itertools.chain.from_iterable(itertools.combinations(positions.tolist(), delta))))
-        rows.setflags(write=False)
-    return HammingFamily(n=n, k=k, delta=delta, side=side, fixed=fixed, size=size, rows=rows)
+    return HammingFamily(n=n, k=k, delta=delta, side=side, fixed=fixed, size=size)

@@ -29,15 +29,15 @@ from gqbp import (
     tradeoff_scan,
     zeros_input,
 )
-from gqbp import core, experiments, simulate
+from gqbp import core, experiments, programs, simulate
 from gqbp.core import bits_to_str
 from gqbp.experiments import (
     DISTANCE_FLOOR,
     FAMILIES,
-    FAMILY_SAMPLE,
     PROBABILITY_GAP,
     SLACK_TOL,
 )
+from gqbp.programs import FAMILY_SAMPLE
 from gqbp.simulate import all_inputs
 
 from helpers import (HADAMARD, input_independent_program, seeded_program, transition_matrix,
@@ -175,12 +175,14 @@ def test_family_mode_follows_the_alloc_limit(monkeypatch):
     # evolve then holds two (s, rows) state buffers, one scratch and one block
     # of the 3 reading levels' complex factors and bool bits: 7 * 4 * (16 *
     # (2 + 1 + 3) + 3) bytes for the anchor and every member in one block,
-    # 4 * (16 * (2 + 1 + 3) + 3) = 396 for each row of a smaller block.
+    # 4 * (16 * (2 + 1 + 3) + 3) = 396 for each row of a smaller block.  A sample
+    # of 4 adds a draw column and its gather (16 bytes) and a repeat test byte a
+    # member, and the anchor's row: 4 * (8 + 8 + 16 + 1) + 8 = 140 bytes.
     prog, fixed = random_rgqbp(4, 3, 8, seed=9), "11000000"
-    monkeypatch.setattr(experiments, "FAMILY_SAMPLE", 4)
-    for limit, whole in ((6 * 16, True), (6 * 16 - 1, False)):
+    monkeypatch.setattr(programs, "FAMILY_SAMPLE", 4)
+    for limit, mode in ((6 * 16, "exhaustive"), (6 * 16 - 1, "sampled")):
         monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
-        assert hamming_family(prog.n, 2, 1, fixed).materialized is whole
+        assert hamming_family(prog.n, 2, 1, fixed).mode == mode
     reports = []
     for limit in (2772, 2771, 396):
         monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
@@ -192,8 +194,8 @@ def test_family_mode_follows_the_alloc_limit(monkeypatch):
     monkeypatch.setattr(core, "ALLOC_LIMIT", 395)
     with pytest.raises(ValueError, match="refusing to allocate 396 bytes for one row's states"):
         hamming_expectation(prog, 2, 1, fixed)
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 4 * 16 - 1)
-    with pytest.raises(ValueError, match="refusing to allocate 64 bytes for 4 family members"):
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 6 * 16 - 1)
+    with pytest.raises(ValueError, match="refusing to allocate 140 bytes for 4 family members"):
         hamming_expectation(prog, 2, 1, fixed)
 
 
@@ -203,23 +205,24 @@ def test_drift_report_evolves_the_family_rows_without_a_copy():
     # its scratch and one block of factors and bits
     prog = random_rgqbp(4, 4, 2000, seed=1)
     family = hamming_family(prog.n, 0, 1, zeros_input(prog.n))
-    assert np.array_equal(family.rows[0], family.fixed)
-    states = 2 * family.rows.shape[0] * prog.width * 16
+    rows = family.rows()
+    assert np.array_equal(rows[0], family.fixed)
+    states = 2 * rows.shape[0] * prog.width * 16
     tracemalloc.start()
     try:
         promise_or_expectation(prog)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * family.rows.nbytes + states
+    assert peak <= 1.2 * rows.nbytes + states
 
 
 def test_sampled_family_rows_start_at_the_anchor():
     fixed = "1" * 4 + "0" * 60
     family = hamming_family(64, 4, 4, fixed)
-    rows = family.anchored_sample(30, seed=2)
-    assert rows.shape == (31, 64) and bits_to_str(rows[0]) == fixed
-    assert np.array_equal(rows, family.anchored_sample(30, seed=2))  # seeded
+    rows = family.rows(seed=2)
+    assert rows.shape == (FAMILY_SAMPLE + 1, 64) and bits_to_str(rows[0]) == fixed
+    assert np.array_equal(rows, family.rows(seed=2))  # seeded
 
 
 def test_hamming_delta_zero_degenerate():
@@ -492,7 +495,7 @@ def test_hamming_family_across_two_row_blocks_keeps_its_first_anchor(monkeypatch
     # 0^12 and its 495 weight-4 members at s=64: blocks of 256 and 240 rows at
     # the default ALLOC_LIMIT; the second block's row 0 is a member, not an anchor
     prog = random_rgqbp(64, 4, 12, seed=3)
-    rows = hamming_family(12, 0, 4, zeros_input(12)).rows
+    rows = hamming_family(12, 0, 4, zeros_input(12)).rows()
     finals = evolve(prog, rows)
     want = np.linalg.norm(finals[1:] - finals[0], axis=1).mean()
     blocks = []

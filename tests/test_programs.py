@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gqbp import (
 )
 from gqbp import core
 from gqbp.formats import serialize_program
-from gqbp.programs import grover_iterations
+from gqbp.programs import FAMILY_SAMPLE, grover_iterations
 from gqbp.simulate import all_inputs
 
 
@@ -103,7 +104,7 @@ def test_hamming_family_fix_yes_example():
     fam = hamming_family(4, 1, 1, "1000")
     assert fam.side == "fix_yes"
     assert fam.size == math.comb(3, 1) == 3
-    members = {"".join(map(str, m)) for m in fam.rows[1:]}
+    members = {"".join(map(str, m)) for m in fam.rows()[1:]}
     assert members == {"1100", "1010", "1001"}
 
 
@@ -111,14 +112,14 @@ def test_hamming_family_fix_no_example():
     fam = hamming_family(3, 2, 1, "111")
     assert fam.side == "fix_no"
     assert fam.size == math.comb(3, 2) == 3
-    members = {"".join(map(str, m)) for m in fam.rows[1:]}
+    members = {"".join(map(str, m)) for m in fam.rows()[1:]}
     assert members == {"011", "101", "110"}
 
 
 def test_hamming_family_delta_zero():
     fam = hamming_family(4, 2, 0, "1100")
     assert fam.size == 1
-    assert np.array_equal(fam.rows[1:][0], fam.fixed)
+    assert np.array_equal(fam.rows()[1:][0], fam.fixed)
 
 
 def test_hamming_family_weight_mismatch():
@@ -176,8 +177,53 @@ def test_hamming_family_large_is_sampled():
     n, k, d = 64, 4, 4
     fam = hamming_family(n, k, d, "1" * k + "0" * (n - k))
     assert fam.size == math.comb(60, 4)
-    assert not fam.materialized
-    sample = fam.anchored_sample(50, seed=3)[1:]
-    assert sample.shape == (50, n)
+    assert fam.mode == "sampled"
+    sample = fam.rows(seed=3)[1:]
+    assert sample.shape == (FAMILY_SAMPLE, n)
     assert np.all(sample.sum(axis=1) == k + d)
     assert np.all(sample[:, :k] == 1)  # the fixed 1s are kept
+
+
+@pytest.mark.parametrize("k,delta,fixed", [
+    (4, 8, "1" * 4 + "0" * 20),  # fix_yes: 8 of 20 zeros set, C(20, 8) = 125,970 members
+    (2, 3, "11" + "0" * 198),    # fix_yes: 3 of 198 zeros set
+    (30, 10, "1" * 40),          # fix_no: 10 of 40 ones cleared
+])
+def test_sampled_rows_flip_delta_distinct_flippable_positions(k, delta, fixed):
+    fam = hamming_family(len(fixed), k, delta, fixed)
+    assert fam.mode == "sampled"
+    rows = fam.rows(seed=0)
+    fill = int(fam.side == "fix_yes")
+    flippable = fam.fixed != fill
+    members = rows[1:]
+    assert np.array_equal(rows[0], fam.fixed)
+    # outside the flippable positions every member is fixed; inside, exactly delta flip
+    assert np.all(members[:, ~flippable] == fam.fixed[~flippable])
+    assert np.all((members[:, flippable] == fill).sum(axis=1) == delta)
+    assert np.array_equal(rows, fam.rows(seed=0))
+    assert not np.array_equal(rows, fam.rows(seed=1))
+    # each flippable position is in a uniform delta-subset with probability delta/m
+    m = int(flippable.sum())
+    p = delta / m
+    counts = (members[:, flippable] == fill).sum(axis=0)
+    sigma = np.sqrt(FAMILY_SAMPLE * p * (1 - p))
+    assert np.all(np.abs(counts - FAMILY_SAMPLE * p) <= 6 * sigma)
+
+
+def test_sampled_rows_stay_within_their_checked_bytes(monkeypatch):
+    # 10,000 members of 64 bits with 4 positions, a draw column, its gather and
+    # a repeat byte each, and the anchor: 10,000 * (64 + 32 + 16 + 4) + 64 bytes
+    fam = hamming_family(64, 4, 4, "1" * 4 + "0" * 60)
+    nbytes = FAMILY_SAMPLE * (64 + 32 + 16 + 4) + 64
+    monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes - 1)
+    with pytest.raises(ValueError, match=f"refusing to allocate {nbytes} bytes"):
+        fam.rows()
+    monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes)
+    fam.rows(seed=1)  # numpy's one-time allocations happen outside the traced call
+    tracemalloc.start()
+    try:
+        fam.rows()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= nbytes
