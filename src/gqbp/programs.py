@@ -135,9 +135,12 @@ class HammingFamily:
     fixed: np.ndarray
     size: int
 
+    def _table_bytes(self, count: int) -> int:  # n bits and delta int64 positions a member
+        return count * (self.n + 8 * self.delta)
+
     @property
     def mode(self) -> str:
-        whole = self.size * (self.n + 8 * self.delta) <= core.ALLOC_LIMIT
+        whole = self._table_bytes(self.size) <= core.ALLOC_LIMIT
         return "exhaustive" if self.size <= MATERIALIZE_LIMIT and whole else "sampled"
 
     def rows(self, seed: int = 0) -> np.ndarray:
@@ -148,10 +151,10 @@ class HammingFamily:
         and takes ``top`` where a draw repeats an earlier pick of its member."""
         exhaustive = self.mode == "exhaustive"
         count = self.size if exhaustive else FAMILY_SAMPLE
-        # n bits and delta int64 positions a member; a sample adds a draw column and its
-        # gather (16 bytes) and the repeat test (delta bytes) a member, and fixed's row
+        # a sample adds a draw column and its gather (16 bytes) and the repeat test
+        # (delta bytes) a member, and fixed's row
         draw = 0 if exhaustive else count * (16 + self.delta) + self.n
-        check_alloc(count * (self.n + 8 * self.delta) + draw,
+        check_alloc(self._table_bytes(count) + draw,
                     f"{count} family members of {self.n} bits")
         fill = int(self.side == "fix_yes")
         positions = (self.fixed != fill).nonzero()[0]

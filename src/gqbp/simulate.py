@@ -84,9 +84,6 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     scratch = np.empty((s, nb), dtype=np.complex128)
     factors = np.empty((min(per, len(labels)), s, nb), dtype=np.complex128)
     columns = inputs.T.view(bool)  # (n, B): one row of bits per input position
-    # np.dot skips matmul's gufunc dispatch, a fixed cost that shows at one or two
-    # inputs, but its BLAS call runs slower on wide batches such as 1,024 rows at s=16
-    product = np.dot if nb <= 2 else np.matmul
     v = states[0]
     v.T[...] = start
     done = 0  # reading steps applied so far
@@ -103,9 +100,9 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
             # step never reads, then a0 @ (V*~bits) + that into out
             scratch.fill(0)
             np.copyto(scratch, v, where=bits[at])
-            product(mix1, scratch, out=factors[at])
+            np.matmul(mix1, scratch, out=factors[at])
             np.subtract(v, scratch, out=scratch)
-            product(mix, scratch, out=out)
+            np.matmul(mix, scratch, out=out)
             out += factors[at]
         elif read:
             if not built:  # at the block's first phase step: two-matmul steps read bits
@@ -117,9 +114,9 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
                 np.multiply(v, factors[at], out=out)
             else:
                 np.multiply(v, factors[at], out=scratch)
-                product(mix, scratch, out=out)
+                np.matmul(mix, scratch, out=out)
         elif mix is not None:
-            product(mix, v, out=out)
+            np.matmul(mix, v, out=out)
         else:
             out[...] = v
         v = out
