@@ -131,7 +131,7 @@ def as_bits(x, n: int) -> np.ndarray:
 
 def accept_mass(machine, states: np.ndarray) -> np.ndarray:
     """Squared mass of each row of ``states`` on a program's or circuit's accept set."""
-    return np.sum(np.abs(states[..., machine.accept_index]) ** 2, axis=-1)
+    return (np.abs(states[..., machine.accept_index]) ** 2).sum(axis=-1)
 
 
 def bits_to_str(bits: np.ndarray) -> str:

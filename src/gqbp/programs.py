@@ -135,8 +135,11 @@ class HammingFamily:
     fixed: np.ndarray
     size: int
 
-    def _table_bytes(self, count: int) -> int:  # n bits and delta int64 positions a member
-        return count * (self.n + 8 * self.delta)
+    def _table_bytes(self, count: int) -> int:
+        """``rows``' table of ``count`` members and what writes them: a member's n bits,
+        delta int64 positions, numpy's copy of them for the index write (it buffers the
+        broadcast index pairs) and its int64 row index, and the anchor's row."""
+        return count * (self.n + 16 * self.delta + 8) + self.n
 
     @property
     def mode(self) -> str:
@@ -152,8 +155,8 @@ class HammingFamily:
         exhaustive = self.mode == "exhaustive"
         count = self.size if exhaustive else FAMILY_SAMPLE
         # a sample adds a draw column and its gather (16 bytes) and the repeat test
-        # (delta bytes) a member, and fixed's row
-        draw = 0 if exhaustive else count * (16 + self.delta) + self.n
+        # (delta bytes) a member
+        draw = 0 if exhaustive else count * (16 + self.delta)
         check_alloc(self._table_bytes(count) + draw,
                     f"{count} family members of {self.n} bits")
         fill = int(self.side == "fix_yes")

@@ -5,9 +5,11 @@ input-conditioned transition matrix per level; the acceptance probability
 is the squared mass of the final state on the accept set.  Oracle access is
 a direct bit lookup ``x[label]`` per node.
 
-Every result is read off ``evolve``, the one batch kernel, which applies
-the steps of ``Program.plan`` (``core.Plan``).  The batch calls run it in the
-row blocks of ``core.run_in_blocks``, the rule the circuit calls use too.
+Every result is read off ``evolve``, the one kernel, which applies the
+steps of ``Program.plan`` (``core.Plan``): to a batch of (s, B) state
+columns, or, for one input without ``record``, to a 1-D state with the same
+products in the same order.  The batch calls run it in the row blocks of
+``core.run_in_blocks``, the rule the circuit calls use too.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     steps write with ``out=`` into two state buffers in turn, or the
     recorded stack, through one scratch product, so no step allocates; the
     result shares no memory with ``start`` or with another call's result.
+
+    One input row without ``record`` steps a 1-D state instead, each product
+    a new s-vector (``mix.dot(v * f)`` and the rest), which at one row costs
+    less than the buffers' set-up and ``out=`` dispatch.  It reads the same
+    blocks, takes each block's factors from one ``np.where``, holds at most
+    three states at once and is byte-identical to the batch loop.
     """
     inputs = as_bit_rows(inputs, program.n)
     nb, s = inputs.shape[0], program.width
@@ -75,6 +83,25 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     per, need = _blocks(nb, s, len(steps), len(labels), record)
     check_alloc(need, "recorded states (or two state buffers), a scratch product "
                       "and one block of factors and bits")
+    if nb == 1 and not record:  # one input: each level's product is a new (s,) state
+        x, v, done = inputs[0].view(bool), start.reshape(s), 0
+        for (mix, mix1), read in zip(steps, reads):
+            if read:
+                if done % per == 0:
+                    bits = f = None  # the last block's tables go before this block's are built
+                    bits = x[labels[done:done + per]]
+                    f = np.where(bits, table[done:done + per], 1)
+                at, done = done % per, done + 1
+            if mix1 is not None:  # a0 @ (v - ones) + a1 @ ones, never four states at once
+                ones = np.where(bits[at], v, 0)
+                v = v - ones
+                v = mix.dot(v)
+                v += mix1.dot(ones)
+            elif read:
+                v = v * f[at] if mix is None else mix.dot(v * f[at])
+            elif mix is not None:
+                v = mix.dot(v)
+        return v[np.newaxis].copy()  # its own memory: identity levels leave v as start
     # without record, two separate arrays: the result keeps no second buffer alive
     if record:
         states = np.empty((len(steps) + 1, s, nb), dtype=np.complex128)

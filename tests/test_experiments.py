@@ -171,16 +171,18 @@ def test_promise_or_is_the_hamming_k0_delta1_instance(name, prog):
 
 
 def test_family_mode_follows_the_alloc_limit(monkeypatch):
-    # C(6, 1) = 6 members of 8 bits, each with one int64 position: 6 * (8 + 8) bytes.
+    # C(6, 1) = 6 members of 8 bits, each with one int64 position, the index
+    # write's copy of it and an int64 row index, and the anchor's row:
+    # 6 * (8 + 8 + 8 + 8) + 8 = 200 bytes.
     # evolve then holds two (s, rows) state buffers, one scratch and one block
     # of the 3 reading levels' complex factors and bool bits: 7 * 4 * (16 *
     # (2 + 1 + 3) + 3) bytes for the anchor and every member in one block,
     # 4 * (16 * (2 + 1 + 3) + 3) = 396 for each row of a smaller block.  A sample
     # of 4 adds a draw column and its gather (16 bytes) and a repeat test byte a
-    # member, and the anchor's row: 4 * (8 + 8 + 16 + 1) + 8 = 140 bytes.
+    # member: 4 * (8 + 8 + 8 + 8 + 16 + 1) + 8 = 204 bytes.
     prog, fixed = random_rgqbp(4, 3, 8, seed=9), "11000000"
     monkeypatch.setattr(programs, "FAMILY_SAMPLE", 4)
-    for limit, mode in ((6 * 16, "exhaustive"), (6 * 16 - 1, "sampled")):
+    for limit, mode in ((200, "exhaustive"), (199, "sampled")):
         monkeypatch.setattr(core, "ALLOC_LIMIT", limit)
         assert hamming_family(prog.n, 2, 1, fixed).mode == mode
     reports = []
@@ -194,8 +196,8 @@ def test_family_mode_follows_the_alloc_limit(monkeypatch):
     monkeypatch.setattr(core, "ALLOC_LIMIT", 395)
     with pytest.raises(ValueError, match="refusing to allocate 396 bytes for one row's states"):
         hamming_expectation(prog, 2, 1, fixed)
-    monkeypatch.setattr(core, "ALLOC_LIMIT", 6 * 16 - 1)
-    with pytest.raises(ValueError, match="refusing to allocate 140 bytes for 4 family members"):
+    monkeypatch.setattr(core, "ALLOC_LIMIT", 199)
+    with pytest.raises(ValueError, match="refusing to allocate 204 bytes for 4 family members"):
         hamming_expectation(prog, 2, 1, fixed)
 
 

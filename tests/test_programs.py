@@ -211,19 +211,28 @@ def test_sampled_rows_flip_delta_distinct_flippable_positions(k, delta, fixed):
 
 
 def test_sampled_rows_stay_within_their_checked_bytes(monkeypatch):
-    # 10,000 members of 64 bits with 4 positions, a draw column, its gather and
-    # a repeat byte each, and the anchor: 10,000 * (64 + 32 + 16 + 4) + 64 bytes
-    fam = hamming_family(64, 4, 4, "1" * 4 + "0" * 60)
-    nbytes = FAMILY_SAMPLE * (64 + 32 + 16 + 4) + 64
-    monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes - 1)
-    with pytest.raises(ValueError, match=f"refusing to allocate {nbytes} bytes"):
-        fam.rows()
-    monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes)
-    fam.rows(seed=1)  # numpy's one-time allocations happen outside the traced call
-    tracemalloc.start()
-    try:
-        fam.rows()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= nbytes
+    # a member's bits, its delta int64 positions, the index write's copy of them
+    # and an int64 row index, and the anchor's row.  Sampled: 10,000 members of
+    # 64 bits with 4 positions, plus a draw column, its gather and a repeat byte
+    # each.  Exhaustive: all C(20, 4) = 4,845 members of 0^20 at delta=4, by the
+    # one rule that also sets the mode, so a byte less makes the family sampled.
+    sampled = hamming_family(64, 4, 4, "1" * 4 + "0" * 60)
+    exhaustive = hamming_family(20, 0, 4, "0" * 20)
+    for fam, nbytes in ((sampled, FAMILY_SAMPLE * (64 + 64 + 8 + 16 + 4) + 64),
+                        (exhaustive, 4845 * (20 + 64 + 8) + 20)):
+        monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes - 1)
+        if fam is sampled:
+            with pytest.raises(ValueError, match=f"refusing to allocate {nbytes} bytes"):
+                fam.rows()
+        else:
+            assert fam.mode == "sampled"
+        monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes)
+        assert fam.mode == ("sampled" if fam is sampled else "exhaustive")
+        fam.rows(seed=1)  # numpy's one-time allocations happen outside the traced call
+        tracemalloc.start()
+        try:
+            fam.rows()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes

@@ -376,17 +376,29 @@ def test_evolve_buffers_are_the_callers_own(form):
     prog = random_rgqbp(4, 3, 5, seed=41)
     prog = {"plain": prog, "split": split_layers(prog), "general": generalize(prog),
             "two-matmul": _off_phase_program("unrelated")}[form]
-    xs = all_inputs(prog.n)
-    start = evolve(prog, xs, levels=slice(0, 1))
-    before = start.copy()
-    finals = [evolve(prog, xs, start=start, levels=slice(1, None)) for _ in range(2)]
-    stack = evolve(prog, xs, start=start, levels=slice(1, None), record=True)
-    assert start.tobytes() == before.tobytes()
-    assert finals[0].base is None  # owns its memory: no second buffer kept alive
-    assert not np.shares_memory(finals[0], finals[1])
-    assert not any(np.shares_memory(a, start) for a in (*finals, stack))
-    assert stack[-1].tobytes() == finals[0].tobytes() == finals[1].tobytes()
-    assert np.abs(stack - _reference_batch(prog, xs)[1:]).max() <= 1e-12
+    for xs in (all_inputs(prog.n), all_inputs(prog.n)[5:6]):  # a batch, and one input
+        start = evolve(prog, xs, levels=slice(0, 1))
+        before = start.copy()
+        finals = [evolve(prog, xs, start=start, levels=slice(1, None)) for _ in range(2)]
+        stack = evolve(prog, xs, start=start, levels=slice(1, None), record=True)
+        assert start.tobytes() == before.tobytes()
+        assert finals[0].base is None  # owns its memory: no second buffer kept alive
+        assert not np.shares_memory(finals[0], finals[1])
+        assert not any(np.shares_memory(a, start) for a in (*finals, stack))
+        assert stack[-1].tobytes() == finals[0].tobytes() == finals[1].tobytes()
+        assert np.abs(stack - _reference_batch(prog, xs)[1:]).max() <= 1e-12
+    # one input through no level, or through an identity level only: its start
+    # comes back as a new array, whether given as (s,) or (1, s) or the initial vector
+    prog = _every_step_kind_program()
+    assert all(m is None for m in prog.plan.steps[5]) and not prog.plan.reads[5]
+    x = all_inputs(prog.n)[9:10]
+    start = evolve(prog, x, levels=slice(0, 5))
+    for part in (slice(5, 5), slice(5, 6)):
+        for begin in (start, start[0], None):
+            got = evolve(prog, x, start=begin, levels=part)
+            want = prog.initial if begin is None else begin
+            assert got.base is None and not np.shares_memory(got, want)
+            assert got.tobytes() == np.broadcast_to(want, (1, prog.width)).tobytes()
 
 
 @pytest.mark.parametrize("form", ["split", "general"])
@@ -491,18 +503,21 @@ def test_evolve_blocks_match_level_by_level_exactly(form, batch):
 
 @pytest.mark.parametrize("form", list(_kernel_forms()))
 def test_evolve_slices_across_blocks_match_level_by_level_exactly(form, monkeypatch):
-    # blocks of three levels at B=2, so slices start and end inside a block
-    monkeypatch.setattr(core, "LEVEL_BLOCK_BYTES", 3 * 16 * 2 * 4)
+    # blocks of three levels, so slices start and end inside a block: at B=2,
+    # and for one input with its start as (s,) and as (1, s)
     prog = _kernel_forms()[form]
     rng = np.random.default_rng(3)
     xs = rng.integers(0, 2, size=(2, prog.n), dtype=np.uint8)
     start = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    for lo in range(prog.length + 1):
-        for hi in range(lo, prog.length + 1):
-            part = slice(lo, hi)
-            want = _level_by_level(prog, xs, start, part)
-            assert np.array_equal(evolve(prog, xs, start=start, levels=part, record=True), want)
-            assert np.array_equal(evolve(prog, xs, start=start, levels=part), want[-1])
+    for rows, begin in ((xs, start), (xs[1:], start[1]), (xs[1:], start[1:])):
+        monkeypatch.setattr(core, "LEVEL_BLOCK_BYTES", 3 * 16 * len(rows) * 4)
+        for lo in range(prog.length + 1):
+            for hi in range(lo, prog.length + 1):
+                part = slice(lo, hi)
+                want = _level_by_level(prog, rows, begin, part)
+                got = evolve(prog, rows, start=begin, levels=part, record=True)
+                assert np.array_equal(got, want)
+                assert np.array_equal(evolve(prog, rows, start=begin, levels=part), want[-1])
 
 
 @pytest.mark.parametrize("form", list(_kernel_forms()))
@@ -549,6 +564,57 @@ def test_evolve_record_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(core, "ALLOC_LIMIT", 3 * 64 + 163)
     with pytest.raises(ValueError, match="refusing to allocate 356 bytes for one row's states"):
         final_states(prog, xs)
+
+
+def test_one_input_evolve_is_refused_before_allocating(monkeypatch):
+    # one row at s=2 through two reading levels: 2 * (16 * (3 + 1 + 2) + 2)
+    # bytes with record, 2 * (16 * (2 + 1 + 2) + 2) without, which is also what
+    # the one-input calls charge their row
+    prog, x = parity_program(4), "1000"
+    for record, nbytes, shape in ((True, 196, (3, 1, 2)), (False, 164, (1, 2))):
+        monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes)
+        assert evolve(prog, x, record=record).shape == shape
+        monkeypatch.setattr(core, "ALLOC_LIMIT", nbytes - 1)
+        with pytest.raises(ValueError, match=f"refusing to allocate {nbytes} bytes"):
+            evolve(prog, x, record=record)
+    with pytest.raises(ValueError, match="refusing to allocate 164 bytes"):
+        acceptance_probability(prog, x)
+
+
+def _shared_matrix_program(s: int, length: int, two_matmuls: bool) -> Program:
+    """``length`` levels of width ``s`` that share their matrices, so a deep wide
+    program stays small: restricted with random angles, or general with two
+    unrelated unitaries, which take two matmuls."""
+    rng = np.random.default_rng(s)
+    u, w = (np.linalg.qr(rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s)))[0]
+            for _ in range(2))
+    u.setflags(write=False)
+    w.setflags(write=False)
+    n = 2 * s
+    if two_matmuls:
+        levels = tuple(GeneralLevel(labels=rng.integers(0, n, s), a0=u, a1=w)
+                       for _ in range(length))
+    else:
+        levels = tuple(RestrictedLevel(labels=rng.integers(0, n, s), base=u,
+                                       thetas=rng.uniform(0, 2 * np.pi, s))
+                       for _ in range(length))
+    return Program(n=n, initial=np.eye(s)[0], levels=levels, accept=frozenset({0}))
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("two_matmuls", [False, True])
+def test_one_input_peak_is_within_its_checked_bytes(two_matmuls, record, monkeypatch):
+    # 40 reading levels at s=64 in factor blocks of 16: a block's factors and
+    # bits take 17 KiB, so a second block held at once, or the whole run's
+    # 42.5 KiB of them, would show past the 8 KiB allowed
+    monkeypatch.setattr(core, "LEVEL_BLOCK_BYTES", 16 * 16 * 64)
+    prog = _shared_matrix_program(64, 40, two_matmuls)
+    x = np.random.default_rng(4).integers(0, 2, size=(1, prog.n), dtype=np.uint8)
+    peak, checked = _peak_and_checked_bytes(prog, x, monkeypatch, record=record)
+    assert checked == 64 * (16 * ((41 if record else 2) + 1 + 16) + 16)
+    assert peak <= checked + 8192
+    want = _level_by_level(prog, x)
+    assert np.array_equal(evolve(prog, x, record=record), want if record else want[-1])
 
 
 def test_acceptance_of_a_batch_evolve_refuses_runs_in_row_blocks(monkeypatch):
