@@ -17,7 +17,7 @@ from . import experiments, formats, programs
 from .convert import circuit_to_rgqbp, rgqbp_to_circuit
 from .core import DEFAULT_TOL, accept_mass, validate_program
 from .circuit import QueryCircuit, circuit_acceptance, count_queries, validate_circuit
-from .simulate import evolve
+from .simulate import acceptance_probability, evolve
 from .transform import split_layers
 
 
@@ -63,11 +63,13 @@ def cmd_simulate(args) -> int:
         prob = circuit_acceptance(parsed, args.input)
         print(f"acceptance_probability={_fmt(prob)} queries={count_queries(parsed)}")
         return 0
+    if not args.trace:  # the final state alone: no recorded stack
+        print(f"acceptance_probability={_fmt(acceptance_probability(parsed, args.input))}")
+        return 0
     states = evolve(parsed, args.input, record=True)[:, 0]
-    if args.trace:
-        for t, state in enumerate(states):
-            amps = " ".join(f"({_fmt(z.real)},{_fmt(z.imag)})" for z in state)
-            print(f"state[{t}] {amps}")
+    for t, state in enumerate(states):
+        amps = " ".join(f"({_fmt(z.real)},{_fmt(z.imag)})" for z in state)
+        print(f"state[{t}] {amps}")
     print(f"acceptance_probability={_fmt(float(accept_mass(parsed, states[-1])))}")
     return 0
 

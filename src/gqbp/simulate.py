@@ -55,8 +55,8 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
     the ``Program.plan`` tables.  A block of reading levels, as many as
     ``core.LEVEL_BLOCK_BYTES`` of their (s, B) factors allow, reads its (levels,
     s, B) bits as rows of the (n, B) view ``inputs.T``, with no copy of the
-    inputs; at its first phase step it writes their factors along the
-    contiguous B-rows of one factor block.  A level's slice of a block is
+    inputs, and writes their factors along the contiguous B-rows of one
+    factor block, both where the block starts.  A level's slice of a block is
     contiguous, so its arithmetic is that of a level-by-level gather.  The
     steps write with ``out=`` into two state buffers in turn, or the
     recorded stack, through one scratch product, so no step allocates; the
@@ -64,9 +64,9 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
 
     One input row without ``record`` steps a 1-D state instead, each product
     a new s-vector (``mix.dot(v * f)`` and the rest), which at one row costs
-    less than the buffers' set-up and ``out=`` dispatch.  It reads the same
-    blocks, takes each block's factors from one ``np.where``, holds at most
-    three states at once and is byte-identical to the batch loop.
+    less than the buffers' set-up and ``out=`` dispatch.  It builds the same
+    blocks at the same levels, each block's factors from one ``np.where``,
+    holds at most three states at once and is byte-identical to the batch loop.
     """
     inputs = as_bit_rows(inputs, program.n)
     nb, s = inputs.shape[0], program.width
@@ -118,13 +118,15 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
         out = states[i if record else i % 2]
         if read:
             if done % per == 0:
-                block = slice(done, done + per)
                 bits = None  # the last block's bits go before this block's are read
-                bits, built = columns[labels[block]], False
+                bits = columns[labels[done:done + per]]
+                f = factors[:len(bits)]
+                f.fill(1)
+                np.copyto(f, table[done:done + per, :, np.newaxis], where=bits)
             at, done = done % per, done + 1
         if mix1 is not None:
-            # a1 @ (V*bits) goes to this level's own factor slot, which its
-            # step never reads, then a0 @ (V*~bits) + that into out
+            # a1 @ (V*bits) goes to this level's own factor slot, whose 1s
+            # nothing reads, then a0 @ (V*~bits) + that into out
             scratch.fill(0)
             np.copyto(scratch, v, where=bits[at])
             np.matmul(mix1, scratch, out=factors[at])
@@ -132,11 +134,6 @@ def evolve(program: Program, inputs, start=None, levels: slice = slice(None),
             np.matmul(mix, scratch, out=out)
             out += factors[at]
         elif read:
-            if not built:  # at the block's first phase step: two-matmul steps read bits
-                f = factors[:len(bits)]
-                f.fill(1)
-                np.copyto(f, table[block, :, np.newaxis], where=bits)
-                built = True
             if mix is None:
                 np.multiply(v, factors[at], out=out)
             else:

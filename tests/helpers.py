@@ -2,11 +2,12 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 
-from gqbp import (Diagonal, Permutation, PhaseOracle, Program, QueryCircuit, RestrictedLevel,
-                  Unitary, random_rgqbp)
+from gqbp import (Diagonal, GeneralLevel, Permutation, PhaseOracle, Program, QueryCircuit,
+                  RestrictedLevel, Unitary, generalize, random_rgqbp)
 from gqbp.circuit import run_circuit_batch, validate_circuit
 from gqbp.core import accept_mass, as_bits, validate_program
 from gqbp.simulate import all_inputs, final_states
@@ -83,6 +84,23 @@ def input_independent_program(n: int = 4, s: int = 2) -> Program:
     initial = np.zeros(s, dtype=complex)
     initial[0] = 1.0
     return Program(n=n, initial=initial, levels=(level, level), accept=frozenset({0}))
+
+
+def off_phase_program(case: str) -> Program:
+    """``generalize`` of a seeded program whose middle level is replaced by a
+    general level that is not phase-related within ``PHASE_TOL``."""
+    prog = generalize(random_rgqbp(4, 3, 5, seed=41))
+    mid = prog.levels[1]
+    a0, a1 = mid.a0.copy(), mid.a1.copy()
+    if case == "unrelated":
+        rng = np.random.default_rng(7)  # not random_rgqbp's seed, so not its bases
+        a1 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    elif case == "perturbed by 1e-13":
+        a1[0, 2] += 1e-13
+    else:  # a zero 0-transition column beside a nonzero 1-transition column
+        a0[:, 1] = 0.0
+    levels = (prog.levels[0], GeneralLevel(labels=mid.labels, a0=a0, a1=a1), prog.levels[2])
+    return replace(prog, levels=levels)
 
 
 # --- byte reference for the document writers ---------------------------------

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 import gqbp
-from gqbp import (GeneralLevel, Program, RestrictedLevel, acceptance_probabilities,
+from gqbp import (GeneralLevel, Program, RestrictedLevel, acceptance_probabilities, cli,
                   circuit_to_rgqbp, core, grover_promise_or, parity_program,
-                  random_rgqbp, rgqbp_to_circuit)
+                  random_rgqbp, rgqbp_to_circuit, simulate)
 from gqbp.circuit import index_register_width
 from gqbp.cli import main
 from gqbp.formats import parse_program, serialize_circuit, serialize_program
 from gqbp.simulate import all_inputs
+
+from helpers import off_phase_program
 
 
 @pytest.fixture
@@ -42,13 +44,31 @@ def test_simulate_trace_prints_states(parity_file, capsys):
 
 
 def test_simulate_trace_prints_the_same_probability(tmp_path, capsys):
-    path = tmp_path / "random.json"
-    path.write_text(serialize_program(random_rgqbp(5, 6, 4, seed=3)))
-    assert main(["simulate", str(path), "--input", "0110"]) == 0
-    plain = capsys.readouterr().out
-    assert main(["simulate", str(path), "--input", "0110", "--trace"]) == 0
-    traced = capsys.readouterr().out.splitlines()
-    assert [line for line in traced if not line.startswith("state[")] == plain.splitlines()
+    path = tmp_path / "program.json"
+    # a restricted program, and a general one with a two-matmul level
+    for program, bits in ((random_rgqbp(5, 6, 4, seed=3), "0110"),
+                          (off_phase_program("unrelated"), "01101")):
+        path.write_text(serialize_program(program))
+        assert main(["simulate", str(path), "--input", bits]) == 0
+        plain = capsys.readouterr().out
+        assert main(["simulate", str(path), "--input", bits, "--trace"]) == 0
+        traced = capsys.readouterr().out.splitlines()
+        assert [line for line in traced if not line.startswith("state[")] == plain.splitlines()
+
+
+def test_simulate_records_states_only_with_trace(parity_file, monkeypatch, capsys):
+    evolve, calls = simulate.evolve, []
+
+    def spy(*args, record=False, **kwargs):
+        calls.append(record)
+        return evolve(*args, record=record, **kwargs)
+
+    monkeypatch.setattr(simulate, "evolve", spy)
+    monkeypatch.setattr(cli, "evolve", spy)
+    assert main(["simulate", parity_file, "--input", "0101"]) == 0
+    assert calls == [False]
+    assert main(["simulate", parity_file, "--input", "0101", "--trace"]) == 0
+    assert calls == [False, True]
 
 
 def test_simulate_circuit_file(tmp_path, capsys):

@@ -30,7 +30,7 @@ from gqbp import circuit, core, simulate
 from gqbp.core import accept_mass
 from gqbp.simulate import all_inputs
 
-from helpers import seeded_program, transition_matrix
+from helpers import off_phase_program, seeded_program, transition_matrix
 
 
 def test_transition_matrix_zero_thetas_returns_base():
@@ -340,26 +340,9 @@ def test_only_the_exact_identity_skips_the_mix():
         assert (mix is None) == (base is signed_zeros) == np.array_equal(base, eye)
 
 
-def _off_phase_program(case: str) -> Program:
-    """``generalize`` of a seeded program whose middle level is replaced by a
-    general level that is not phase-related within ``PHASE_TOL``."""
-    prog = generalize(random_rgqbp(4, 3, 5, seed=41))
-    mid = prog.levels[1]
-    a0, a1 = mid.a0.copy(), mid.a1.copy()
-    if case == "unrelated":
-        rng = np.random.default_rng(7)  # not random_rgqbp's seed, so not its bases
-        a1 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-    elif case == "perturbed by 1e-13":
-        a1[0, 2] += 1e-13
-    else:  # a zero 0-transition column beside a nonzero 1-transition column
-        a0[:, 1] = 0.0
-    levels = (prog.levels[0], GeneralLevel(labels=mid.labels, a0=a0, a1=a1), prog.levels[2])
-    return replace(prog, levels=levels)
-
-
 @pytest.mark.parametrize("case", ["unrelated", "perturbed by 1e-13", "zero a0 column"])
 def test_general_levels_off_the_phase_relation_take_two_matmuls(case):
-    prog = _off_phase_program(case)
+    prog = off_phase_program(case)
     plan = prog.plan
     assert [mix1 is not None for _, mix1 in plan.steps] == [False, True, False]
     mix, mix1 = plan.steps[1]
@@ -375,7 +358,7 @@ def test_evolve_buffers_are_the_callers_own(form):
     # hybrid_run hands its prefix states to evolve as ``start``
     prog = random_rgqbp(4, 3, 5, seed=41)
     prog = {"plain": prog, "split": split_layers(prog), "general": generalize(prog),
-            "two-matmul": _off_phase_program("unrelated")}[form]
+            "two-matmul": off_phase_program("unrelated")}[form]
     for xs in (all_inputs(prog.n), all_inputs(prog.n)[5:6]):  # a batch, and one input
         start = evolve(prog, xs, levels=slice(0, 1))
         before = start.copy()
@@ -737,7 +720,7 @@ def _peak_and_checked_bytes(prog, xs, monkeypatch, **kwargs) -> tuple[int, int]:
 def test_evolve_peak_is_within_its_checked_bytes(form, record, monkeypatch):
     prog = random_rgqbp(8, 6, 5, seed=41)
     prog = {"plain": prog, "split": split_layers(prog), "general": generalize(prog),
-            "two-matmul": _off_phase_program("unrelated")}[form]
+            "two-matmul": off_phase_program("unrelated")}[form]
     xs = np.random.default_rng(2).integers(0, 2, size=(1024, prog.n), dtype=np.uint8)
     peak, checked = _peak_and_checked_bytes(prog, xs, monkeypatch, record=record)
     assert peak <= checked + 8192
